@@ -298,7 +298,10 @@ let rec binding_name (p : Parsetree.pattern) =
 (* Creator applications whose result is shared mutable state (or a
    guarded flavor of it). Creations hidden behind helper functions
    ([let t = make_table ()]) are NOT recognized — a documented
-   false-negative shape. [table_modules] holds local functor instances
+   false-negative shape — except the repo's own publish-once registry
+   ([Dwv_util.Publish_once.create], an Atomic behind an API), which is
+   recognized as Atomic-guarded state so the cache-purity pass still
+   sees it. [table_modules] holds local functor instances
    of [Hashtbl.Make]/[MakeSeeded], whose [create] is a hashtable maker
    under a non-standard module name. *)
 let creation_of_std name =
@@ -316,6 +319,8 @@ let creation_of_std name =
   | "Mutex.create" | "Condition.create" | "Semaphore.Counting.make"
   | "Semaphore.Binary.make" ->
     Some (Sync_t, Sync_primitive)
+  | n when n = "Publish_once.create" || String.ends_with ~suffix:".Publish_once.create" n ->
+    Some (Atomic_t, Atomic_guarded)
   | _ -> None
 
 let creation_of ?(table_modules = SSet.empty) name =

@@ -7,20 +7,28 @@
    <= 15 — far above the Taylor-model orders used anywhere in the
    reproduction). Packing makes monomial multiplication a plain integer
    addition and keeps the coefficient storage cheap, which is what makes
-   long closed-loop flowpipes affordable.
+   long closed-loop flowpipes affordable. A product whose exponents would
+   pass 15 raises instead of carrying into the next variable's nibble.
 
    Terms live in a pair of parallel arrays sorted by strictly ascending
-   packed key. The flowpipe kernel multiplies and merges polynomials in
-   its innermost loop, so the representation is chosen for those two
-   operations: [add] is a linear array merge and [mul] a hash
-   accumulation, instead of the O(n log n) persistent-map rebuilds of the
-   original Map-based implementation (~5x the verifier-call cost).
+   packed key, so [add] is a linear array merge. The innermost loop of
+   the flowpipe kernel is the truncating Taylor-model product
+   [mul_trunc]: it multiplies two polynomials of degree <= order, keeps
+   the terms of degree <= order and bounds the rest over [-1,1]^n. It
+   runs on a dense product plan (one per (nvars, order), shared by every
+   domain) that maps each pair of input monomials straight to the rank
+   of their product among all monomials of degree <= 2 order, so the
+   products accumulate into a per-domain dense array and the kept terms
+   and the dropped tail come out of one ascending sweep over it. Inputs
+   outside a plan use the generic [mul] (hash accumulation plus radix
+   sort) followed by [truncate] and [bound_unit].
 
    Bit-compatibility contract: every operation performs the SAME float
    additions in the SAME order as the historical Map implementation
-   (ascending-key iteration; in [mul], contributions to one result key
-   accumulate in ascending order of the left factor's key), so flowpipes,
-   certificates and counters are bit-identical across the swap. *)
+   (ascending-key iteration; in [mul] and [mul_trunc], contributions to
+   one result key accumulate in ascending order of the left factor's
+   key), so flowpipes, certificates and counters are bit-identical
+   whichever product path runs. *)
 
 module I = Dwv_interval.Interval
 
@@ -212,17 +220,15 @@ let add a b =
 
 let sub a b = add a (neg b)
 
-(* Monomial product = key addition (no nibble carries as long as the
-   combined per-variable exponents stay <= 15, guaranteed for the orders
-   used by Taylor models).
+(* Monomial product = key addition ([check_exponent_sums] rules out
+   nibble carries).
 
    The na*nb key/coefficient products accumulate into a per-domain
    open-addressing scratch table (plain int and float arrays: no boxing,
    no per-operation allocation), then the occupied slots are gathered and
-   LSD-radix-sorted by key into the output arrays. This is the innermost
-   loop of the whole flowpipe kernel; with ~5k products per call the
-   linear-probe accumulate plus byte-wise radix extraction is ~5x faster
-   than either a Hashtbl or a Johnson heap merge.
+   LSD-radix-sorted by key into the output arrays. This is the generic
+   product (any degrees); Taylor-model products run on [mul_trunc]'s
+   dense plans and reach it only as their fallback.
 
    Bit-compatibility with the historical Map implementation: products are
    generated outer-left / inner-right exactly as before, so the
@@ -281,8 +287,24 @@ let scratch_resize s cap =
 (* Multiplicative hash of a packed key into [0, cap). *)
 let slot_hash k cap = (k * 0x2545F4914F6CDD1D) lsr 20 land (cap - 1)
 
+(* Key addition is only a monomial product while every per-variable
+   exponent sum stays <= 15; past that the carry would silently spill
+   into the next variable's nibble. Some pair of terms realises both
+   per-variable maxima, so checking the maxima is exact. The total-degree
+   test keeps the scan off products of low degree (every Taylor-model
+   product has total degree <= 14). *)
+let max_exponent_of p i = Array.fold_left (fun m k -> max m (exponent_of k i)) 0 p.keys
+
+let check_exponent_sums a b =
+  if degree a + degree b > max_exponent then
+    for i = 0 to a.nvars - 1 do
+      if max_exponent_of a i + max_exponent_of b i > max_exponent then
+        invalid_arg "Poly.mul: exponent out of range [0, 15]"
+    done
+
 let mul a b =
   if a.nvars <> b.nvars then invalid_arg "Poly.mul: arity mismatch";
+  check_exponent_sums a b;
   let na = Array.length a.keys and nb = Array.length b.keys in
   if na = 0 then a
   else if nb = 0 then mk a.nvars [||] [||]
@@ -343,11 +365,12 @@ let mul a b =
       Bytes.unsafe_set sstate h st_empty
     done;
     let n = !n in
-    (* LSD radix sort of (rk, rv) by key, one byte per pass *)
+    (* LSD radix sort of (rk, rv) by key, one byte per pass (at most
+       ceil(60 / 8); a shift past the word size would wrap around) *)
     let counts = s.counts in
     let src_k = ref rk and src_v = ref rv and dst_k = ref s.rk2 and dst_v = ref s.rv2 in
     let shift = ref 0 in
-    while !maxkey lsr !shift > 0 do
+    while !shift < Sys.int_size && !maxkey lsr !shift > 0 do
       Array.fill counts 0 256 0;
       let sk = !src_k in
       for t = 0 to n - 1 do
@@ -487,35 +510,283 @@ let ieval p (box : Dwv_interval.Box.t) =
   done;
   !acc
 
-(* Enclosure over the canonical Taylor-model domain [-1,1]^n, on the fast
-   path: a monomial with all exponents even ranges over [0, c] (or [c, 0]),
-   any other monomial over [-|c|, |c|]. Pure float arithmetic. *)
+(* Range enclosure of a dropped tail over the canonical Taylor-model
+   domain [-1,1]^n, accumulated term by term in the caller's order: a
+   monomial with all exponents even ranges over [0, c] (or [c, 0]), any
+   other monomial over [-|c|, |c|]. Pure float arithmetic; [bound_unit]
+   and [mul_trunc] share it, so both sum the same terms in the same
+   (ascending-key) order. Taking the term as (array, index) keeps the
+   coefficient unboxed across the call. *)
+type tail = { mutable lo : float; mutable hi : float }
+
+let tail_add acc mask keys coeffs i =
+  let key = Array.unsafe_get keys i and c = Array.unsafe_get coeffs i in
+  if key = 0 then begin
+    (* constant monomial: exact *)
+    acc.lo <- acc.lo +. c;
+    acc.hi <- acc.hi +. c
+  end
+  else if key land mask = 0 then begin
+    (* all exponents even (some positive): monomial value in [0, 1] *)
+    if c >= 0.0 then acc.hi <- acc.hi +. c else acc.lo <- acc.lo +. c
+  end
+  else begin
+    let a = Float.abs c in
+    acc.lo <- acc.lo -. a;
+    acc.hi <- acc.hi +. a
+  end
+
 let bound_unit p =
   match p.bcache with
   | Some b -> b
   | None ->
-  let mask = parity_mask p.nvars in
-  let lo = ref 0.0 and hi = ref 0.0 in
-  for i = 0 to Array.length p.keys - 1 do
-    let key = p.keys.(i) and c = p.coeffs.(i) in
-    if key = 0 then begin
-      (* constant monomial: exact *)
-      lo := !lo +. c;
-      hi := !hi +. c
+    let mask = parity_mask p.nvars in
+    let acc = { lo = 0.0; hi = 0.0 } in
+    for i = 0 to Array.length p.keys - 1 do
+      tail_add acc mask p.keys p.coeffs i
+    done;
+    let b = I.make acc.lo acc.hi in
+    p.bcache <- Some b;
+    b
+
+(* ---- Truncating product on dense plans ----
+
+   A plan for (nvars, order) lists every monomial of degree <= 2 order
+   in ascending packed-key order (its rank is its index), marks the
+   ranks of degree <= order, and tabulates, for each pair of input
+   monomials of degree <= order, the rank of their product:
+
+     prod.(ra * n_in + rb) = rank (key_ra + key_rb)
+
+   With it, [mul_trunc] needs no hashing and no sorting: each product
+   adds into a per-domain dense slot array at its rank, and one sweep
+   over the touched rank range (contiguous, because key addition is
+   monotone) emits the kept terms already sorted and feeds the dropped
+   ones to [tail_add] in ascending key order. The result is the same
+   polynomial and the same remainder bound, bit for bit, as
+   [truncate ~order (mul a b)] followed by [bound_unit] of the dropped
+   part: the products are formed in [mul]'s order (outer over [a],
+   inner over [b]) and follow [mul]'s exact-zero eviction rule.
+
+   Plans are a pure function of (nvars, order), built once per process
+   and shared by every domain through a publish-once registry. One whose
+   table would exceed [max_plan_words] words is never built (the pair
+   records [None]) and its products take the generic path, so plan
+   memory stays below that constant per (nvars, order) pair. *)
+
+(* 2^20 words = 8 MiB per plan. Covers every arity up to order 3, and
+   up to 10 / 7 / 6 / 5 variables at orders 4 / 5 / 6 / 7. *)
+let max_plan_words = 1 lsl 20
+
+(* A sweep over the touched ranks pays for the whole span; when that
+   dwarfs the number of products the generic path is cheaper. *)
+let max_span_per_product = 8
+
+(* C(n, k) for the small arguments of plan sizing (exact: each partial
+   product is itself a binomial coefficient). *)
+let binomial n k =
+  let c = ref 1 in
+  for i = 0 to k - 1 do
+    c := !c * (n - i) / (i + 1)
+  done;
+  !c
+
+(* Monomials of total degree <= d in ascending key order: the key
+   compares exponent vectors lexicographically from the highest variable
+   down, so a depth-first walk that raises the highest exponent slowest
+   emits them sorted. *)
+let monomials nvars d =
+  let keys = Array.make (binomial (d + nvars) nvars) 0 in
+  let m = ref 0 in
+  let rec walk v key budget =
+    if v < 0 then begin
+      keys.(!m) <- key;
+      incr m
     end
-    else if key land mask = 0 then begin
-      (* all exponents even (some positive): monomial value in [0, 1] *)
-      if c >= 0.0 then hi := !hi +. c else lo := !lo +. c
+    else
+      for e = 0 to budget do
+        walk (v - 1) (key lor (e lsl (v * bits_per_var))) (budget - e)
+      done
+  in
+  walk (nvars - 1) 0 d;
+  keys
+
+(* Ranks without search. Among the monomials of degree <= dmax in
+   ascending key order, the monomials sharing the exponents of the
+   variables above v, with [d] degree left for variables v and below,
+   and exponent below [e] at v, number
+     steps.(((v * w) + d) * w + e) = sum_{x < e} C(d - x + v, v)
+   (w = dmax + 1; C(d + v, v) counts the monomials of degree <= d in v
+   variables). A key's rank is the sum of its steps from the highest
+   variable down: nvars table lookups instead of a search. *)
+type ranker = { nvars_r : int; dmax : int; steps : int array }
+
+let ranker nvars dmax =
+  let w = dmax + 1 in
+  let steps = Array.make (nvars * w * w) 0 in
+  for v = 0 to nvars - 1 do
+    for d = 0 to dmax do
+      for e = 1 to d do
+        let i = (((v * w) + d) * w) + e in
+        steps.(i) <- steps.(i - 1) + binomial (d - (e - 1) + v) v
+      done
+    done
+  done;
+  { nvars_r = nvars; dmax; steps }
+
+(* Rank of [key], or -1 when its degree exceeds [dmax]. *)
+let rank rk key =
+  let w = rk.dmax + 1 in
+  let r = ref 0 and d = ref rk.dmax in
+  for v = rk.nvars_r - 1 downto 0 do
+    let e = exponent_of key v in
+    if e <= !d then begin
+      r := !r + Array.unsafe_get rk.steps ((((v * w) + !d) * w) + e);
+      d := !d - e
     end
-    else begin
-      let a = Float.abs c in
-      lo := !lo -. a;
-      hi := !hi +. a
+    else d := -1 (* over budget; every later e > -1 keeps it there *)
+  done;
+  if !d < 0 then -1 else !r
+
+type plan = {
+  n_in : int;
+  in_ranker : ranker;   (* degree <= order *)
+  out_keys : int array; (* degree <= 2 order, ascending *)
+  out_kept : Bytes.t;   (* '\001' at the ranks of degree <= order *)
+  prod : int array;     (* n_in * n_in product ranks *)
+}
+
+let build_plan nvars order =
+  let n_in = binomial (order + nvars) nvars in
+  let n_out = binomial ((2 * order) + nvars) nvars in
+  if order < 0 || 2 * order > max_exponent || (n_in * n_in) + n_out > max_plan_words then None
+  else begin
+    let in_keys = monomials nvars order and out_keys = monomials nvars (2 * order) in
+    let out_ranker = ranker nvars (2 * order) in
+    let out_kept = Bytes.make n_out '\000' in
+    for r = 0 to n_out - 1 do
+      if key_degree nvars out_keys.(r) <= order then Bytes.set out_kept r '\001'
+    done;
+    let prod = Array.make (n_in * n_in) 0 in
+    for i = 0 to n_in - 1 do
+      for j = 0 to n_in - 1 do
+        prod.((i * n_in) + j) <- rank out_ranker (in_keys.(i) + in_keys.(j))
+      done
+    done;
+    Some { n_in; in_ranker = ranker nvars order; out_keys; out_kept; prod }
+  end
+
+let plans : (int, plan option) Dwv_util.Publish_once.t = Dwv_util.Publish_once.create ()
+
+let plan_for nvars order =
+  Dwv_util.Publish_once.find_or_publish plans ((order * (max_vars + 1)) + nvars) (fun () ->
+      build_plan nvars order)
+
+(* Per-domain dense accumulator, grown to the largest plan seen. Between
+   calls every [state] byte is '\000' (the sweep resets what it reads). *)
+type dense_scratch = {
+  mutable vals : float array;
+  mutable state : Bytes.t; (* '\001' = a live sum at this rank *)
+  mutable ra : int array;  (* a's term ranks, pre-scaled by n_in *)
+  mutable rb : int array;  (* b's term ranks *)
+  mutable kk : int array;  (* kept terms, before the exact-size copy *)
+  mutable kc : float array;
+}
+
+let dense_key : dense_scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { vals = [||]; state = Bytes.empty; ra = [||]; rb = [||]; kk = [||]; kc = [||] })
+
+let dense_scratch pl =
+  let s = Domain.DLS.get dense_key in
+  let n_out = Array.length pl.out_keys in
+  if Array.length s.vals < n_out then begin
+    s.vals <- Array.make n_out 0.0;
+    s.state <- Bytes.make n_out '\000'
+  end;
+  if Array.length s.ra < pl.n_in then begin
+    s.ra <- Array.make pl.n_in 0;
+    s.rb <- Array.make pl.n_in 0;
+    s.kk <- Array.make pl.n_in 0;
+    s.kc <- Array.make pl.n_in 0.0
+  end;
+  s
+
+(* Ranks of [keys] in the plan's input monomials, times [scale], into
+   [dst]; false when some key has degree > order (not in the plan). *)
+let rank_terms pl keys scale dst =
+  let ok = ref true and t = ref 0 in
+  while !ok && !t < Array.length keys do
+    let r = rank pl.in_ranker keys.(!t) in
+    if r < 0 then ok := false else dst.(!t) <- r * scale;
+    incr t
+  done;
+  !ok
+
+let generic_mul_trunc ~order a b =
+  let keep, drop = truncate ~order (mul a b) in
+  (keep, bound_unit drop)
+
+(* [r_lo], [r_hi]: ranks of the smallest and largest product key. *)
+let dense_mul_trunc pl s a b ~r_lo ~r_hi =
+  let na = Array.length a.keys and nb = Array.length b.keys in
+  let prod = pl.prod and vals = s.vals and state = s.state in
+  let ra = s.ra and rb = s.rb and ac = a.coeffs and bc = b.coeffs in
+  for i = 0 to na - 1 do
+    let row = Array.unsafe_get ra i in
+    for j = 0 to nb - 1 do
+      let r = Array.unsafe_get prod (row + Array.unsafe_get rb j) in
+      if Bytes.unsafe_get state r = '\000' then begin
+        (* first (or first since an eviction): kept even when 0.0 *)
+        Bytes.unsafe_set state r '\001';
+        Array.unsafe_set vals r (Array.unsafe_get ac i *. Array.unsafe_get bc j)
+      end
+      else begin
+        Array.unsafe_set vals r
+          (Array.unsafe_get vals r +. (Array.unsafe_get ac i *. Array.unsafe_get bc j));
+        (* an exactly-zero running sum evicts the key *)
+        if Array.unsafe_get vals r = 0.0 then Bytes.unsafe_set state r '\000'
+      end
+    done
+  done;
+  let out_keys = pl.out_keys and kept = pl.out_kept and kk = s.kk and kc = s.kc in
+  let mask = parity_mask a.nvars in
+  let acc = { lo = 0.0; hi = 0.0 } in
+  let m = ref 0 in
+  for r = r_lo to r_hi do
+    if Bytes.unsafe_get state r <> '\000' then begin
+      Bytes.unsafe_set state r '\000';
+      if Bytes.unsafe_get kept r <> '\000' then begin
+        Array.unsafe_set kk !m (Array.unsafe_get out_keys r);
+        Array.unsafe_set kc !m (Array.unsafe_get vals r);
+        incr m
+      end
+      else tail_add acc mask out_keys vals r
     end
   done;
-  let b = I.make !lo !hi in
-  p.bcache <- Some b;
-  b
+  (mk a.nvars (Array.sub kk 0 !m) (Array.sub kc 0 !m), I.make acc.lo acc.hi)
+
+let mul_trunc ~order a b =
+  if a.nvars <> b.nvars then invalid_arg "Poly.mul_trunc: arity mismatch";
+  let na = Array.length a.keys and nb = Array.length b.keys in
+  match plan_for a.nvars order with
+  | Some pl when na > 0 && nb > 0 ->
+    (* the span test needs only the extreme terms: rank those first *)
+    let rk = pl.in_ranker in
+    let lo_a = rank rk a.keys.(0) and hi_a = rank rk a.keys.(na - 1) in
+    let lo_b = rank rk b.keys.(0) and hi_b = rank rk b.keys.(nb - 1) in
+    if lo_a < 0 || hi_a < 0 || lo_b < 0 || hi_b < 0 then generic_mul_trunc ~order a b
+    else begin
+      let r_lo = pl.prod.((lo_a * pl.n_in) + lo_b) in
+      let r_hi = pl.prod.((hi_a * pl.n_in) + hi_b) in
+      let s = dense_scratch pl in
+      if r_hi - r_lo < max_span_per_product * na * nb
+         && rank_terms pl b.keys 1 s.rb
+         && rank_terms pl a.keys pl.n_in s.ra
+      then dense_mul_trunc pl s a b ~r_lo ~r_hi
+      else generic_mul_trunc ~order a b
+    end
+  | _ -> generic_mul_trunc ~order a b
 
 (* Partial derivative. Differentiating never merges distinct monomials
    (the key shift is injective on terms with a positive exponent), so the

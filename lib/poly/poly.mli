@@ -41,14 +41,26 @@ val neg : t -> t
 val scale : float -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
+
+(** Product; raises [Invalid_argument] when some variable's exponent
+    would exceed 15. *)
 val mul : t -> t -> t
 
-(** Integer power; raises on negative exponent. *)
+(** Integer power; raises [Invalid_argument] on a negative exponent or
+    when some variable's exponent would exceed 15. *)
 val pow : t -> int -> t
 
 (** [truncate ~order p] = (low, high): monomials of total degree <= order,
     and the dropped remainder polynomial. *)
 val truncate : order:int -> t -> t * t
+
+(** [mul_trunc ~order a b] = (low, tail): the terms of [mul a b] of
+    total degree <= order, and the enclosure over [-1,1]ⁿ of the dropped
+    remainder. Bit-identical to [truncate ~order (mul a b)] followed by
+    [bound_unit] of the dropped part, without building either product
+    polynomial when both factors have degree <= order (the Taylor-model
+    product). *)
+val mul_trunc : order:int -> t -> t -> t * Dwv_interval.Interval.t
 
 (** [split_var p i] = (terms without zᵢ, terms with zᵢ). *)
 val split_var : t -> int -> t * t

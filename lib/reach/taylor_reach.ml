@@ -36,17 +36,15 @@ let build_lie_table ~f ~order =
    every call. Hash-consing gives each dynamics expression a
    process-global id, so (ids of f, order) is a complete cache key.
 
-   The registry is a publish-once CAS list shared by every domain: a
-   run has a handful of distinct dynamics, and a per-domain (DLS) cache
-   would rebuild each of them once per worker — symbolic
-   differentiation repeated [domains] times at every pool start-up.
-   Entries are immutable after construction, so readers never lock;
-   the one benign race is two domains building the same table
-   concurrently, where the CAS loser discards its copy and adopts the
-   published one (the tables are structurally identical either way). *)
-type lie_entry = { le_key : int array * int; le_table : lie_table }
-
-let lie_registry : lie_entry list Atomic.t = Atomic.make []
+   The registry is publish-once and shared by every domain
+   ([Dwv_util.Publish_once]): a run has a handful of distinct dynamics,
+   and a per-domain (DLS) cache would rebuild each of them once per
+   worker — symbolic differentiation repeated [domains] times at every
+   pool start-up. Two domains building the same table concurrently
+   both get the published copy (the tables are structurally identical
+   either way). *)
+let lie_registry : (int array * int, lie_table) Dwv_util.Publish_once.t =
+  Dwv_util.Publish_once.create ()
 
 let ph_lie_build = Dwv_util.Phases.phase "lie_table_build"
 
@@ -54,29 +52,11 @@ let ph_lie_build = Dwv_util.Phases.phase "lie_table_build"
    counter: builds are once-per-process events, so a per-run counter
    snapshot would differ between the first and every later run of the
    same workload, breaking the bench's snapshot-equality gate. *)
-let lie_registry_size () = List.length (Atomic.get lie_registry)
+let lie_registry_size () = Dwv_util.Publish_once.size lie_registry
 
 let lie_table ~f ~order =
-  let key = (Array.map Expr.id f, order) in
-  let rec find = function
-    | [] -> None
-    | e :: tl -> if e.le_key = key then Some e.le_table else find tl
-  in
-  match find (Atomic.get lie_registry) with
-  | Some table -> table
-  | None ->
-    let table = Dwv_util.Phases.time ph_lie_build (fun () -> build_lie_table ~f ~order) in
-    let rec publish () =
-      let cur = Atomic.get lie_registry in
-      match find cur with
-      | Some existing -> existing
-      | None ->
-        if Atomic.compare_and_set lie_registry cur
-             ({ le_key = key; le_table = table } :: cur)
-        then table
-        else publish ()
-    in
-    publish ()
+  Dwv_util.Publish_once.find_or_publish lie_registry (Array.map Expr.id f, order) (fun () ->
+      Dwv_util.Phases.time ph_lie_build (fun () -> build_lie_table ~f ~order))
 
 let factorial k =
   let acc = ref 1.0 in

@@ -16,9 +16,12 @@ let lookup n =
 
 let hits = Atomic.make 0
 
+(* A publish-once registry is an Atomic behind an API. *)
+let plans = Dwv_util.Publish_once.create ()
+
 let run pool xs =
   Pool.map pool
     (fun x ->
       Atomic.incr hits;
-      lookup x)
+      Dwv_util.Publish_once.find_or_publish plans x (fun () -> lookup x))
     xs

@@ -69,6 +69,8 @@ let test_index_inventory () =
     (guard "memo_mu" = Ast_index.Sync_primitive);
   Alcotest.(check bool) "atomic counter guarded" true
     (guard "hits" = Ast_index.Atomic_guarded);
+  Alcotest.(check bool) "publish-once registry guarded" true
+    (guard "plans" = Ast_index.Atomic_guarded);
   Alcotest.(check int) "one fan-out site" 1 (List.length mi.Ast_index.pool_sites);
   let site = List.hd mi.Ast_index.pool_sites in
   Alcotest.(check string) "site callee" "Pool.map" site.Ast_index.p_callee;

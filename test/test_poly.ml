@@ -109,6 +109,161 @@ let prop_ieval_sound =
       let x = Box.denormalize box [| (2.0 *. t0) -. 1.0; (2.0 *. t1) -. 1.0 |] in
       I.contains (I.widen (Poly.ieval p box)) (Poly.eval p x))
 
+(* Exponent sums past 15 used to carry into the next variable's nibble:
+   z0^16 came out as z1, and (z0^8 + z1)^2 evaluated to the wrong value. *)
+let test_exponent_carry_guard () =
+  let carry = Invalid_argument "Poly.mul: exponent out of range [0, 15]" in
+  Alcotest.check_raises "z0^16" carry (fun () -> ignore (Poly.pow (Poly.var 2 0) 16));
+  let p = Poly.add (Poly.pow (Poly.var 2 0) 8) (Poly.var 2 1) in
+  Alcotest.check_raises "(z0^8 + z1)^2" carry (fun () -> ignore (Poly.mul p p));
+  Alcotest.check_raises "pow (z0^8 + z1) 2" carry (fun () -> ignore (Poly.pow p 2));
+  (* exponent 15 is still representable, and high total degree spread
+     over several variables is not a carry *)
+  let x = [| 1.1; 0.7 |] in
+  check_float "z0^15" (Float.pow 1.1 15.0) (Poly.eval (Poly.pow (Poly.var 2 0) 15) x);
+  let q = Poly.mul (Poly.pow (Poly.var 2 0) 9) (Poly.pow (Poly.var 2 1) 9) in
+  check_float "z0^9 z1^9" (Float.pow 1.1 9.0 *. Float.pow 0.7 9.0) (Poly.eval q x)
+
+(* Keys of the 15th variable sit in bits 56-59: the radix sort behind
+   [mul] used to shift past the word size there and never finish. *)
+let test_mul_top_variable () =
+  let z14 = Poly.var 15 14 and z0 = Poly.var 15 0 in
+  let a = Poly.add (Poly.add (Poly.const 15 0.5) z14) (Poly.mul z0 z14) in
+  let b = Poly.sub (Poly.add z0 z14) (Poly.const 15 2.0) in
+  let x = Array.init 15 (fun i -> 0.1 *. float_of_int (i + 1)) in
+  check_float "eval (a*b)" (Poly.eval a x *. Poly.eval b x) (Poly.eval (Poly.mul a b) x)
+
+(* ---- mul_trunc = truncate (mul a b) + bound_unit of the dropped part,
+   compared bit for bit ---- *)
+
+let reference_mul_trunc ~order a b =
+  let keep, drop = Poly.truncate ~order (Poly.mul a b) in
+  (keep, Poly.bound_unit drop)
+
+let result_bits (p, iv) =
+  ( Poly.nvars p,
+    List.map (fun (e, c) -> (Array.to_list e, Int64.bits_of_float c)) (Poly.to_terms p),
+    Int64.bits_of_float (I.lo iv),
+    Int64.bits_of_float (I.hi iv) )
+
+let same_as_reference ~order a b =
+  result_bits (Poly.mul_trunc ~order a b) = result_bits (reference_mul_trunc ~order a b)
+
+(* A random monomial of total degree <= d. *)
+let gen_monomial nvars d st =
+  let e = Array.make nvars 0 in
+  for _ = 1 to Random.State.int st (d + 1) do
+    let i = Random.State.int st nvars in
+    e.(i) <- e.(i) + 1
+  done;
+  e
+
+(* 1e-12 ... 1 in magnitude, either sign. *)
+let gen_wide_coeff st =
+  let m = Float.pow 10.0 (-.Random.State.float st 12.0) in
+  if Random.State.bool st then m else -.m
+
+(* Few distinct magnitudes, so many products cancel exactly. *)
+let gen_small_coeff st =
+  let m = [| 0.5; 1.0; 2.0; 0.25 |].(Random.State.int st 4) in
+  if Random.State.bool st then m else -.m
+
+let gen_poly nvars ~deg ~terms coeff st =
+  Poly.of_terms nvars (List.init terms (fun _ -> (gen_monomial nvars deg st, coeff st)))
+
+type mt_case = { shape : string; order : int; a : Poly.t; b : Poly.t }
+
+(* Flowpipe-sized factors: 8/10/11 variables, order 3, up to ~165 terms. *)
+let gen_realistic st =
+  let nvars = [| 8; 10; 11 |].(Random.State.int st 3) in
+  let terms () = 100 + Random.State.int st 80 in
+  let g () = gen_poly nvars ~deg:3 ~terms:(terms ()) gen_wide_coeff st in
+  { shape = "realistic"; order = 3; a = g (); b = g () }
+
+(* b is a with some signs flipped: every cross term of a flipped and an
+   unflipped monomial cancels exactly, exercising the eviction rule. *)
+let gen_cancelling st =
+  let nvars = 1 + Random.State.int st 8 and order = 1 + Random.State.int st 4 in
+  let terms = List.init (2 + Random.State.int st 30) (fun _ ->
+      (gen_monomial nvars order st, gen_small_coeff st)) in
+  let a = Poly.of_terms nvars terms in
+  let b =
+    Poly.of_terms nvars
+      (List.map (fun (e, c) -> (e, if Random.State.bool st then -.c else c)) terms)
+  in
+  { shape = "cancelling"; order; a; b }
+
+(* One factor has terms of degree > order: not in the plan. *)
+let gen_over_order st =
+  let nvars = 2 + Random.State.int st 6 and order = 1 + Random.State.int st 3 in
+  let a = gen_poly nvars ~deg:(order + 2) ~terms:(5 + Random.State.int st 40) gen_wide_coeff st in
+  let b = gen_poly nvars ~deg:order ~terms:(5 + Random.State.int st 40) gen_wide_coeff st in
+  if Random.State.bool st then { shape = "over-order"; order; a; b }
+  else { shape = "over-order"; order; a = b; b = a }
+
+(* 0- and 1-term factors. *)
+let gen_tiny st =
+  let nvars = 1 + Random.State.int st 10 and order = 1 + Random.State.int st 6 in
+  let a = gen_poly nvars ~deg:order ~terms:(Random.State.int st 2) gen_wide_coeff st in
+  let b = gen_poly nvars ~deg:order ~terms:(Random.State.int st 20) gen_wide_coeff st in
+  if Random.State.bool st then { shape = "tiny"; order; a; b }
+  else { shape = "tiny"; order; a = b; b = a }
+
+(* Any arity and order: plans of every size, including ones over the
+   plan memory bound, and sparse factors whose rank span is wide. *)
+let gen_sparse st =
+  let nvars = 1 + Random.State.int st 15 and order = 1 + Random.State.int st 7 in
+  let g () = gen_poly nvars ~deg:order ~terms:(1 + Random.State.int st 12) gen_small_coeff st in
+  { shape = "sparse"; order; a = g (); b = g () }
+
+let arb_mt_case =
+  let gen st =
+    match Random.State.int st 5 with
+    | 0 -> gen_realistic st
+    | 1 -> gen_cancelling st
+    | 2 -> gen_over_order st
+    | 3 -> gen_tiny st
+    | _ -> gen_sparse st
+  in
+  let print c =
+    Fmt.str "%s order=%d@.a = %a@.b = %a" c.shape c.order Poly.pp c.a Poly.pp c.b
+  in
+  QCheck.make ~print gen
+
+let prop_mul_trunc_bit_identical =
+  QCheck.Test.make ~name:"mul_trunc = truncate (mul a b) + bound_unit, bit for bit"
+    ~count:400 arb_mt_case (fun c -> same_as_reference ~order:c.order c.a c.b)
+
+(* The flowpipe's own factor shape: every monomial of degree <= 3 in 8
+   variables (the dense 165-term case), with a few exact cancellations. *)
+let test_mul_trunc_dense_full () =
+  let st = Random.State.make [| 17 |] in
+  let full = Poly.add (Poly.pow (Poly.add (Poly.const 8 1.0)
+    (List.fold_left Poly.add (Poly.zero 8) (List.init 8 (Poly.var 8)))) 3) (Poly.zero 8) in
+  Alcotest.(check int) "165 terms" 165 (Poly.num_terms full);
+  let noisy = gen_poly 8 ~deg:3 ~terms:165 gen_wide_coeff st in
+  let a = Poly.add full noisy and b = Poly.sub full noisy in
+  Alcotest.(check bool) "a*b" true (same_as_reference ~order:3 a b);
+  Alcotest.(check bool) "a*a" true (same_as_reference ~order:3 a a);
+  Alcotest.(check bool) "full*noisy" true (same_as_reference ~order:3 full noisy)
+
+(* One plan serves every domain: the same products computed in 1 domain
+   and concurrently in 4 (racing to build a plan no earlier test used)
+   are bit-identical to the reference. *)
+let test_mul_trunc_domains () =
+  let st = Random.State.make [| 23 |] in
+  let cases =
+    List.init 12 (fun _ ->
+        let g () = gen_poly 9 ~deg:3 ~terms:(60 + Random.State.int st 100) gen_wide_coeff st in
+        (g (), g ()))
+  in
+  let expected = List.map (fun (a, b) -> result_bits (reference_mul_trunc ~order:3 a b)) cases in
+  let run () = List.map (fun (a, b) -> result_bits (Poly.mul_trunc ~order:3 a b)) cases in
+  let workers = List.init 4 (fun _ -> Domain.spawn run) in
+  let par = List.map Domain.join workers in
+  List.iteri (fun d r -> Alcotest.(check bool) (Fmt.str "domain %d" d) true (r = expected)) par;
+  Alcotest.(check bool) "1 domain" true (run () = expected)
+
 (* ---------------- Bernstein ---------------- *)
 
 let test_binomial () =
@@ -204,6 +359,11 @@ let suite =
     Alcotest.test_case "bound_unit even/odd" `Quick test_bound_unit_even_odd;
     Alcotest.test_case "exponent guard" `Quick test_exponent_range_guard;
     Alcotest.test_case "nvars guard" `Quick test_nvars_guard;
+    Alcotest.test_case "exponent carry guard" `Quick test_exponent_carry_guard;
+    Alcotest.test_case "mul in the 15th variable" `Quick test_mul_top_variable;
+    Alcotest.test_case "mul_trunc dense 165-term" `Quick test_mul_trunc_dense_full;
+    Alcotest.test_case "mul_trunc 1 vs 4 domains" `Quick test_mul_trunc_domains;
+    QCheck_alcotest.to_alcotest prop_mul_trunc_bit_identical;
     QCheck_alcotest.to_alcotest prop_bound_unit_sound;
     QCheck_alcotest.to_alcotest prop_mul_eval_homomorphism;
     QCheck_alcotest.to_alcotest prop_ieval_sound;

@@ -256,6 +256,31 @@ let test_trend_record_roundtrip () =
         (Some [ ("cache_hits", 4); ("verifier_calls", 8) ])
         (Trend.last history ~section:"hotpath" ~workload:"learn"))
 
+module Publish_once = Dwv_util.Publish_once
+
+let test_publish_once () =
+  let t = Publish_once.create () in
+  let builds = ref 0 in
+  let build v () = incr builds; v in
+  Alcotest.(check int) "first build published" 1 (Publish_once.find_or_publish t "a" (build 1));
+  Alcotest.(check int) "hit returns the published value" 1
+    (Publish_once.find_or_publish t "a" (build 2));
+  Alcotest.(check int) "no rebuild on a hit" 1 !builds;
+  Alcotest.(check int) "second key" 3 (Publish_once.find_or_publish t "b" (build 3));
+  Alcotest.(check int) "size" 2 (Publish_once.size t)
+
+(* Domains racing on one key may each build, but all adopt the single
+   published value. *)
+let test_publish_once_race () =
+  let t = Publish_once.create () in
+  let workers =
+    List.init 4 (fun d -> Domain.spawn (fun () -> Publish_once.find_or_publish t 0 (fun () -> d)))
+  in
+  let got = List.map Domain.join workers in
+  Alcotest.(check int) "one entry" 1 (Publish_once.size t);
+  let winner = Publish_once.find_or_publish t 0 (fun () -> -1) in
+  List.iter (fun v -> Alcotest.(check int) "same value everywhere" winner v) got
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -285,4 +310,6 @@ let suite =
     Alcotest.test_case "svg empty raises" `Quick test_svg_empty_scene_raises;
     Alcotest.test_case "svg rect validation" `Quick test_svg_rect_validation;
     Alcotest.test_case "svg file save" `Quick test_svg_file_save;
+    Alcotest.test_case "publish-once registry" `Quick test_publish_once;
+    Alcotest.test_case "publish-once race" `Quick test_publish_once_race;
   ]
