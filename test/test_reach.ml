@@ -394,6 +394,127 @@ let test_nn_flowpipe_sound_vs_simulation () =
       trace.Dwv_ode.Sampled_system.states
   done
 
+(* ---------------- golden flowpipe digests ---------------- *)
+
+(* Pins the zero-order-hold closed loop across refactors: each digest
+   hashes the IEEE bits of every step and segment box, the divergence
+   flag and the structured error text (failed rungs in ladder order for
+   the scenario reports). The constants were recorded before the four
+   hand-written closed-loop copies were folded into [Closed_loop]. *)
+
+module Dwv_error = Dwv_robust.Dwv_error
+module Scenario = Dwv_scenario.Scenario
+module Scn_verify = Dwv_scenario.Scn_verify
+
+let pipe_digest pipe errors =
+  let b = Buffer.create 4096 in
+  let add_box bx =
+    Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Box.lo bx);
+    Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) (Box.hi bx);
+    Buffer.add_char b '|'
+  in
+  List.iter add_box (Flowpipe.step_boxes pipe);
+  Buffer.add_char b '#';
+  List.iter add_box (Flowpipe.segment_boxes pipe);
+  Buffer.add_string b (if Flowpipe.diverged pipe then "diverged" else "complete");
+  List.iter (fun e -> Buffer.add_string b (Dwv_error.to_string e)) errors;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let outcome_digest (o : Flowpipe.outcome) =
+  pipe_digest o.Flowpipe.pipe (Option.to_list o.Flowpipe.error)
+
+let golden_osc =
+  lazy
+    (let module Oscillator = Dwv_systems.Oscillator in
+     match Oscillator.pretrained_controller (Rng.create 1) with
+     | Dwv_core.Controller.Net { net; output_scale } -> (net, output_scale)
+     | Dwv_core.Controller.Linear _ -> assert false)
+
+let osc_tm_digest ~slots ~substeps method_ =
+  let module Oscillator = Dwv_systems.Oscillator in
+  let net, output_scale = Lazy.force golden_osc in
+  outcome_digest
+    (Verifier.nn_flowpipe_outcome ~order:3 ~disturbance_slots:slots ~substeps
+       ~f:Oscillator.dynamics ~delta:Oscillator.delta ~steps:Oscillator.steps ~net
+       ~output_scale ~method_ ~x0:Oscillator.spec.Dwv_core.Spec.x0 ())
+
+let golden_nn =
+  [
+    ("polar", "e759c414f09202722559af65bc2a9177", fun () -> osc_tm_digest ~slots:6 ~substeps:1 Verifier.Polar);
+    ("polar+tight", "274e0b33081b4d1ef100284d54841b18", fun () -> osc_tm_digest ~slots:12 ~substeps:2 Verifier.Polar);
+    ( "reachnn",
+      "10ac6d4d7ac962bfc7fbcbabe7a09977",
+      fun () ->
+        osc_tm_digest ~slots:6 ~substeps:1
+          (Verifier.Bernstein (Nn_reach_bernstein.default_config ~n:2)) );
+    ( "interval",
+      "45ddedab551fd9aaf0abaa3a85934a0f",
+      fun () ->
+        let module Oscillator = Dwv_systems.Oscillator in
+        let net, output_scale = Lazy.force golden_osc in
+        outcome_digest
+          (Interval_reach.nn_flowpipe_outcome ~order:3 ~f:Oscillator.dynamics
+             ~delta:Oscillator.delta ~steps:Oscillator.steps ~net ~output_scale
+             ~x0:Oscillator.spec.Dwv_core.Spec.x0 ()) );
+  ]
+
+(* A scenario's affine ladder with the chosen first rung: [`Taylor] runs
+   Taylor then interval, [`Interval] the interval rung alone. *)
+let scenario_digest path kernel =
+  let scn = Scenario.of_file path in
+  let order =
+    match scn.Scenario.method_ with
+    | Scenario.M_taylor { order } | Scenario.M_interval { order } -> order
+    | _ -> assert false
+  in
+  let scn =
+    {
+      scn with
+      Scenario.method_ =
+        (match kernel with
+        | `Taylor -> Scenario.M_taylor { order }
+        | `Interval -> Scenario.M_interval { order });
+    }
+  in
+  let r =
+    Scn_verify.flowpipe_robust scn (Scenario.make_controller scn (Rng.create 1))
+  in
+  pipe_digest r.Verifier.pipe (List.map snd r.Verifier.failures)
+
+let golden_scenarios =
+  List.concat_map
+    (fun (path, digests) ->
+      List.map2
+        (fun kernel digest ->
+          ( Fmt.str "%s %s" (Filename.basename path)
+              (match kernel with `Taylor -> "taylor" | `Interval -> "interval"),
+            digest,
+            fun () -> scenario_digest path kernel ))
+        [ `Taylor; `Interval ] digests)
+    [
+      ("../examples/scenarios/cartpole.scn",
+        [ "ccef64045077535eb2ffb2d6c79a52f7"; "3e6c7a26760966aa13d2d1ad06e40ada" ]);
+      ("../examples/scenarios/tora.scn",
+        [ "e81c0eef5e8c76fc3ed579fa9340c330"; "349ae4a32cf0ddce757158f9cdb93a61" ]);
+      ("../examples/scenarios/unicycle.scn",
+        [ "e1a0a92c6a8ce28f08524224ec181de5"; "5072cacda215ee85a0f2e0e40b267041" ]);
+      ("scenarios/corpus/zoh-aliasing.scn",
+        [ "b175cb3613ca86a6d2968056787dc169"; "9d2f050095404c3f406c97748887d2bb" ]);
+    ]
+  @ [
+      ( "grazing-goal-param.scn interval",
+        "bc216708e9cbdb3f679d996cd982ea0f",
+        fun () -> scenario_digest "scenarios/corpus/grazing-goal-param.scn" `Interval );
+    ]
+
+let test_golden_digests () =
+  let cases = golden_nn @ golden_scenarios in
+  let got = List.map (fun (name, _, digest) -> (name, digest ())) cases in
+  Alcotest.(check (list (pair string string)))
+    "flowpipe digests"
+    (List.map (fun (name, expected, _) -> (name, expected)) cases)
+    got
+
 let suite =
   [
     Alcotest.test_case "flowpipe accessors" `Quick test_flowpipe_accessors;
@@ -420,4 +541,5 @@ let suite =
     Alcotest.test_case "verdict no goal" `Quick test_check_unknown_no_goal;
     Alcotest.test_case "initial box not goal" `Quick test_initial_set_does_not_count_as_goal;
     Alcotest.test_case "nn flowpipe sound" `Quick test_nn_flowpipe_sound_vs_simulation;
+    Alcotest.test_case "golden flowpipe digests" `Quick test_golden_digests;
   ]
