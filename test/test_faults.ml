@@ -148,6 +148,41 @@ let test_nn_step_budget_stops_flowpipe () =
   | Some e -> Alcotest.(check string) "budget kind" "budget" (Dwv_error.kind_name e)
   | None -> Alcotest.fail "no error attached"
 
+let test_nan_theta_reaches_every_rung () =
+  (* the armed NaN-θ fault corrupts the network once per call, so the
+     interval rung at the bottom of the ladder verifies the corrupted
+     weights too instead of certifying the clean network *)
+  let f = [| Expr.(add (neg (var 0)) (input 0)) |] in
+  let net =
+    Mlp.create ~sizes:[ 1; 4; 1 ] ~acts:[ Activation.Tanh; Activation.Tanh ] (Rng.create 7)
+  in
+  let x0 = Box.make ~lo:[| 0.9 |] ~hi:[| 1.1 |] in
+  let report =
+    Fault.with_faults [ (0, Fault.Nan_theta) ] (fun () ->
+        Verifier.nn_flowpipe_robust ~f ~delta:0.1 ~steps:10 ~net ~output_scale:0.1
+          ~method_:Verifier.Polar ~x0 ())
+  in
+  Alcotest.(check (option string)) "no rung succeeds" None report.Verifier.rung;
+  Alcotest.(check bool) "pipe diverged" true (Flowpipe.diverged report.Verifier.pipe);
+  Alcotest.(check (list string)) "every rung failed"
+    [ "POLAR"; "POLAR+tight"; "ReachNN"; "interval" ]
+    (List.map fst report.Verifier.failures)
+
+let test_interval_step_budget_annotated () =
+  (* a failure raised inside the interval kernel keeps its own step and
+     is stamped with the backend, like every other closed-loop failure *)
+  let o =
+    Dwv_reach.Interval_reach.nn_flowpipe_outcome ~budget:(Budget.create ~max_steps:3 ())
+      ~f:tiny_f ~delta:0.1 ~steps:5 ~net:tiny_net ~output_scale:1.0 ~x0:tiny_x0 ()
+  in
+  Alcotest.(check int) "stopped after 3 periods" 3 (Flowpipe.steps o.Flowpipe.pipe);
+  match o.Flowpipe.error with
+  | None -> Alcotest.fail "no error attached"
+  | Some e ->
+    Alcotest.(check string) "budget kind" "budget" (Dwv_error.kind_name e);
+    Alcotest.(check (option string)) "backend" (Some "interval") e.Dwv_error.backend;
+    Alcotest.(check (option int)) "step" (Some 4) e.Dwv_error.step
+
 let test_nn_robust_substep_rung_equivalent_when_clean () =
   (* zero faults: the primary rung must reproduce nn_flowpipe exactly *)
   let plain =
@@ -450,6 +485,9 @@ let suite =
       test_fault_plan_is_scoped_and_deterministic;
     Alcotest.test_case "nn nan weights is a value" `Quick test_nn_nan_weights_is_a_value;
     Alcotest.test_case "nn step budget stops flowpipe" `Quick test_nn_step_budget_stops_flowpipe;
+    Alcotest.test_case "nan-theta reaches every rung" `Quick test_nan_theta_reaches_every_rung;
+    Alcotest.test_case "interval step budget annotated" `Quick
+      test_interval_step_budget_annotated;
     Alcotest.test_case "robust = plain when clean" `Quick
       test_nn_robust_substep_rung_equivalent_when_clean;
     Alcotest.test_case "blowup uses fallback rung" `Quick test_nn_robust_blowup_uses_fallback_rung;
