@@ -520,8 +520,11 @@ let parallel_initset domains =
   Pool.with_pool ~domains (fun pool ->
       Initset.search ~max_depth:2 ~pool
         ~verify_warm:(fun ?warm cell ->
-          Oscillator.verify_warm_from ~method_:Dwv_reach.Verifier.Polar ~pool ?warm
-            cell c)
+          let r =
+            Oscillator.verify_robust_from ~method_:Dwv_reach.Verifier.Polar ~pool ?warm
+              cell c
+          in
+          (r.Dwv_reach.Verifier.pipe, r.Dwv_reach.Verifier.warm))
         ~verify:(fun cell ->
           Oscillator.verify_from ~method_:Dwv_reach.Verifier.Polar cell c)
         ~goal ~x0:Oscillator.spec.Spec.x0 ())

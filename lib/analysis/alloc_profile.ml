@@ -28,6 +28,7 @@ let default_entries =
     "Taylor_model.mul";
     "Taylor_model.bound";
     "Taylor_reach.step";
+    "Closed_loop.run";
     "Verifier.nn_flowpipe_outcome";
     "Rk45.integrate";
     "Bernstein.approximate";

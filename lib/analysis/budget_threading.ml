@@ -12,9 +12,7 @@ module D = Diagnostics
 let default_entries =
   [
     "Acc.verify_robust"; "Acc.verify_robust_from";
-    "Oscillator.verify_robust"; "Oscillator.verify_robust_from";
-    "Pendulum.verify_robust"; "Pendulum.verify_robust_from";
-    "Threed.verify_robust"; "Threed.verify_robust_from";
+    "Nn_system.verify_robust"; "Nn_system.verify_robust_from";
     "Learner.learn"; "Initset.search";
     "Cert_check.validate"; "Cert_check.validate_cert";
     "Scn_verify.verify_robust"; "Scn_fuzz.run";
@@ -22,7 +20,8 @@ let default_entries =
 
 let targets =
   [
-    "Rk45.integrate"; "Taylor_reach.step"; "Verifier.nn_flowpipe_outcome";
+    "Rk45.integrate"; "Taylor_reach.step"; "Interval_reach.step";
+    "Closed_loop.taylor_kernel"; "Verifier.nn_flowpipe_outcome";
     "Verifier.nn_flowpipe"; "Verifier.nn_flowpipe_robust";
   ]
 

@@ -19,13 +19,16 @@
     are invisible to the static graph; the systems' own entry points are
     therefore all checked directly, which closes the loop. *)
 
-(** ["Unit.fn"] entry points checked by default: the four systems'
-    [verify_robust]/[verify_robust_from], [Learner.learn] and
-    [Initset.search]. *)
+(** ["Unit.fn"] entry points checked by default: the systems'
+    [verify_robust]/[verify_robust_from] ([Acc]'s and the shared
+    [Nn_system] definitions the NN studies bind), [Learner.learn],
+    [Initset.search], the certificate checker and the scenario driver. *)
 val default_entries : string list
 
 (** Kernel call sites every path must reach budgeted: [Rk45.integrate],
-    [Taylor_reach.step] and the [Verifier] flowpipe drivers. *)
+    the Taylor and interval period kernels ([Taylor_reach.step],
+    [Interval_reach.step], [Closed_loop.taylor_kernel]) and the
+    [Verifier] flowpipe drivers. *)
 val targets : string list
 
 (** Run the check. [budget-threading] errors on violations; an entry

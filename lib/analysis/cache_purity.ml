@@ -44,7 +44,7 @@ type config = {
 let default_entries =
   [
     "Cert_key.fingerprint"; "Cert_key.expr_fingerprint"; "Cert_check.validate";
-    "Cert_check.validate_cert"; "Verifier.cert_of_pipe"; "Scn_verify.cert_hook";
+    "Cert_check.validate_cert"; "Verifier.cert_of_pipe"; "Verifier.cert_hook";
   ]
 
 let default_allow =

@@ -36,6 +36,7 @@ let default_hot_modules =
     "Initset";
     "Evaluate";
     "Verifier";
+    "Closed_loop";
     "Taylor_reach";
     "Robust_verify";
     "Rk45";

@@ -29,6 +29,11 @@ let radii b = Array.map Interval.rad b
 
 let max_width b = Array.fold_left (fun acc iv -> Float.max acc (Interval.width iv)) 0.0 b
 
+let is_finite b =
+  Array.for_all
+    (fun iv -> Float.is_finite (Interval.lo iv) && Float.is_finite (Interval.hi iv))
+    b
+
 let volume b = Array.fold_left (fun acc iv -> acc *. Interval.width iv) 1.0 b
 
 let contains b x =

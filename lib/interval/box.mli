@@ -22,6 +22,9 @@ val widths : t -> float array
 val radii : t -> float array
 val max_width : t -> float
 
+(** Every bound is finite (no infinity, no NaN). *)
+val is_finite : t -> bool
+
 (** Product of widths. *)
 val volume : t -> float
 

@@ -53,61 +53,22 @@ let step ?budget ~f ~(lie : Taylor_reach.lie_table) ~delta (x : Box.t) (u : Box.
       in
       Ok (next, enclosure))
 
-let box_finite b =
-  Array.for_all (fun iv -> Float.is_finite (I.lo iv) && Float.is_finite (I.hi iv)) b
-
 (* Closed-loop box flowpipe under u = output_scale * net(x) (ZOH); total,
    with the structured failure cause attached. *)
-let nn_flowpipe_outcome ?(blowup_width = 1e4) ?(order = 3) ?budget ~f ~delta ~steps ~net
+let nn_flowpipe_outcome ?blowup_width ?(order = 3) ?budget ~f ~delta ~steps ~net
     ~output_scale ~x0 () =
-  let backend = "interval" in
   let lie = Taylor_reach.lie_table ~f ~order in
-  let step_boxes = ref [ x0 ] and segment_boxes = ref [] in
-  let diverged = ref false in
-  let error = ref None in
-  let step_index = ref 0 in
-  let fail e =
-    error := Some e;
-    diverged := true;
-    raise Exit
-  in
-  let x = ref x0 in
-  (try
-     for _ = 1 to steps do
-       incr step_index;
-       match
-         let u = Array.map (I.scale output_scale) (Ibp.forward net !x) in
-         step ?budget ~f ~lie ~delta !x u
-       with
-       | Error e -> fail { e with Dwv_error.step = Some !step_index }
-       | Ok (next, segment) ->
-         if not (box_finite next && box_finite segment) then
-           fail
-             (Dwv_error.non_finite ~backend ~step:!step_index
-                ~where:"Interval_reach.nn_flowpipe" "reach box")
-         else if Box.max_width next > blowup_width || Box.max_width segment > blowup_width
-         then
-           fail
-             (Dwv_error.divergence
-                ~width:(Float.max (Box.max_width next) (Box.max_width segment))
-                ~backend ~step:!step_index ~where:"Interval_reach.nn_flowpipe" ());
-         segment_boxes := segment :: !segment_boxes;
-         step_boxes := next :: !step_boxes;
-         x := next
-       | exception ((Invalid_argument _ | Failure _) as exn) ->
-         fail
-           (Dwv_error.of_exn ~backend ~step:!step_index
-              ~where:"Interval_reach.nn_flowpipe" exn)
-     done
-   with Exit -> ());
-  {
-    Flowpipe.pipe =
-      Flowpipe.make
-        ~step_boxes:(Array.of_list (List.rev !step_boxes))
-        ~segment_boxes:(Array.of_list (List.rev !segment_boxes))
-        ~delta ~diverged:!diverged;
-    error = !error;
-  }
+  Closed_loop.run ?blowup_width ~delta ~steps ~x0
+    {
+      Closed_loop.backend = "interval";
+      where = "Interval_reach.nn_flowpipe";
+      init = x0;
+      bound = Fun.id;
+      step =
+        (fun _ x ->
+          step ?budget ~f ~lie ~delta x
+            (Array.map (I.scale output_scale) (Ibp.forward net x)));
+    }
 
 let nn_flowpipe ?blowup_width ?order ?budget ~f ~delta ~steps ~net ~output_scale ~x0 () =
   (nn_flowpipe_outcome ?blowup_width ?order ?budget ~f ~delta ~steps ~net ~output_scale

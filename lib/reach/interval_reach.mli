@@ -13,8 +13,10 @@ val step :
   Dwv_interval.Box.t ->
   (Dwv_interval.Box.t * Dwv_interval.Box.t, Dwv_robust.Dwv_error.t) result
 
-(** Closed-loop box flowpipe under u = output_scale·net(x) with ZOH,
-    with the structured failure cause attached (total). *)
+(** Closed-loop box flowpipe under u = output_scale·net(x) with ZOH — a
+    {!Closed_loop} instance with the interval-bound-propagation control
+    abstraction and {!step} — with the structured failure cause attached
+    (total). *)
 val nn_flowpipe_outcome :
   ?blowup_width:float ->
   ?order:int ->

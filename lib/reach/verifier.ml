@@ -54,14 +54,19 @@ let safety_ok ~unsafe pipe =
 let certainly_unsafe ~unsafe pipe =
   List.exists (fun b -> Box.subset b unsafe) (Flowpipe.all_boxes pipe)
 
-let check ~unsafe ~goal pipe =
+(* The avoid set is a list of boxes: a segment inside any of them is
+   certainly unsafe, and an intersection with any of them blocks
+   Reach_avoid. *)
+let check_avoid ~avoid ~goal pipe =
   if Flowpipe.diverged pipe then Unknown
-  else if certainly_unsafe ~unsafe pipe then Unsafe
-  else if not (safety_ok ~unsafe pipe) then Unknown
+  else if List.exists (fun unsafe -> certainly_unsafe ~unsafe pipe) avoid then Unsafe
+  else if not (List.for_all (fun unsafe -> safety_ok ~unsafe pipe) avoid) then Unknown
   else
     match goal_step ~goal pipe with
     | Some _ -> Reach_avoid
     | None -> Unknown
+
+let check ~unsafe ~goal pipe = check_avoid ~avoid:[ unsafe ] ~goal pipe
 
 (* ------------------------------------------------------------------ *)
 (* Closed-loop flowpipe for neural-network controllers: abstract the
@@ -76,13 +81,6 @@ let nn_method_name = function
   | Polar -> "POLAR"
   | Bernstein _ -> "ReachNN"
 
-let box_finite b =
-  Array.for_all
-    (fun iv ->
-      Float.is_finite (Dwv_interval.Interval.lo iv)
-      && Float.is_finite (Dwv_interval.Interval.hi iv))
-    b
-
 (* Certificate emission tap: when a [recorder] is passed, each completed
    step appends its ZOH control range, its Picard enclosure (the hint
    the independent checker inflates from) and the control-TM remainder
@@ -95,21 +93,11 @@ type recorder = {
 
 let new_recorder () = { rec_controls = []; rec_hints = []; rec_remainders = [] }
 
-let nn_flowpipe_outcome ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots = 8)
+let nn_flowpipe_outcome ?blowup_width ?(order = 3) ?(disturbance_slots = 8)
     ?(substeps = 1) ?budget ?record ?pool ?warm ?warm_rec ~f ~delta ~steps ~net
     ~output_scale ~method_ ~x0 () =
   if substeps < 1 then invalid_arg "Verifier.nn_flowpipe: substeps must be >= 1";
   Counters.incr c_nn_flowpipes;
-  let backend = nn_method_name method_ in
-  let where = "Verifier.nn_flowpipe" in
-  (* Fault injection (tests / CLI --fault): a NaN-weights fault armed for
-     the in-flight verifier call corrupts one seeded network weight, so
-     the non-finite detection path below is exercised end to end. *)
-  let net =
-    if Fault.current () = Some Fault.Nan_theta then
-      Dwv_nn.Mlp.unflatten net (Fault.nan_corrupt (Dwv_nn.Mlp.flatten net))
-    else net
-  in
   let lie = Taylor_reach.lie_table ~f ~order in
   let control x =
     Dwv_util.Phases.time ph_abstraction @@ fun () ->
@@ -118,140 +106,70 @@ let nn_flowpipe_outcome ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots =
     | Bernstein config ->
       Nn_reach_bernstein.control_models ?pool ~net ~output_scale ~config x
   in
-  (* Warm start: sub-steps are numbered across the whole call; sub-step k
-     seeds its Picard iteration with the k-th enclosure of the donor
-     trace (same numbering, recorded below into [warm_rec]). *)
-  let sub_index = ref 0 in
-  let sub_hint () = Option.bind warm (fun w -> Warm.hint w !sub_index) in
+  (* control is held (ZOH) over the whole period; the kernel may
+     subdivide it to shrink the Lagrange remainder (the "+tight" fallback
+     rung) without changing the sampled-data semantics *)
+  let kernel =
+    Closed_loop.taylor_kernel ?budget ?pool ?warm ?warm_rec ~substeps ~f ~lie ~delta ()
+  in
   let n = Box.dim x0 in
   let m = Dwv_nn.Mlp.n_out net in
-  let step_boxes = ref [ x0 ] and segment_boxes = ref [] in
-  let diverged = ref false in
-  let error = ref None in
-  let x =
-    ref (Tm_vec.of_box ~total_vars:(n + (disturbance_slots * m)) ~order x0)
-  in
   (* Symbolic remainders (as in POLAR): each period's control
      over-approximation error becomes a fresh symbol z_slot instead of a
      detached interval, so the feedback loop can contract past
      disturbances; slots are recycled round-robin, retiring the oldest
      symbol into the interval remainder once the loop has had
      [disturbance_slots] periods to damp it. *)
-  let step_index = ref 0 in
-  let fail e =
-    error := Some e;
-    diverged := true;
-    raise Exit
+  let step i x =
+    let slot_base = n + ((i - 1) mod disturbance_slots * m) in
+    let x =
+      Array.map
+        (fun tm ->
+          let tm = ref tm in
+          for j = 0 to m - 1 do
+            tm := Tm.absorb_var (slot_base + j) !tm
+          done;
+          !tm)
+        x
+    in
+    let u = control x in
+    let rem_width = ref 0.0 in
+    let u =
+      Array.mapi
+        (fun j tm ->
+          let tm = Tm.sweep tm in
+          rem_width :=
+            Float.max !rem_width (Dwv_interval.Interval.width (Tm.remainder tm));
+          Tm.symbolize_remainder ~slot:(slot_base + j) tm)
+        u
+    in
+    let u_box = Tm_vec.bound_box u in
+    match kernel x u with
+    | Error e -> Error e
+    | Ok (state, segment, picard) ->
+      (* a failing run's recorder is never emitted *)
+      (match record with
+      | Some r ->
+        r.rec_controls <- u_box :: r.rec_controls;
+        r.rec_hints <- picard :: r.rec_hints;
+        r.rec_remainders <- !rem_width :: r.rec_remainders
+      | None -> ());
+      Ok (state, segment)
   in
-  (* Interval blow-up inside a Taylor-model operation (overflow to
-     infinity, division by a zero-straddling range, ...) is the "NAN"
-     failure mode of Fig. 8: record it as a structured divergence. *)
-  (try
-     for _ = 1 to steps do
-       match
-         let slot_base = n + (!step_index mod disturbance_slots * m) in
-         incr step_index;
-         x := Array.map (fun tm ->
-             let tm = ref tm in
-             for j = 0 to m - 1 do
-               tm := Dwv_taylor.Taylor_model.absorb_var (slot_base + j) !tm
-             done;
-             !tm)
-             !x;
-         let u = control !x in
-         let rem_width = ref 0.0 in
-         let u =
-           Array.mapi
-             (fun j tm ->
-               let tm = Tm.sweep tm in
-               rem_width :=
-                 Float.max !rem_width
-                   (Dwv_interval.Interval.width (Tm.remainder tm));
-               Tm.symbolize_remainder ~slot:(slot_base + j) tm)
-             u
-         in
-         let u_box = Tm_vec.bound_box u in
-         (* control is held (ZOH) over the whole period; the validated
-            Taylor step may subdivide it to shrink the Lagrange remainder
-            (the "+tight" fallback rung) without changing the sampled-
-            data semantics *)
-         let sub_delta = delta /. float_of_int substeps in
-         let state = ref !x and segment = ref None and picard = ref None in
-         let hull_into acc seg =
-           Some (match acc with None -> seg | Some acc -> Box.hull acc seg)
-         in
-         let rec sub s =
-           if s > substeps then
-             Ok (!state, Option.get !segment, Option.get !picard, u_box, !rem_width)
-           else
-             match
-               Taylor_reach.step ?budget ?pool ?hint:(sub_hint ()) ~f ~lie
-                 ~delta:sub_delta !state u
-             with
-             | Error e -> Error e
-             | Ok { state = st; segment = seg; enclosure = enc } ->
-               incr sub_index;
-               (match warm_rec with Some r -> Warm.record r enc | None -> ());
-               state := st;
-               segment := hull_into !segment seg;
-               picard := hull_into !picard enc;
-               sub (s + 1)
-         in
-         sub 1
-       with
-       | Error e ->
-         fail
-           { e with
-             Dwv_error.backend = Some backend;
-             step =
-               (match e.Dwv_error.step with Some _ as s -> s | None -> Some !step_index);
-           }
-       | Ok (state, segment, picard, u_box, rem_width) ->
-         let next_box = Tm_vec.bound_box state in
-         if not (box_finite next_box && box_finite segment) then
-           fail (Dwv_error.non_finite ~backend ~step:!step_index ~where "reach box")
-         else if
-           Box.max_width next_box > blowup_width || Box.max_width segment > blowup_width
-         then
-           fail
-             (Dwv_error.divergence
-                ~width:(Float.max (Box.max_width next_box) (Box.max_width segment))
-                ~backend ~step:!step_index ~where ());
-         segment_boxes := segment :: !segment_boxes;
-         step_boxes := next_box :: !step_boxes;
-         (match record with
-         | Some r ->
-           r.rec_controls <- u_box :: r.rec_controls;
-           r.rec_hints <- picard :: r.rec_hints;
-           r.rec_remainders <- rem_width :: r.rec_remainders
-         | None -> ());
-         x := state
-       | exception ((Invalid_argument _ | Failure _) as exn) ->
-         fail (Dwv_error.of_exn ~backend ~step:!step_index ~where exn)
-     done
-   with Exit -> ());
-  {
-    Flowpipe.pipe =
-      Flowpipe.make
-        ~step_boxes:(Array.of_list (List.rev !step_boxes))
-        ~segment_boxes:(Array.of_list (List.rev !segment_boxes))
-        ~delta ~diverged:!diverged;
-    error = !error;
-  }
+  Closed_loop.run ?blowup_width ~delta ~steps ~x0
+    {
+      Closed_loop.backend = nn_method_name method_;
+      where = "Verifier.nn_flowpipe";
+      init = Tm_vec.of_box ~total_vars:(n + (disturbance_slots * m)) ~order x0;
+      bound = Tm_vec.bound_box;
+      step;
+    }
 
 let nn_flowpipe ?blowup_width ?order ?disturbance_slots ?substeps ?budget ?pool ?warm
     ?warm_rec ~f ~delta ~steps ~net ~output_scale ~method_ ~x0 () =
   (nn_flowpipe_outcome ?blowup_width ?order ?disturbance_slots ?substeps ?budget ?pool
      ?warm ?warm_rec ~f ~delta ~steps ~net ~output_scale ~method_ ~x0 ())
     .Flowpipe.pipe
-
-(* Convenience: run an NN flowpipe and judge it in one call. *)
-let verify_nn ?blowup_width ?order ~f ~delta ~steps ~net ~output_scale ~method_ ~x0
-    ~unsafe ~goal () =
-  let pipe =
-    nn_flowpipe ?blowup_width ?order ~f ~delta ~steps ~net ~output_scale ~method_ ~x0 ()
-  in
-  (pipe, check ~unsafe ~goal pipe)
 
 (* ------------------------------------------------------------------ *)
 (* Fallback / degradation ladder: on a structured failure retry with
@@ -401,6 +319,34 @@ let cert_of_pipe ~fingerprint ~backend ~params ~f ~unsafe ~goal ~law
    enter the content address). *)
 type cert_site = { cc_cache : Cert_cache.t; cc_unsafe : Box.t; cc_goal : Box.t }
 
+(* The certificate cache as a ladder hook, one definition for every
+   backend: a validated hit replays the stored pipe bit-exactly; a clean
+   success is emitted under [fingerprint]. [source] names the backend
+   that produced the pipe and its emission recorder, if it kept one. *)
+let cert_hook site ~fingerprint ~params ~f ~delta ~law ~source =
+  {
+    Robust_verify.lookup =
+      (fun () ->
+        Option.bind (Cert_cache.find site.cc_cache ~fingerprint) (pipe_of_cert ~delta));
+    store =
+      (fun pipe ->
+        let backend, record = source () in
+        let controls, hints, remainders =
+          match record with
+          | Some r ->
+            ( Array.of_list (List.rev r.rec_controls),
+              Array.of_list (List.rev r.rec_hints),
+              Array.of_list (List.rev r.rec_remainders) )
+          | None -> ([||], [||], [||])
+        in
+        match
+          cert_of_pipe ~fingerprint ~backend ~params ~f ~unsafe:site.cc_unsafe
+            ~goal:site.cc_goal ~law ~controls ~hints ~remainders pipe
+        with
+        | Some c -> Cert_cache.store site.cc_cache c
+        | None -> ());
+  }
+
 let nn_flowpipe_robust ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots = 8)
     ?budget ?cert ?pool ?warm ~f ~delta ~steps ~net ~output_scale ~method_ ~x0 () =
   (* the primary rung's (possibly truncated) pipe is kept: when the whole
@@ -415,6 +361,16 @@ let nn_flowpipe_robust ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots = 
      discipline; the interval rung records nothing (it has no Picard
      iteration), so a ladder that bottoms out there donates no trace. *)
   let last_warm = ref None in
+  (* An armed NaN-θ fault corrupts one seeded weight once per call, so
+     every rung, the interval one included, verifies the same corrupted
+     network and the non-finite path is exercised end to end. Forced
+     inside the ladder, where the call's fault is armed. *)
+  let faulted_net =
+    lazy
+      (if Fault.current () = Some Fault.Nan_theta then
+         Dwv_nn.Mlp.unflatten net (Fault.nan_corrupt (Dwv_nn.Mlp.flatten net))
+       else net)
+  in
   let tm ?(remember = false) ?(use_warm = false) name method_ ~slots ~substeps () =
     outcome_rung ~name (fun () ->
         let record = Option.map (fun _ -> new_recorder ()) cert in
@@ -425,7 +381,8 @@ let nn_flowpipe_robust ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots = 
           nn_flowpipe_outcome ~blowup_width ~order ~disturbance_slots:slots ~substeps
             ?budget ?record ?pool
             ?warm:(if use_warm then warm else None)
-            ~warm_rec ~f ~delta ~steps ~net ~output_scale ~method_ ~x0 ()
+            ~warm_rec ~f ~delta ~steps ~net:(Lazy.force faulted_net) ~output_scale
+            ~method_ ~x0 ()
         in
         if remember && !primary_pipe = None then primary_pipe := Some o.Flowpipe.pipe;
         o)
@@ -450,7 +407,7 @@ let nn_flowpipe_robust ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots = 
           last_rung := Some ("interval", None);
           last_warm := None;
           Interval_reach.nn_flowpipe_outcome ~blowup_width ~order ?budget ~f ~delta
-            ~steps ~net ~output_scale ~x0 ());
+            ~steps ~net:(Lazy.force faulted_net) ~output_scale ~x0 ());
     ]
   in
   let cache =
@@ -468,32 +425,16 @@ let nn_flowpipe_robust ?(blowup_width = 1e4) ?(order = 3) ?(disturbance_slots = 
           Cert_key.fingerprint ~f ~theta:(Dwv_nn.Mlp.flatten net) ~x0
             ~unsafe:site.cc_unsafe ~goal:site.cc_goal ~delta ~steps ~tag:params
         in
+        let hook =
+          cert_hook site ~fingerprint:fp ~params ~f ~delta ~law:Cert.Opaque
+            ~source:(fun () -> Option.value !last_rung ~default:("?", None))
+        in
+        (* the clock stays outside the hook, which the cache-purity
+           analysis keeps free of clock reads *)
         {
+          hook with
           Robust_verify.lookup =
-            (fun () ->
-              Dwv_util.Phases.time ph_cert @@ fun () ->
-              Option.bind (Cert_cache.find site.cc_cache ~fingerprint:fp)
-                (pipe_of_cert ~delta));
-          store =
-            (fun pipe ->
-              let backend, record =
-                match !last_rung with Some (b, r) -> (b, r) | None -> ("?", None)
-              in
-              let controls, hints, remainders =
-                match record with
-                | Some r ->
-                  ( Array.of_list (List.rev r.rec_controls),
-                    Array.of_list (List.rev r.rec_hints),
-                    Array.of_list (List.rev r.rec_remainders) )
-                | None -> ([||], [||], [||])
-              in
-              match
-                cert_of_pipe ~fingerprint:fp ~backend ~params ~f
-                  ~unsafe:site.cc_unsafe ~goal:site.cc_goal ~law:Cert.Opaque
-                  ~controls ~hints ~remainders pipe
-              with
-              | Some c -> Cert_cache.store site.cc_cache c
-              | None -> ());
+            (fun () -> Dwv_util.Phases.time ph_cert hook.Robust_verify.lookup);
         })
       cert
   in

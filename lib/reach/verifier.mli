@@ -18,7 +18,14 @@ val safety_ok : unsafe:Dwv_interval.Box.t -> Flowpipe.t -> bool
 (** Some segment lies entirely inside the unsafe set. *)
 val certainly_unsafe : unsafe:Dwv_interval.Box.t -> Flowpipe.t -> bool
 
-(** Judge a flowpipe against the reach-avoid specification. *)
+(** Judge a flowpipe against a reach-avoid specification whose avoid set
+    is a union of boxes: divergence is [Unknown]; a segment inside {e any}
+    avoid box is [Unsafe]; an intersection with any box blocks
+    [Reach_avoid]. *)
+val check_avoid :
+  avoid:Dwv_interval.Box.t list -> goal:Dwv_interval.Box.t -> Flowpipe.t -> verdict
+
+(** {!check_avoid} with a single unsafe box. *)
 val check : unsafe:Dwv_interval.Box.t -> goal:Dwv_interval.Box.t -> Flowpipe.t -> verdict
 
 (** Controller-abstraction method for neural controllers. *)
@@ -37,7 +44,9 @@ type recorder
 val new_recorder : unit -> recorder
 
 (** Closed-loop flowpipe of x' = f(x, u), u = output_scale·net(x) sampled
-    with ZOH, with the structured failure cause attached (total). [order]
+    with ZOH — a {!Closed_loop} instance with the POLAR or Bernstein
+    control abstraction and the Taylor kernel — with the structured
+    failure cause attached (total). [order]
     is the Taylor-model order (default 3); the pipe is marked diverged
     when a box exceeds [blowup_width] (default 1e4). [disturbance_slots]
     (default 8) is the symbolic-remainder budget: each period's control
@@ -95,22 +104,6 @@ val nn_flowpipe :
   x0:Dwv_interval.Box.t ->
   unit ->
   Flowpipe.t
-
-(** Flowpipe + verdict in one call. *)
-val verify_nn :
-  ?blowup_width:float ->
-  ?order:int ->
-  f:Dwv_expr.Expr.t array ->
-  delta:float ->
-  steps:int ->
-  net:Dwv_nn.Mlp.t ->
-  output_scale:float ->
-  method_:nn_method ->
-  x0:Dwv_interval.Box.t ->
-  unsafe:Dwv_interval.Box.t ->
-  goal:Dwv_interval.Box.t ->
-  unit ->
-  Flowpipe.t * verdict
 
 (** {1 Fallback / degradation ladder} *)
 
@@ -183,6 +176,22 @@ type cert_site = {
   cc_goal : Dwv_interval.Box.t;
 }
 
+(** The certificate cache as a {!Dwv_robust.Robust_verify} hook (shared
+    by every backend): [lookup] replays a validated certificate stored
+    under [fingerprint] bit-exactly ({!pipe_of_cert}); [store] emits the pipe with {!cert_of_pipe},
+    judged against the site's boxes. [source] is read at store time and
+    names the backend that produced the pipe plus its emission recorder,
+    when it kept one. *)
+val cert_hook :
+  cert_site ->
+  fingerprint:int64 ->
+  params:string ->
+  f:Dwv_expr.Expr.t array ->
+  delta:float ->
+  law:Dwv_cert.Cert.control_law ->
+  source:(unit -> string * recorder option) ->
+  Flowpipe.t Dwv_robust.Robust_verify.cache
+
 (** NN closed-loop flowpipe with the degradation ladder: the requested
     settings first, then tighter Taylor sub-stepping with more
     disturbance slots, then the other controller abstraction
@@ -190,7 +199,8 @@ type cert_site = {
     the first rung runs exactly the settings of {!nn_flowpipe}, so
     verdicts are unchanged. With [cert], a validated cache hit
     short-circuits the ladder (rung ["cache"], bit-identical pipe) and a
-    clean success is emitted back to the cache.
+    clean success is emitted back to the cache. An armed NaN-θ fault
+    corrupts the network once per call, so every rung sees it.
 
     [pool] parallelizes each rung's intra-step work (see
     {!nn_flowpipe_outcome}). [warm] feeds a donor Picard trace to the

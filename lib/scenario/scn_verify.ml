@@ -1,17 +1,18 @@
-(* Verification driver for scenarios: closes the loop symbolically for
-   affine controllers (Taylor-model rung with an interval-only fallback),
-   routes net controllers through the existing NN degradation ladder, and
-   judges the resulting flowpipe against the *multi-box* avoid set. The
-   shape deliberately mirrors lib/systems — same Robust_verify ladder,
-   same certificate hook, same fault-injection path — so a DSL scenario
-   and a built-in system are indistinguishable downstream. *)
+(* Verification driver for scenarios: closes the loop for affine
+   controllers (Taylor-model rung with an interval-only fallback, both
+   Closed_loop instances), routes net controllers through the existing
+   NN degradation ladder, and judges the resulting flowpipe against the
+   *multi-box* avoid set. The shape deliberately mirrors lib/systems —
+   same Robust_verify ladder, same certificate hook, same fault-injection
+   path — so a DSL scenario and a built-in system are indistinguishable
+   downstream. *)
 
-module I = Dwv_interval.Interval
 module Box = Dwv_interval.Box
 module Expr = Dwv_expr.Expr
 module Controller = Dwv_core.Controller
 module Flowpipe = Dwv_reach.Flowpipe
 module Verifier = Dwv_reach.Verifier
+module Closed_loop = Dwv_reach.Closed_loop
 module Taylor_reach = Dwv_reach.Taylor_reach
 module Interval_reach = Dwv_reach.Interval_reach
 module Tm_vec = Dwv_taylor.Tm_vec
@@ -19,168 +20,15 @@ module Robust_verify = Dwv_robust.Robust_verify
 module Dwv_error = Dwv_robust.Dwv_error
 module Fault = Dwv_robust.Fault
 
-let blowup_width = 1e4
-
-let box_finite b =
-  Array.for_all Float.is_finite (Box.lo b)
-  && Array.for_all Float.is_finite (Box.hi b)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-box reach-avoid judgement: Verifier.check generalized over the
-   whole avoid set. Divergence is Unknown; a segment inside *any* avoid
-   box is certainly unsafe; a spurious intersection with any box blocks
-   Reach_avoid. *)
-
-let check_pipe ~avoid ~goal pipe =
-  if Flowpipe.diverged pipe then Verifier.Unknown
-  else if
-    List.exists (fun b -> Verifier.certainly_unsafe ~unsafe:b pipe) avoid
-  then Verifier.Unsafe
-  else if not (List.for_all (fun b -> Verifier.safety_ok ~unsafe:b pipe) avoid)
-  then Verifier.Unknown
-  else
-    match Verifier.goal_step ~goal pipe with
-    | Some _ -> Verifier.Reach_avoid
-    | None -> Verifier.Unknown
-
 let check scn pipe =
-  check_pipe ~avoid:(Scenario.avoid_total scn) ~goal:(Scenario.goal_total scn)
+  Verifier.check_avoid ~avoid:(Scenario.avoid_total scn) ~goal:(Scenario.goal_total scn)
     pipe
-
-(* ------------------------------------------------------------------ *)
-(* Sampled-data (ZOH) closed-loop pipes for affine controllers: the
-   field stays open-loop and the control model is recomputed from the
-   state enclosure at each period start, then held constant through the
-   validated step. *)
-
-let taylor_pipe ?budget ~order ~f ~u_exprs ~delta ~steps ~x0 () =
-  let backend = "taylor" and where = "Scn_verify.taylor_pipe" in
-  (* ZOH sampled-data semantics, exactly as simulation executes it: the
-     control is evaluated on the state enclosure at the period start and
-     held constant through the validated step (the Lie table also treats
-     inputs as constants). Substituting u = K x into f instead would
-     verify the *continuous*-feedback loop - a different system, and the
-     fuzzer's Monte-Carlo oracle catches the difference. *)
-  let lie = Taylor_reach.lie_table ~f ~order in
-  let x = ref (Tm_vec.of_box ~order x0) in
-  let step_boxes = ref [ x0 ] and segment_boxes = ref [] in
-  let diverged = ref false and error = ref None in
-  let fail e =
-    error := Some e;
-    diverged := true;
-    raise Exit
-  in
-  (try
-     for i = 1 to steps do
-       match
-         let u = Tm_vec.eval_field ~x:!x ~u:!x u_exprs in
-         Taylor_reach.step ?budget ~f ~lie ~delta !x u
-       with
-       | Error e ->
-         fail
-           {
-             e with
-             Dwv_error.backend = Some backend;
-             step =
-               (match e.Dwv_error.step with Some _ as s -> s | None -> Some i);
-           }
-       | Ok { state; segment; enclosure = _ } ->
-         let next = Tm_vec.bound_box state in
-         if not (box_finite next && box_finite segment) then
-           fail (Dwv_error.non_finite ~backend ~step:i ~where "reach box")
-         else if
-           Box.max_width next > blowup_width
-           || Box.max_width segment > blowup_width
-         then
-           fail
-             (Dwv_error.divergence
-                ~width:(Float.max (Box.max_width next) (Box.max_width segment))
-                ~backend ~step:i ~where ())
-         else begin
-           step_boxes := next :: !step_boxes;
-           segment_boxes := segment :: !segment_boxes;
-           x := state
-         end
-       | exception ((Invalid_argument _ | Failure _) as exn) ->
-         fail (Dwv_error.of_exn ~backend ~step:i ~where exn)
-     done
-   with Exit -> ());
-  ( Flowpipe.make
-      ~step_boxes:(Array.of_list (List.rev !step_boxes))
-      ~segment_boxes:(Array.of_list (List.rev !segment_boxes))
-      ~delta ~diverged:!diverged,
-    !error )
-
-let interval_pipe ?budget ~order ~f ~u_exprs ~delta ~steps ~x0 () =
-  let backend = "interval" and where = "Scn_verify.interval_pipe" in
-  let lie = Taylor_reach.lie_table ~f ~order in
-  let intervals b = Array.init (Box.dim b) (Box.get b) in
-  let x = ref x0 in
-  let step_boxes = ref [ x0 ] and segment_boxes = ref [] in
-  let diverged = ref false and error = ref None in
-  let fail e =
-    error := Some e;
-    diverged := true;
-    raise Exit
-  in
-  (try
-     for i = 1 to steps do
-       match
-         let xi = intervals !x in
-         let u =
-           Box.of_intervals
-             (Array.map (fun e -> Expr.ieval e ~x:xi ~u:[||]) u_exprs)
-         in
-         Interval_reach.step ?budget ~f ~lie ~delta !x u
-       with
-       | Error e ->
-         fail
-           {
-             e with
-             Dwv_error.backend = Some backend;
-             step =
-               (match e.Dwv_error.step with Some _ as s -> s | None -> Some i);
-           }
-       | Ok (next, segment) ->
-         if not (box_finite next && box_finite segment) then
-           fail (Dwv_error.non_finite ~backend ~step:i ~where "reach box")
-         else if
-           Box.max_width next > blowup_width
-           || Box.max_width segment > blowup_width
-         then
-           fail
-             (Dwv_error.divergence
-                ~width:(Float.max (Box.max_width next) (Box.max_width segment))
-                ~backend ~step:i ~where ())
-         else begin
-           step_boxes := next :: !step_boxes;
-           segment_boxes := segment :: !segment_boxes;
-           x := next
-         end
-       | exception ((Invalid_argument _ | Failure _) as exn) ->
-         fail (Dwv_error.of_exn ~backend ~step:i ~where exn)
-     done
-   with Exit -> ());
-  ( Flowpipe.make
-      ~step_boxes:(Array.of_list (List.rev !step_boxes))
-      ~segment_boxes:(Array.of_list (List.rev !segment_boxes))
-      ~delta ~diverged:!diverged,
-    !error )
-
-(* ------------------------------------------------------------------ *)
-(* Affine path *)
 
 let rows_of_params scn theta =
   let cols = Scenario.n_total scn + 1 in
   if Array.length theta <> scn.Scenario.m * cols then
     invalid_arg "Scn_verify: controller parameter count does not match scenario";
   Array.init scn.Scenario.m (fun j -> Array.sub theta (j * cols) cols)
-
-let closed_f scn rows =
-  let u = Scenario.affine_input_exprs scn rows in
-  Array.map
-    (Scenario.substitute ~var:Expr.var ~input:(fun j -> u.(j)))
-    (Scenario.f_total scn)
 
 let method_order = function
   | Scenario.M_taylor { order } | Scenario.M_interval { order } -> order
@@ -194,90 +42,113 @@ let method_tag scn =
   | Scenario.M_polar { order; slots } -> Fmt.str "polar o%d s%d" order slots
   | Scenario.M_zonotope -> "zonotope"
 
-(* Certificate hook, exactly the acc pattern: content address over the
-   open-loop dynamics, flat θ, the augmented boxes and the step grid; the
-   law records the affine rows (bias last) so the independent checker
-   re-derives the per-step control range from its own enclosures. *)
+(* Content address of an affine-controller verification: the open-loop
+   dynamics, flat θ, the augmented boxes and the step grid. *)
+let affine_fingerprint scn theta =
+  Dwv_cert.Cert_key.fingerprint ~f:(Scenario.f_total scn) ~theta
+    ~x0:(Scenario.init_total scn)
+    ~unsafe:(List.hd (Scenario.avoid_total scn))
+    ~goal:(Scenario.goal_total scn) ~delta:scn.Scenario.delta ~steps:scn.Scenario.steps
+    ~tag:(Fmt.str "scenario %s %s" scn.Scenario.name (method_tag scn))
+
 let fingerprint scn controller =
   match (controller : Controller.t) with
   | Controller.Net _ -> None
-  | Controller.Linear _ ->
-    Some
-      (Dwv_cert.Cert_key.fingerprint ~f:(Scenario.f_total scn)
-         ~theta:(Controller.params controller)
-         ~x0:(Scenario.init_total scn)
-         ~unsafe:(List.hd (Scenario.avoid_total scn))
-         ~goal:(Scenario.goal_total scn) ~delta:scn.Scenario.delta
-         ~steps:scn.Scenario.steps
-         ~tag:(Fmt.str "scenario %s %s" scn.Scenario.name (method_tag scn)))
+  | Controller.Linear _ -> Some (affine_fingerprint scn (Controller.params controller))
 
-let cert_hook scn cache controller =
-  match controller with
-  | Controller.Net _ -> None
-  | Controller.Linear _ ->
-    let theta = Controller.params controller in
-    let f = Scenario.f_total scn in
-    let unsafe = List.hd (Scenario.avoid_total scn) in
-    let goal = Scenario.goal_total scn in
-    let fp = Option.get (fingerprint scn controller) in
-    Some
-      {
-        Robust_verify.lookup =
-          (fun () ->
-            Option.bind
-              (Dwv_cert.Cert_cache.find cache ~fingerprint:fp)
-              (Verifier.pipe_of_cert ~delta:scn.Scenario.delta));
-        store =
-          (fun pipe ->
-            match
-              Verifier.cert_of_pipe ~fingerprint:fp ~backend:"taylor"
-                ~params:(method_tag scn) ~f ~unsafe ~goal
-                ~law:(Dwv_cert.Cert.Affine (rows_of_params scn theta))
-                pipe
-            with
-            | Some c -> Dwv_cert.Cert_cache.store cache c
-            | None -> ());
-      }
+let cert_site scn cache =
+  {
+    Verifier.cc_cache = cache;
+    cc_unsafe = List.hd (Scenario.avoid_total scn);
+    cc_goal = Scenario.goal_total scn;
+  }
+
+(* Sampled-data (ZOH) closed loop under the affine controller, exactly as
+   simulation executes it: the field stays open-loop, and each period the
+   control is evaluated on the state enclosure at the period start and
+   held constant through the validated step (the Lie table also treats
+   inputs as constants). Substituting u = K x into f instead would verify
+   the *continuous*-feedback loop - a different system, and the fuzzer's
+   Monte-Carlo oracle catches the difference. An injected NaN-θ fault
+   corrupts the gains before the loop is closed, so the poisoned
+   constants flow through the whole pipeline and come back as a
+   structured non-finite failure. *)
+let affine_loop scn controller =
+  let controller =
+    if Fault.current () = Some Fault.Nan_theta then
+      Controller.with_params controller (Fault.nan_corrupt (Controller.params controller))
+    else controller
+  in
+  let u_exprs =
+    Scenario.affine_input_exprs scn (rows_of_params scn (Controller.params controller))
+  in
+  let f = Scenario.f_total scn in
+  let order = method_order scn.Scenario.method_ in
+  (u_exprs, f, order, Taylor_reach.lie_table ~f ~order)
+
+let run_loop scn loop =
+  Closed_loop.run ~delta:scn.Scenario.delta ~steps:scn.Scenario.steps
+    ~x0:(Scenario.init_total scn) loop
+
+let taylor_pipe ?budget scn controller =
+  let u_exprs, f, order, lie = affine_loop scn controller in
+  let kernel =
+    Closed_loop.taylor_kernel ?budget ~substeps:1 ~f ~lie ~delta:scn.Scenario.delta ()
+  in
+  run_loop scn
+    {
+      Closed_loop.backend = "taylor";
+      where = "Scn_verify.taylor_pipe";
+      init = Tm_vec.of_box ~order (Scenario.init_total scn);
+      bound = Tm_vec.bound_box;
+      step =
+        (fun _ x ->
+          Result.map
+            (fun (state, segment, _) -> (state, segment))
+            (kernel x (Tm_vec.eval_field ~x ~u:x u_exprs)));
+    }
+
+let interval_pipe ?budget scn controller =
+  let u_exprs, f, _, lie = affine_loop scn controller in
+  run_loop scn
+    {
+      Closed_loop.backend = "interval";
+      where = "Scn_verify.interval_pipe";
+      init = Scenario.init_total scn;
+      bound = Fun.id;
+      step =
+        (fun _ x ->
+          let u = Box.of_intervals (Array.map (fun e -> Expr.ieval e ~x ~u:[||]) u_exprs) in
+          Interval_reach.step ?budget ~f ~lie ~delta:scn.Scenario.delta x u);
+    }
 
 let affine_report ?budget ?cache scn controller =
-  let x0 = Scenario.init_total scn in
-  let delta = scn.Scenario.delta and steps = scn.Scenario.steps in
-  let order = method_order scn.Scenario.method_ in
-  (* the injected NaN-θ fault corrupts the gains *before* the loop is
-     closed, so the poisoned constants flow through the whole pipeline
-     and come back as a structured non-finite failure *)
-  let f = Scenario.f_total scn in
-  let u_exprs () =
-    let controller =
-      if Fault.current () = Some Fault.Nan_theta then
-        Controller.with_params controller
-          (Fault.nan_corrupt (Controller.params controller))
-      else controller
-    in
-    Scenario.affine_input_exprs scn
-      (rows_of_params scn (Controller.params controller))
-  in
-  let to_result (pipe, error) =
-    match error with Some e -> Error e | None -> Ok pipe
-  in
-  let taylor_rung =
-    Robust_verify.rung ~name:"taylor" (fun () ->
-        to_result
-          (taylor_pipe ?budget ~order ~f ~u_exprs:(u_exprs ()) ~delta ~steps ~x0 ()))
-  in
-  let interval_rung =
-    Robust_verify.rung ~name:"interval" (fun () ->
-        to_result
-          (interval_pipe ?budget ~order ~f ~u_exprs:(u_exprs ()) ~delta ~steps ~x0 ()))
+  let rung name pipe =
+    Robust_verify.rung ~name (fun () ->
+        match pipe ?budget scn controller with
+        | { Flowpipe.error = Some e; _ } -> Error e
+        | { Flowpipe.pipe; error = None } -> Ok pipe)
   in
   let rungs =
     match scn.Scenario.method_ with
-    | Scenario.M_interval _ -> [ interval_rung ]
-    | _ -> [ taylor_rung; interval_rung ]
+    | Scenario.M_interval _ -> [ rung "interval" interval_pipe ]
+    | _ -> [ rung "taylor" taylor_pipe; rung "interval" interval_pipe ]
   in
-  let cache = Option.bind cache (fun c -> cert_hook scn c controller) in
+  (* the law records the affine rows (bias last), so the independent
+     checker re-derives the per-step control range from its own
+     enclosures *)
+  let cache =
+    Option.map
+      (fun c ->
+        let theta = Controller.params controller in
+        Verifier.cert_hook (cert_site scn c) ~fingerprint:(affine_fingerprint scn theta)
+          ~params:(method_tag scn) ~f:(Scenario.f_total scn) ~delta:scn.Scenario.delta
+          ~law:(Dwv_cert.Cert.Affine (rows_of_params scn theta))
+          ~source:(fun () -> ("taylor", None)))
+      cache
+  in
   Robust_verify.run ?budget ?cache rungs
-  |> Verifier.report_of_outcome ~x0 ~delta:scn.Scenario.delta
+  |> Verifier.report_of_outcome ~x0:(Scenario.init_total scn) ~delta:scn.Scenario.delta
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
@@ -308,17 +179,8 @@ let flowpipe_robust ?budget ?cache scn controller =
       | Scenario.M_polar { slots; _ } -> Some slots
       | _ -> None
     in
-    let cert =
-      Option.map
-        (fun c ->
-          {
-            Verifier.cc_cache = c;
-            cc_unsafe = List.hd (Scenario.avoid_total scn);
-            cc_goal = Scenario.goal_total scn;
-          })
-        cache
-    in
-    Verifier.nn_flowpipe_robust ~order ?disturbance_slots:slots ?budget ?cert
+    Verifier.nn_flowpipe_robust ~order ?disturbance_slots:slots ?budget
+      ?cert:(Option.map (cert_site scn) cache)
       ~f:(Scenario.f_total scn) ~delta:scn.Scenario.delta
       ~steps:scn.Scenario.steps ~net ~output_scale ~method_:Verifier.Polar
       ~x0:(Scenario.init_total scn) ()

@@ -5,53 +5,9 @@
     {!Dwv_reach.Verifier.nn_flowpipe_robust}, and judges flowpipes
     against the multi-box avoid set. *)
 
-(** Multi-box generalization of {!Dwv_reach.Verifier.check}: divergence
-    is [Unknown]; a segment inside {e any} avoid box is [Unsafe]; an
-    intersection with any box blocks [Reach_avoid]. *)
-val check_pipe :
-  avoid:Dwv_interval.Box.t list ->
-  goal:Dwv_interval.Box.t ->
-  Dwv_reach.Flowpipe.t ->
-  Dwv_reach.Verifier.verdict
-
-(** [check_pipe] against the scenario's augmented avoid set and goal. *)
+(** {!Dwv_reach.Verifier.check_avoid} against the scenario's augmented
+    avoid set and goal. *)
 val check : Scenario.t -> Dwv_reach.Flowpipe.t -> Dwv_reach.Verifier.verdict
-
-(** Sampled-data (zero-order-hold) closed-loop flowpipe: [f] is the
-    open-loop field (with [Input] nodes) and [u_exprs] the affine control
-    expressions over the state; each period the control is evaluated on
-    the enclosure at the period start and held constant through the
-    validated step — exactly the semantics the simulator executes.
-    Returns the (possibly truncated, diverged) pipe plus the structured
-    failure cause — total, never raises. *)
-val taylor_pipe :
-  ?budget:Dwv_robust.Budget.t ->
-  order:int ->
-  f:Dwv_expr.Expr.t array ->
-  u_exprs:Dwv_expr.Expr.t array ->
-  delta:float ->
-  steps:int ->
-  x0:Dwv_interval.Box.t ->
-  unit ->
-  Dwv_reach.Flowpipe.t * Dwv_robust.Dwv_error.t option
-
-val interval_pipe :
-  ?budget:Dwv_robust.Budget.t ->
-  order:int ->
-  f:Dwv_expr.Expr.t array ->
-  u_exprs:Dwv_expr.Expr.t array ->
-  delta:float ->
-  steps:int ->
-  x0:Dwv_interval.Box.t ->
-  unit ->
-  Dwv_reach.Flowpipe.t * Dwv_robust.Dwv_error.t option
-
-(** Autonomous continuous-feedback dynamics for a concrete set of affine
-    rows (bias last), over the augmented state. Diagnostic / analysis
-    utility only — verification uses the ZOH pipes above, because
-    substituting the control into the field verifies a different
-    (continuous-feedback) system than the sampled loop simulation runs. *)
-val closed_f : Scenario.t -> float array array -> Dwv_expr.Expr.t array
 
 (** Reshape a flat controller parameter vector into affine rows; raises
     [Invalid_argument] on a length mismatch. *)

@@ -91,30 +91,20 @@ let cert_hook cache x0 controller =
   match controller with
   | Controller.Linear _ ->
     let theta = Controller.params controller in
-    let fp =
-      Dwv_cert.Cert_key.fingerprint ~f:dynamics ~theta ~x0
-        ~unsafe:spec.Spec.unsafe ~goal:spec.Spec.goal ~delta
-        ~steps:spec.Spec.steps ~tag:"acc zonotope"
+    let site =
+      {
+        Dwv_reach.Verifier.cc_cache = cache;
+        cc_unsafe = spec.Spec.unsafe;
+        cc_goal = spec.Spec.goal;
+      }
     in
     Some
-      {
-        Dwv_robust.Robust_verify.lookup =
-          (fun () ->
-            Option.bind
-              (Dwv_cert.Cert_cache.find cache ~fingerprint:fp)
-              (Dwv_reach.Verifier.pipe_of_cert ~delta));
-        store =
-          (fun pipe ->
-            match
-              Dwv_reach.Verifier.cert_of_pipe ~fingerprint:fp ~backend:"zonotope"
-                ~params:"acc zonotope" ~f:dynamics ~unsafe:spec.Spec.unsafe
-                ~goal:spec.Spec.goal
-                ~law:(Dwv_cert.Cert.Affine [| theta |])
-                pipe
-            with
-            | Some c -> Dwv_cert.Cert_cache.store cache c
-            | None -> ());
-      }
+      (Dwv_reach.Verifier.cert_hook site
+         ~fingerprint:
+           (Dwv_cert.Cert_key.fingerprint ~f:dynamics ~theta ~x0 ~unsafe:spec.Spec.unsafe
+              ~goal:spec.Spec.goal ~delta ~steps:spec.Spec.steps ~tag:"acc zonotope")
+         ~params:"acc zonotope" ~f:dynamics ~delta ~law:(Dwv_cert.Cert.Affine [| theta |])
+         ~source:(fun () -> ("zonotope", None)))
   | Controller.Net _ -> None
 
 (* Fault-tolerant verifier. The zonotope engine has no cheaper sound
@@ -123,13 +113,6 @@ let cert_hook cache x0 controller =
    structured failure with a conservatively diverged stub pipe instead of
    poisoning downstream scores. *)
 let verify_robust_from ?budget ?cache x0 controller =
-  let box_finite b =
-    Array.for_all
-      (fun iv ->
-        Float.is_finite (Dwv_interval.Interval.lo iv)
-        && Float.is_finite (Dwv_interval.Interval.hi iv))
-      b
-  in
   let rung =
     Dwv_robust.Robust_verify.rung ~name:"zonotope" (fun () ->
         let controller =
@@ -143,7 +126,7 @@ let verify_robust_from ?budget ?cache x0 controller =
           Error
             (Dwv_robust.Dwv_error.divergence ~backend:"zonotope"
                ~where:"Acc.verify_robust" ())
-        else if not (List.for_all box_finite (Flowpipe.all_boxes pipe)) then
+        else if not (List.for_all Box.is_finite (Flowpipe.all_boxes pipe)) then
           Error
             (Dwv_robust.Dwv_error.non_finite ~backend:"zonotope"
                ~where:"Acc.verify_robust" "reach box")

@@ -29,77 +29,9 @@ val pretrain_region : Dwv_interval.Box.t
 val pretrained_controller :
   ?config:Dwv_nn.Pretrain.config -> Dwv_util.Rng.t -> Dwv_core.Controller.t
 
-(** Taylor-model order of the flowpipe kernel. *)
-val tm_order : int
-
-(** Symbolic-remainder budgets: fast learning setting / tight
-    certification setting (the paper's verification-tightness knob). *)
-val fast_slots : int
-
-val tight_slots : int
-
-(** Verifier Ψ from an arbitrary initial cell (default method: POLAR,
-    default slots: {!fast_slots}). [pool] parallelizes the per-dimension
-    work inside each flowpipe step (bit-identical results at any domain
-    count). *)
-val verify_from :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?pool:Dwv_parallel.Pool.t ->
-  Dwv_interval.Box.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Flowpipe.t
-
-(** Verifier Ψ from X₀. *)
-val verify :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?pool:Dwv_parallel.Pool.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Flowpipe.t
-
-(** Fault-tolerant verifier: {!verify_from} settings as the primary rung
-    of the degradation ladder, with budget enforcement. With [cache], a
-    validated certificate hit replays the stored flowpipe bit-exactly
-    (rung ["cache"]) and clean runs deposit certificates. [warm] seeds
-    the Picard enclosures from a nearby verification's trace; the
-    report's [warm] field returns this call's own trace (see
-    {!Dwv_reach.Warm}). *)
-val verify_robust_from :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?budget:Dwv_robust.Budget.t ->
-  ?cache:Dwv_cert.Cert_cache.t ->
-  ?pool:Dwv_parallel.Pool.t ->
-  ?warm:Dwv_reach.Warm.t ->
-  Dwv_interval.Box.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Verifier.fallback_report
-
-(** {!verify_robust_from} from X₀. *)
-val verify_robust :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?budget:Dwv_robust.Budget.t ->
-  ?cache:Dwv_cert.Cert_cache.t ->
-  ?pool:Dwv_parallel.Pool.t ->
-  ?warm:Dwv_reach.Warm.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Verifier.fallback_report
-
-(** Warm-threading adapter shaped for {!Dwv_core.Initset.search} and
-    {!Dwv_core.Learner.learn} [verify_warm] callbacks: runs
-    {!verify_robust_from} and pairs the pipe with the trace it donated. *)
-val verify_warm_from :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?budget:Dwv_robust.Budget.t ->
-  ?cache:Dwv_cert.Cert_cache.t ->
-  ?pool:Dwv_parallel.Pool.t ->
-  ?warm:Dwv_reach.Warm.t ->
-  Dwv_interval.Box.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Flowpipe.t * Dwv_reach.Warm.t option
+(** Flowpipe settings and verifiers Ψ of this study, bound to
+    {!dynamics} and {!spec} (see {!Nn_system}). *)
+include Nn_system.S
 
 (** Control law on the simulation state. *)
 val sim_controller : Dwv_core.Controller.t -> float array -> float array

@@ -21,63 +21,9 @@ val pretrain_region : Dwv_interval.Box.t
 val pretrained_controller :
   ?config:Dwv_nn.Pretrain.config -> Dwv_util.Rng.t -> Dwv_core.Controller.t
 
-val tm_order : int
-val fast_slots : int
-val tight_slots : int
-
-val verify_from :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?pool:Dwv_parallel.Pool.t ->
-  Dwv_interval.Box.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Flowpipe.t
-
-val verify :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?pool:Dwv_parallel.Pool.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Flowpipe.t
-
-(** Fault-tolerant verifier: {!verify_from} settings as the primary rung
-    of the degradation ladder, with budget enforcement. [warm] seeds the
-    Picard enclosures from a nearby verification's trace; the report's
-    [warm] field returns this call's own (see {!Dwv_reach.Warm}). *)
-val verify_robust_from :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?budget:Dwv_robust.Budget.t ->
-  ?cache:Dwv_cert.Cert_cache.t ->
-  ?pool:Dwv_parallel.Pool.t ->
-  ?warm:Dwv_reach.Warm.t ->
-  Dwv_interval.Box.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Verifier.fallback_report
-
-(** {!verify_robust_from} from X₀. *)
-val verify_robust :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?budget:Dwv_robust.Budget.t ->
-  ?cache:Dwv_cert.Cert_cache.t ->
-  ?pool:Dwv_parallel.Pool.t ->
-  ?warm:Dwv_reach.Warm.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Verifier.fallback_report
-
-(** Warm-threading adapter shaped for {!Dwv_core.Initset.search} and
-    {!Dwv_core.Learner.learn} [verify_warm] callbacks. *)
-val verify_warm_from :
-  ?method_:Dwv_reach.Verifier.nn_method ->
-  ?slots:int ->
-  ?budget:Dwv_robust.Budget.t ->
-  ?cache:Dwv_cert.Cert_cache.t ->
-  ?pool:Dwv_parallel.Pool.t ->
-  ?warm:Dwv_reach.Warm.t ->
-  Dwv_interval.Box.t ->
-  Dwv_core.Controller.t ->
-  Dwv_reach.Flowpipe.t * Dwv_reach.Warm.t option
+(** Flowpipe settings and verifiers Ψ of this study, bound to
+    {!dynamics} and {!spec} (see {!Nn_system}). *)
+include Nn_system.S
 
 val sim_controller : Dwv_core.Controller.t -> float array -> float array
 

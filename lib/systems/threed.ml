@@ -15,7 +15,6 @@ module Expr = Dwv_expr.Expr
 module Box = Dwv_interval.Box
 module Spec = Dwv_core.Spec
 module Controller = Dwv_core.Controller
-module Verifier = Dwv_reach.Verifier
 module Mlp = Dwv_nn.Mlp
 module Activation = Dwv_nn.Activation
 
@@ -78,47 +77,13 @@ let pretrained_controller ?config rng =
   in
   Controller.net ~output_scale trained
 
-let tm_order = 3
-let fast_slots = 6
-let tight_slots = 8
-
-let verify_from ?(method_ = Verifier.Polar) ?(slots = fast_slots) ?pool x0 controller =
-  match controller with
-  | Controller.Net { net; output_scale } ->
-    Verifier.nn_flowpipe ~order:tm_order ~disturbance_slots:slots ?pool ~f:dynamics ~delta
-      ~steps:spec.Spec.steps ~net ~output_scale ~method_ ~x0 ()
-  | Controller.Linear _ ->
-    invalid_arg "Threed.verify_from: the 3-D study uses NN controllers"
-
-let verify ?method_ ?slots ?pool controller =
-  verify_from ?method_ ?slots ?pool spec.Spec.x0 controller
-
-(* Fault-tolerant verifier: primary settings as [verify_from] plus the
-   degradation ladder and budget enforcement. *)
-let verify_robust_from ?(method_ = Verifier.Polar) ?(slots = fast_slots) ?budget ?cache
-    ?pool ?warm x0 controller =
-  match controller with
-  | Controller.Net { net; output_scale } ->
-    let cert =
-      Option.map
-        (fun c ->
-          { Verifier.cc_cache = c; cc_unsafe = spec.Spec.unsafe; cc_goal = spec.Spec.goal })
-        cache
-    in
-    Verifier.nn_flowpipe_robust ~order:tm_order ~disturbance_slots:slots ?budget ?cert
-      ?pool ?warm ~f:dynamics ~delta ~steps:spec.Spec.steps ~net ~output_scale ~method_
-      ~x0 ()
-  | Controller.Linear _ ->
-    invalid_arg "Threed.verify_from: the 3-D study uses NN controllers"
-
-let verify_robust ?method_ ?slots ?budget ?cache ?pool ?warm controller =
-  verify_robust_from ?method_ ?slots ?budget ?cache ?pool ?warm spec.Spec.x0 controller
-
-(* Warm-threading adapter shaped for [Initset.search ?verify_warm] and
-   [Learner.learn ?verify_warm]. *)
-let verify_warm_from ?method_ ?slots ?budget ?cache ?pool ?warm x0 controller =
-  let report = verify_robust_from ?method_ ?slots ?budget ?cache ?pool ?warm x0 controller in
-  (report.Verifier.pipe, report.Verifier.warm)
+let tm_order = Nn_system.tm_order
+let fast_slots = Nn_system.fast_slots
+let tight_slots = Nn_system.tight_slots
+let verify_from = Nn_system.verify_from ~f:dynamics spec
+let verify = Nn_system.verify ~f:dynamics spec
+let verify_robust_from = Nn_system.verify_robust_from ~f:dynamics spec
+let verify_robust = Nn_system.verify_robust ~f:dynamics spec
 
 let sim_controller = Controller.eval
 

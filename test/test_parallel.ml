@@ -472,7 +472,9 @@ let osc_warm_initset_at domains =
   let c = Lazy.force osc_controller in
   Pool.with_pool ~oversubscribe:true ~domains (fun pool ->
       Initset.search ~max_depth:2 ~pool
-        ~verify_warm:(fun ?warm cell -> Oscillator.verify_warm_from ~pool ?warm cell c)
+        ~verify_warm:(fun ?warm cell ->
+          let r = Oscillator.verify_robust_from ~pool ?warm cell c in
+          (r.Verifier.pipe, r.Verifier.warm))
         ~verify:(fun cell -> Oscillator.verify_from ~pool cell c)
         ~goal:osc_tight_goal ~x0:Oscillator.spec.Spec.x0 ())
 
