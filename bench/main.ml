@@ -475,8 +475,8 @@ let print_micro () =
   Fmt.pr "%s@." (Table.render t)
 
 (* ---------------------------------------------------------------- *)
-(* Section: parallel fan-out — determinism check and speedup baseline
-   (BENCH_parallel.json).                                             *)
+(* The three fan-out workloads the hotpath section times at 1 and N
+   domains.                                                           *)
 
 module Pool = Dwv_parallel.Pool
 
@@ -542,111 +542,25 @@ let json_escape s =
        (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
-(* Gate rule shared by the parallel and hotpath sections: a workload's
-   parallel path may not be slower than its sequential path beyond 10%
-   plus 50ms of measurement slack. With the pool clamped to hardware
+(* Gate rule of the hotpath section: a workload's parallel path may not
+   be slower than its sequential path beyond 10% plus 50ms of
+   measurement slack. With the pool clamped to hardware
    cores this must hold even on a single-core runner, where the
    "parallel" path degenerates to the sequential one. *)
 let gate_rule = "par <= 1.10*seq + 0.05s per workload"
 
 let par_not_slower w = w.p_par <= (w.p_seq *. 1.10) +. 0.05
 
-let write_parallel_json ~domains ~aggregate_speedup ~all_match ~gate_passed workloads
-    path =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n  \"domains\": %d,\n  \"workloads\": [\n" domains;
-  List.iteri
-    (fun i w ->
-      Printf.bprintf b
-        "    {\"name\": \"%s\", \"seq_seconds\": %.6f, \"par_seconds\": %.6f, \
-         \"speedup\": %.3f, \"match\": %b, \"detail\": \"%s\"}%s\n"
-        (json_escape w.p_name) w.p_seq w.p_par
-        (if w.p_par > 0.0 then w.p_seq /. w.p_par else Float.nan)
-        w.p_match (json_escape w.p_detail)
-        (if i = List.length workloads - 1 then "" else ","))
-    workloads;
-  Printf.bprintf b
-    "  ],\n  \"aggregate_speedup\": %.3f,\n  \"all_match\": %b,\n  \"gate\": \
-     {\"rule\": \"%s\", \"passed\": %b}\n}\n"
-    aggregate_speedup all_match (json_escape gate_rule) gate_passed;
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc
-
-let print_parallel ~domains () =
-  Fmt.pr "--- Parallel fan-out: determinism + speedup at %d domains ---@." domains;
-  let workload name detail run equal =
-    let seq, t_seq = timed (fun () -> run 1) in
-    let par, t_par = timed (fun () -> run domains) in
-    let ok = equal seq par in
-    Fmt.pr "%-12s  seq %.2fs  par %.2fs  speedup %.2fx  %s@." name t_seq t_par
-      (if t_par > 0.0 then t_seq /. t_par else Float.nan)
-      (if ok then "identical" else "MISMATCH");
-    { p_name = name; p_seq = t_seq; p_par = t_par; p_match = ok;
-      p_detail = detail (if ok then seq else par);
-      p_counters_seq = []; p_counters_par = [];
-      p_phases_seq = []; p_minor_words_seq = 0.0 }
-  in
-  let learn =
-    workload "learn"
-      (fun (r : Learner.result) ->
-        Fmt.str "acc coordinate, CI=%d, %d calls, %s" r.Learner.iterations
-          r.Learner.verifier_calls
-          (Dwv_reach.Verifier.verdict_to_string r.Learner.verdict))
-      parallel_learn
-      (fun (a : Learner.result) (b : Learner.result) ->
-        Controller.params a.Learner.controller = Controller.params b.Learner.controller
-        && a.Learner.iterations = b.Learner.iterations
-        && a.Learner.verifier_calls = b.Learner.verifier_calls
-        && a.Learner.verdict = b.Learner.verdict)
-  in
-  let initset =
-    workload "initset"
-      (fun (r : Initset.result) ->
-        Fmt.str "oscillator depth 2, coverage=%.4f, %d calls" r.Initset.coverage
-          r.Initset.verifier_calls)
-      parallel_initset
-      (fun (a : Initset.result) (b : Initset.result) ->
-        a.Initset.verified = b.Initset.verified
-        && a.Initset.coverage = b.Initset.coverage
-        && a.Initset.verifier_calls = b.Initset.verifier_calls)
-  in
-  let rates =
-    workload "rates"
-      (fun (r : Evaluate.rates) ->
-        Fmt.str "acc n=2000, SC=%.2f%%, GR=%.2f%%" r.Evaluate.safe_percent
-          r.Evaluate.goal_percent)
-      parallel_rates
-      (fun (a : Evaluate.rates) (b : Evaluate.rates) ->
-        a.Evaluate.safe_percent = b.Evaluate.safe_percent
-        && a.Evaluate.goal_percent = b.Evaluate.goal_percent)
-  in
-  let workloads = [ learn; initset; rates ] in
-  let total p = List.fold_left (fun acc w -> acc +. p w) 0.0 workloads in
-  let aggregate_speedup =
-    let par = total (fun w -> w.p_par) in
-    if par > 0.0 then total (fun w -> w.p_seq) /. par else Float.nan
-  in
-  let all_match = List.for_all (fun w -> w.p_match) workloads in
-  let gate_passed = List.for_all par_not_slower workloads in
-  write_parallel_json ~domains ~aggregate_speedup ~all_match ~gate_passed workloads
-    "BENCH_parallel.json";
-  Fmt.pr "aggregate speedup %.2fx, all results %s, gate %s [BENCH_parallel.json written]@."
-    aggregate_speedup
-    (if all_match then "identical" else "MISMATCHED")
-    (if gate_passed then "passed" else "FAILED (parallel slower than sequential)");
-  if not (all_match && gate_passed) then exit 1
-
 (* ---------------------------------------------------------------- *)
 (* Section: hotpath — the regression-gated bench trajectory
-   (BENCH_hotpath.json). The same three fan-out workloads as [parallel],
-   but timed min-of-reps for the short ones, compared against the
-   committed baseline file, and gated hard: the job fails when any
-   parallel path is slower than its sequential path, when any seq/par
-   result pair is not bit-identical, or when the aggregate speedup
-   regresses more than 10% against a baseline recorded on the same core
-   count (baselines from different hardware are reported but not
-   compared). *)
+   (BENCH_hotpath.json). The three fan-out workloads above, each run at
+   1 domain and at the requested count, timed min-of-reps for the short
+   ones, compared against the committed baseline file, and gated hard:
+   the job fails when any parallel path is slower than its sequential
+   path, when any seq/par result pair is not bit-identical, or when the
+   aggregate speedup regresses more than 10% against a baseline recorded
+   on the same core count (baselines from different hardware are
+   reported but not compared). *)
 
 (* Minimal field scanner so the committed baseline can be read back
    without a JSON dependency: finds ["field":] and parses the number
@@ -1261,17 +1175,22 @@ let () =
     | _ :: rest -> parse_args [] None rest
     | [] -> ([], None)
   in
-  let sections =
-    match sections with
-    | [] ->
-      [ "table1"; "table2"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "tightness";
-        "micro"; "parallel"; "hotpath"; "certs"; "scenarios" ]
-    | _ -> sections
+  let all_sections =
+    [ "table1"; "table2"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "tightness";
+      "micro"; "hotpath"; "certs"; "scenarios" ]
   in
+  List.iter
+    (fun s ->
+      if not (List.mem s ("profile" :: all_sections)) then begin
+        Fmt.epr "bench: unknown section %s (expected profile or one of %s)@." s
+          (String.concat " " all_sections);
+        exit 2
+      end)
+    sections;
+  let sections = if sections = [] then all_sections else sections in
   let domains = Option.value domains ~default:(Pool.default_domains ()) in
   let want s = List.mem s sections in
   if want "profile" then begin print_profile (); flush_section () end;
-  if want "parallel" then begin print_parallel ~domains (); flush_section () end;
   if want "hotpath" then begin print_hotpath ~domains (); flush_section () end;
   if want "certs" then begin print_certs (); flush_section () end;
   if want "scenarios" then begin print_scenarios ~domains (); flush_section () end;

@@ -1,8 +1,8 @@
 (* dwv_lint: static soundness analyzer and lint driver.
 
      dwv_lint models                        Layer-1 checks on built-in systems
-     dwv_lint source [PATH...]              Layer-2/3/4 lint over OCaml sources
-                                            (--engine ast|regex|both|typed, default both)
+     dwv_lint source [PATH...]              Layer-2/3/4/5 lint over OCaml sources
+                                            (--engine ast|typed|sound, default ast)
      dwv_lint system -f "x1; -x0/(x1+2)" -n 2 -m 1 --x0="-1,1;-1,1"
                                             Layer-1 checks on a text-defined system
      dwv_lint all [PATH...]                 every layer (what `dune build @lint` runs)
@@ -11,7 +11,9 @@
    The typed engine (--engine typed) reads the .cmt files under _build
    (run `dune build @check` first) and adds the layer-4 analyses:
    budget-threading, the allocation profile (--alloc-report /
-   --alloc-baseline) and the type-aware phys-equality exemption.
+   --alloc-baseline) and the type-aware phys-equality exemption. The
+   sound engine (--engine sound) reads the same .cmt files and runs only
+   the layer-5 analyses (rounding-flow, cache-purity).
 
    JSON output is one envelope document (see Diagnostics.report_to_json);
    --format sarif emits SARIF 2.1.0; --plain renders one diagnostic per
@@ -135,35 +137,16 @@ let plain_arg =
        & info [ "plain" ]
            ~doc:"With text output, print one diagnostic per line and omit hint lines.")
 
-type engine_choice = Src of Ast_lint.engine | Typed | Sound
-
-let engine_conv =
-  Arg.conv
-    ( (fun s ->
-        if s = "typed" then Ok Typed
-        else if s = "sound" then Ok Sound
-        else
-          match Ast_lint.engine_of_string s with
-          | Some e -> Ok (Src e)
-          | None ->
-            Error
-              (`Msg
-                ("unknown engine " ^ s ^ " (expected ast | regex | both | typed | sound)"))),
-      fun ppf e ->
-        Fmt.string ppf
-          (match e with
-          | Src e -> Ast_lint.engine_label e
-          | Typed -> "typed"
-          | Sound -> "sound") )
+type engine = Ast | Typed | Sound
 
 let engine_arg =
-  Arg.(value & opt engine_conv (Src Ast_lint.Both)
+  Arg.(value & opt (enum [ ("ast", Ast); ("typed", Typed); ("sound", Sound) ]) Ast
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Source engine: ast (Parsetree analyses), regex (layer-2 patterns), \
-                 both (ast plus a differential regex shadow run), typed (both plus \
-                 the layer-4 cmt analyses: budget-threading, allocation profile, \
-                 type-aware phys-equality exemption), or sound (only the layer-5 \
-                 semantic soundness analyses: rounding-flow, cache-purity).")
+           ~doc:"Source engine: ast (layer-2 rules and layer-3 Parsetree analyses), \
+                 typed (ast plus the layer-4 cmt analyses: budget-threading, \
+                 allocation profile, type-aware phys-equality exemption), or sound \
+                 (only the layer-5 semantic soundness analyses: rounding-flow, \
+                 cache-purity).")
 
 let build_dir_arg =
   Arg.(value & opt (some string) None
@@ -221,8 +204,8 @@ let lint_sources ~engine ~exclude ?build_dir ?alloc_report ?alloc_baseline paths
     | paths -> paths
   in
   match engine with
-  | Src engine -> (
-    match Ast_lint.lint_tree ~exclude ~engine roots with
+  | Ast -> (
+    match Ast_lint.lint_tree ~exclude roots with
     | ds -> ds
     | exception Invalid_argument m -> usage_die m)
   | Typed -> (

@@ -1,64 +1,20 @@
-(* Engine driver: regex, AST, or both-with-differential.
+(* Engine driver for the source layers.
 
-   The AST engine parses every implementation with the compiler front end
-   and runs three stages over the result: the AST-backed layer-2 rules
-   (Ast_rules), the domain-safety race lint and the exception-escape
-   analysis (both queries over one Ast_index built from every file that
-   parsed). Interfaces, and implementations the parser rejects, fall back
-   to the regex engine — a rejected file additionally gets an [ast-parse]
-   note so the fallback is visible in the report.
-
-   [Both] is the AST engine plus a shadow regex run used only for
-   comparison: for every parseable implementation the two engines'
-   findings on the shared rules are compared as (check, line) sets —
-   columns differ by design (token start vs. match start), and the regex
-   engine reports at most one hit per line where the AST engine reports
-   each occurrence. Any remaining disagreement is an [engine-diff] error:
-   either a rule regressed or a pattern has a blind spot, and both are
-   worth failing CI over. *)
+   Every implementation is parsed with the compiler front end and three
+   stages run over the result: the layer-2 rules (Ast_rules), the
+   domain-safety race lint and the exception-escape analysis (both
+   queries over one Ast_index built from every file that parsed).
+   Interfaces carry no expressions to analyze; an implementation the
+   parser rejects gets an [ast-parse] note instead of findings, so the
+   gap is visible in the report. *)
 
 module D = Diagnostics
 
-type engine = Regex | Ast | Both
-
-let engine_label = function Regex -> "regex" | Ast -> "ast" | Both -> "both"
-
-let engine_of_string = function
-  | "regex" -> Some Regex
-  | "ast" -> Some Ast
-  | "both" -> Some Both
-  | _ -> None
-
 let is_impl path = Filename.check_suffix path ".ml"
 
-let covered_rules rules =
-  List.filter
-    (fun (r : Source_rules.rule) -> List.mem r.Source_rules.name Ast_rules.covered)
-    rules
-
-(* One file through the AST engine. Returns its diagnostics and, when it
-   parsed, the Parsetree for the index. *)
-let ast_one ~rules path =
-  if not (is_impl path) then
-    (* interfaces carry no expressions to analyze; the regex rules still
-       apply textually *)
-    (Source_lint.lint_file ~rules path, None)
-  else
-    match Src_ast.parse_file path with
-    | Ok parsed -> (Ast_rules.lint_parsed ~rules parsed, Some parsed)
-    | Error msg ->
-      ( D.info ~check:Registry.ast_parse
-          ~loc:(D.File { path; line = 1; col = 1 })
-          (Fmt.str "not parseable by the compiler front end (%s); regex engine used \
-                    as fallback"
-             msg)
-        :: Source_lint.lint_file ~rules path,
-        None )
-
-(* The typed phys-equality exemption, applied identically to every
-   engine so differential mode still compares like with like. [allow]
-   holds (path, line) pairs from Typed_rules.expr_phys_eq_allow; paths
-   are normalized component-wise so "./lib/x.ml" and "lib/x.ml" agree. *)
+(* The typed phys-equality exemption. [allow] holds (path, line) pairs
+   from Typed_rules.expr_phys_eq_allow; paths are normalized
+   component-wise so "./lib/x.ml" and "lib/x.ml" agree. *)
 let norm_path path =
   String.split_on_char '/' path
   |> List.filter (fun c -> c <> "" && c <> ".")
@@ -66,98 +22,56 @@ let norm_path path =
 
 let phys_eq_rule = "phys-equality"
 
-let phys_eq_drop ~phys_eq_allow path check line =
-  match phys_eq_allow with
-  | None -> false
-  | Some allow ->
-    check = phys_eq_rule
-    && List.exists (fun (p, l) -> l = line && norm_path p = norm_path path) allow
-
 let apply_phys_eq_allow ~phys_eq_allow ds =
   match phys_eq_allow with
   | None -> ds
-  | Some _ ->
+  | Some allow ->
     List.filter
       (fun (d : D.t) ->
         match d.D.loc with
         | D.File { path; line; _ } ->
-          not (phys_eq_drop ~phys_eq_allow path d.D.check line)
+          not
+            (d.D.check = phys_eq_rule
+            && List.exists (fun (p, l) -> l = line && norm_path p = norm_path path) allow)
         | D.Model _ -> true)
       ds
 
 (* With a typed allowlist in force, the static per-file suppression on
    the phys-equality rule is superseded: drop it so non-exempt [==] in
    an allowlisted file resurface. *)
-let effective_rules ~phys_eq_allow rules =
+let effective_rules ~phys_eq_allow =
   match phys_eq_allow with
-  | None -> rules
+  | None -> Ast_rules.builtin
   | Some _ ->
     List.map
-      (fun (r : Source_rules.rule) ->
-        if r.Source_rules.name = phys_eq_rule then { r with Source_rules.allow = [] }
-        else r)
-      rules
+      (fun (r : Ast_rules.rule) ->
+        if r.Ast_rules.name = phys_eq_rule then { r with Ast_rules.allow = [] } else r)
+      Ast_rules.builtin
 
-(* Differential comparison for one parsed file: (check, line) keys of the
-   shared rules, each engine against the other. *)
-let diff_one ~rules ~phys_eq_allow (parsed : Src_ast.parsed) ast_ds =
-  let path = parsed.Src_ast.path in
-  let keys ds =
-    List.filter_map
-      (fun (d : D.t) ->
-        if List.mem d.D.check Ast_rules.covered then
-          match d.D.loc with
-          | D.File { line; _ } -> Some (d.D.check, line)
-          | D.Model _ -> None
-        else None)
-      ds
-    |> List.sort_uniq compare
-    |> List.filter (fun (check, line) ->
-           not (phys_eq_drop ~phys_eq_allow path check line))
+let lint_files ?phys_eq_allow files =
+  let rules = effective_rules ~phys_eq_allow in
+  let parsed = ref [] in
+  let file_diags path =
+    if not (is_impl path) then []
+    else
+      match Src_ast.parse_file path with
+      | Ok p ->
+        parsed := p :: !parsed;
+        apply_phys_eq_allow ~phys_eq_allow (Ast_rules.lint_parsed ~rules p)
+      | Error msg ->
+        [
+          D.info ~check:Registry.ast_parse
+            ~loc:(D.File { path; line = 1; col = 1 })
+            (Fmt.str "not parseable by the compiler front end (%s); source rules \
+                      not run"
+               msg);
+        ]
   in
-  let ast_keys = keys ast_ds in
-  let regex_keys =
-    keys (Source_lint.lint_string ~rules:(covered_rules rules) ~path parsed.Src_ast.source)
+  let ds =
+    List.concat_map (fun path -> Source_lint.missing_mli_check path @ file_diags path) files
   in
-  let only tag these others =
-    List.filter_map
-      (fun ((check, line) as key) ->
-        if List.mem key others then None
-        else
-          Some
-            (D.error ~check:Registry.engine_diff
-               ~loc:(D.File { path; line; col = 1 })
-               (Fmt.str "engines disagree on %s: only the %s engine reports it here"
-                  check tag)
-               ~hint:"a rule regressed or a regex pattern has a blind spot; align \
-                      them (see DESIGN.md §10)"))
-      these
-  in
-  only "ast" ast_keys regex_keys @ only "regex" regex_keys ast_keys
+  let index = Ast_index.of_files (List.rev !parsed) in
+  D.sort (ds @ Domain_safety.analyze index @ Exn_escape.analyze index)
 
-let lint_files ?(rules = Source_rules.builtin) ?phys_eq_allow ~engine files =
-  let rules = effective_rules ~phys_eq_allow rules in
-  match engine with
-  | Regex ->
-    apply_phys_eq_allow ~phys_eq_allow (Source_lint.lint_files ~rules files)
-  | Ast | Both ->
-    let parsed = ref [] in
-    let ds =
-      List.concat_map
-        (fun path ->
-          let file_ds, p = ast_one ~rules path in
-          let file_ds = apply_phys_eq_allow ~phys_eq_allow file_ds in
-          let diff_ds =
-            match (engine, p) with
-            | Both, Some parsed -> diff_one ~rules ~phys_eq_allow parsed file_ds
-            | _ -> []
-          in
-          Option.iter (fun p -> parsed := p :: !parsed) p;
-          Source_lint.missing_mli_check path @ file_ds @ diff_ds)
-        files
-    in
-    let index = Ast_index.of_files (List.rev !parsed) in
-    D.sort (ds @ Domain_safety.analyze index @ Exn_escape.analyze index)
-
-let lint_tree ?rules ?phys_eq_allow ?exclude ~engine roots =
-  lint_files ?rules ?phys_eq_allow ~engine (Source_lint.collect_tree ?exclude roots)
+let lint_tree ?phys_eq_allow ?exclude roots =
+  lint_files ?phys_eq_allow (Source_lint.collect_tree ?exclude roots)

@@ -1,34 +1,17 @@
-(** Engine driver for the source layers.
-
-    [Regex] is the layer-2 engine of {!Source_lint} alone. [Ast] parses
-    every implementation with the compiler front end and runs the
-    AST-backed rules ({!Ast_rules}) plus the layer-3 analyses
-    ({!Domain_safety}, {!Exn_escape}); interfaces and unparseable files
-    fall back to regex (the latter flagged with an [ast-parse] note).
-    [Both] is the AST engine plus a differential shadow run of the regex
-    engine — any (check, line) disagreement on the shared rules is
-    reported as an [engine-diff] error. *)
-
-type engine = Regex | Ast | Both
-
-val engine_label : engine -> string
-val engine_of_string : string -> engine option
-
-val covered_rules : Source_rules.rule list -> Source_rules.rule list
-(** Restrict a rule set to the rules both engines implement. *)
+(** Engine driver for the source layers: parses every implementation
+    with the compiler front end and runs the layer-2 rules
+    ({!Ast_rules}) plus the layer-3 analyses ({!Domain_safety},
+    {!Exn_escape}). Every file also gets the missing-[.mli] check; an
+    implementation the parser rejects gets an [ast-parse] note. *)
 
 val lint_files :
-  ?rules:Source_rules.rule list -> ?phys_eq_allow:(string * int) list ->
-  engine:engine -> string list -> Diagnostics.t list
-(** Lint the given files with the chosen engine (missing-[.mli] check
-    included), sorted by location. [phys_eq_allow] is the typed
-    exemption list from {!Typed_rules.expr_phys_eq_allow}: when given,
-    the phys-equality rule's static per-file allowlist is dropped and
-    instead exactly those (path, line) sites are exempt — in every
-    engine and in the differential comparison alike, so [engine-diff]
-    stays at zero. *)
+  ?phys_eq_allow:(string * int) list -> string list -> Diagnostics.t list
+(** Lint the given files, sorted by location. [phys_eq_allow] is the
+    typed exemption list from {!Typed_rules.expr_phys_eq_allow}: when
+    given, the phys-equality rule's static per-file allowlist is dropped
+    and instead exactly those (path, line) sites are exempt. *)
 
 val lint_tree :
-  ?rules:Source_rules.rule list -> ?phys_eq_allow:(string * int) list ->
-  ?exclude:string list -> engine:engine -> string list -> Diagnostics.t list
+  ?phys_eq_allow:(string * int) list -> ?exclude:string list -> string list ->
+  Diagnostics.t list
 (** [lint_files] over {!Source_lint.collect_tree}. *)

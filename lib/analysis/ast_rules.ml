@@ -1,26 +1,101 @@
-(* AST-backed re-implementation of the layer-2 source rules. Matching is
-   on identifier occurrences in the Parsetree, so it is syntactic where
-   the regex engine is textual: a `==` in a comment, a string banner, or
-   an operator-shaped fragment inside a longer token can never fire, and
-   several hits on one line are all reported (the regex engine stops at
-   the first match per line).
+(* The layer-2 source rules and their engine. The rule table is data —
+   name, severity, message, hint, allowlist — and matching is on
+   identifier occurrences in the Parsetree, so a `==` in a comment, a
+   string banner, or an operator-shaped fragment inside a longer token
+   can never fire, and several hits on one line are all reported.
 
-   The rule *metadata* (name, severity, message, hint, allowlist) stays
-   in Source_rules — one table serves both engines, which is what makes
-   the differential mode in Ast_lint meaningful. *)
+   Adding a rule is one row in [builtin] plus one arm in [ident_rule]. *)
 
 module D = Diagnostics
 
-(* Rules this engine implements semantically. bare-failwith is absent by
-   design: its AST replacement is the Exn_escape analysis. *)
-let covered =
+type rule = {
+  name : string;
+  severity : Diagnostics.severity;
+  message : string;
+  hint : string option;
+  allow : string list;
+}
+
+(* Split a path into its components, dropping empty segments and "." so
+   "./lib//expr" and "lib/expr" compare equal. Backslashes are treated as
+   separators too (paths may arrive in Windows form). *)
+let components path =
+  String.split_on_char '\\' path
+  |> List.concat_map (String.split_on_char '/')
+  |> List.filter (fun c -> c <> "" && c <> ".")
+
+let allowed rule path =
+  let pcs = components path in
+  List.exists
+    (fun fragment ->
+      (* Fragments match on whole path components, not substrings:
+         "lib/expr/expr.ml" must not also exempt lib/expr/expr.ml.bak.
+         A trailing '/' ("bin/") makes the fragment directory-only — it
+         must match somewhere strictly above the final component. *)
+      let dir_only =
+        String.length fragment > 0 && fragment.[String.length fragment - 1] = '/'
+      in
+      let fcs = components fragment in
+      let rec prefix fs ps =
+        match (fs, ps) with
+        | [], rest -> (not dir_only) || rest <> []
+        | _, [] -> false
+        | f :: fs', p :: ps' -> f = p && prefix fs' ps'
+      in
+      let rec at ps =
+        match ps with [] -> false | _ :: rest -> prefix fcs ps || at rest
+      in
+      fcs <> [] && at pcs)
+    rule.allow
+
+let builtin =
   [
-    "phys-equality";
-    "nan-compare";
-    "float-of-string";
-    "obj-magic";
-    "poly-compare";
-    "print-debug";
+    {
+      name = "phys-equality";
+      severity = Diagnostics.Error;
+      message = "physical equality (==/!=) on values; on floats and float-bearing \
+                 structures it is not semantic equality";
+      hint = Some "use structural/semantic equality (e.g. Float.equal, Expr.equal, =)";
+      allow = [ "lib/expr/expr.ml" (* O(1) shortcut inside Expr.equal itself *) ];
+    };
+    {
+      name = "nan-compare";
+      severity = Diagnostics.Error;
+      message = "comparison against nan is always false (or always true for <>)";
+      hint = Some "use Float.is_nan / classify_float";
+      allow = [];
+    };
+    {
+      name = "float-of-string";
+      severity = Diagnostics.Error;
+      message = "bare float-of-string raises an uninformative Failure on malformed input";
+      hint = Some "use float_of_string_opt and report the offending text";
+      allow = [];
+    };
+    {
+      name = "obj-magic";
+      severity = Diagnostics.Error;
+      message = "Obj.magic defeats the type system; enclosure soundness cannot survive it";
+      hint = None;
+      allow = [];
+    };
+    {
+      name = "poly-compare";
+      severity = Diagnostics.Warn;
+      message = "explicit polymorphic compare; on float-bearing types prefer a typed \
+                 comparison";
+      hint = Some "use Float.compare / a per-type compare function";
+      allow = [];
+    };
+    {
+      name = "print-debug";
+      severity = Diagnostics.Warn;
+      message = "direct stdout printing from library code";
+      hint = Some "return data, or take a Format formatter (Fmt) like the rest of lib/";
+      allow =
+        [ "bin/"; "bench/"; "test/"; "examples/";
+          "lib/util/table.ml" (* Table.print is the module's documented purpose *) ];
+    };
   ]
 
 let nan_idents = [ "nan"; "Float.nan" ]
@@ -43,21 +118,17 @@ let ident_rule ~raw ~norm =
       Some "poly-compare"
     | _ -> None)
 
-let lint_parsed ?(rules = Source_rules.builtin) (file : Src_ast.parsed) =
+let lint_parsed ?(rules = builtin) (file : Src_ast.parsed) =
   let path = file.Src_ast.path in
-  let rule_by_name name =
-    List.find_opt (fun (r : Source_rules.rule) -> r.Source_rules.name = name) rules
-  in
   let ds = ref [] in
   let emit name loc =
-    match rule_by_name name with
+    match List.find_opt (fun r -> r.name = name) rules with
     | None -> () (* caller restricted the rule set: stay consistent with it *)
     | Some rule ->
-      if not (Source_rules.allowed rule path) then
+      if not (allowed rule path) then
         ds :=
-          D.make rule.Source_rules.severity ~check:rule.Source_rules.name
-            ~loc:(Src_ast.file_loc ~path loc)
-            rule.Source_rules.message ?hint:rule.Source_rules.hint
+          D.make rule.severity ~check:rule.name ~loc:(Src_ast.file_loc ~path loc)
+            rule.message ?hint:rule.hint
           :: !ds
   in
   let open Ast_iterator in

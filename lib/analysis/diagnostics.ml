@@ -101,7 +101,7 @@ let report_to_json ds =
 (* SARIF 2.1.0: one run, one driver, results in sort order. Rule ids are
    whatever checks actually fired (the full catalogue lives in Registry,
    which this module cannot see — deliberate, Registry depends on
-   Source_rules which depends on here). File locations become physical
+   Ast_rules which depends on here). File locations become physical
    locations; model paths become logical locations, which SARIF defines
    for exactly this "not a file" case. *)
 let severity_sarif = function Error -> "error" | Warn -> "warning" | Info -> "note"

@@ -19,8 +19,8 @@
 
    One hop only: deeper chains through the allowlisted leaf modules
    (serialize, interval, ...) are judged at those modules' own boundary,
-   not re-reported at every caller. This replaces the regex engine's
-   bare-failwith rule, whose textual allowlist this analysis inherits. *)
+   not re-reported at every caller. This is the lint that keeps bare
+   failwith/exit out of the verification loop. *)
 
 module D = Diagnostics
 module SSet = Ast_index.SSet
@@ -52,8 +52,9 @@ let default_hot_modules =
     "Scn_registry";
   ]
 
-(* Leaf modules whose raises are their documented contract (mirrors the
-   bare-failwith allowlist): callers are not warned for reaching them.
+(* Leaf modules whose raises are their documented contract (parse/IO
+   front ends and invariant checks that signal a programming error):
+   callers are not warned for reaching them.
    [Cert] belongs here like [Serialize]: its reader helpers raise Parse
    internally and [decode] is total; [Cert_ival] raises Undefined by
    contract and the checker catches it per obligation. *)

@@ -1,6 +1,6 @@
 (** Exception-escape analysis over the {!Ast_index}: hot-path functions
-    that can raise past the Dwv_error.t result taxonomy. Replaces the
-    regex engine's [bare-failwith] rule.
+    that can raise past the Dwv_error.t result taxonomy. It is the lint
+    that keeps bare [failwith]/[exit] out of the verification loop.
 
     Tiers: Error for failwith/exit/uncaught constructor raises in a
     non-result-speaking hot function; Info for invalid_arg-class
@@ -15,8 +15,8 @@ val default_hot_modules : string list
     the reachability back ends. *)
 
 val default_allow : string list
-(** Leaf modules whose raises are contract (mirrors the bare-failwith
-    allowlist); calls into them are not reported. *)
+(** Leaf modules whose raises are contract (parse/IO front ends and
+    invariant checks); calls into them are not reported. *)
 
 val analyze :
   ?hot_modules:string list -> ?allow:string list -> Ast_index.t -> Diagnostics.t list

@@ -22,7 +22,6 @@ let missing_mli = "missing-mli"
 let domain_safety = "domain-safety"
 let exn_escape = "exn-escape"
 let ast_parse = "ast-parse"
-let engine_diff = "engine-diff"
 let alloc_hotspot = "alloc-hotspot"
 let budget_threading = "budget-threading"
 let cmt_missing = "cmt-missing"
@@ -54,9 +53,8 @@ let ast_entries =
     ( exn_escape,
       "hot-path functions cannot raise past the Dwv_error.t result taxonomy" );
     ( ast_parse,
-      "every linted implementation parses with the compiler front end (regex \
-       fallback otherwise)" );
-    (engine_diff, "AST and regex engines agree on every shared rule (differential mode)");
+      "every linted implementation parses with the compiler front end (its \
+       source rules cannot run otherwise)" );
   ]
 
 let typed_entries =
@@ -93,9 +91,9 @@ let all =
     (fun (name, description) -> { name; layer = Model_layer; description })
     model_entries
   @ List.map
-      (fun (r : Source_rules.rule) ->
-        { name = r.Source_rules.name; layer = Source_layer; description = r.message })
-      Source_rules.builtin
+      (fun (r : Ast_rules.rule) ->
+        { name = r.Ast_rules.name; layer = Source_layer; description = r.message })
+      Ast_rules.builtin
   @ [
       {
         name = missing_mli;

@@ -1,7 +1,7 @@
 (** Registry of every check the analyzer can emit, with one-line
     descriptions: the single source of truth for check names. Layer-1
     (model) names are the constants below, consumed by {!Model_check};
-    Layer-2 (source) entries are derived from {!Source_rules.builtin} so
+    Layer-2 (source) entries are derived from {!Ast_rules.builtin} so
     the listing can never drift from the rule table. *)
 
 type layer = Model_layer | Source_layer | Ast_layer | Typed_layer | Sound_layer
@@ -24,7 +24,7 @@ val nn_activation : string
 val nn_lipschitz : string
 val ctrl_shape : string
 
-(** {1 Layer-2 check names not backed by a regex rule} *)
+(** {1 Layer-2 check names not backed by an {!Ast_rules} row} *)
 
 val missing_mli : string
 
@@ -33,7 +33,6 @@ val missing_mli : string
 val domain_safety : string
 val exn_escape : string
 val ast_parse : string
-val engine_diff : string
 
 (** {1 Layer-4 (typed) check names} *)
 

@@ -1,150 +1,8 @@
-(* The source lint engine.
-
-   Regex rules over raw OCaml text drown in false positives: every `==` in
-   a doc comment and every "===" banner string would fire. So matching
-   runs on a *stripped* copy of the source where comments (nested, and
-   string-aware, as in OCaml proper), string literals, {|...|} quoted
-   strings and character literals are blanked to spaces. Stripping
-   preserves offsets exactly, so diagnostics point at the real file. *)
+(* The source tree walker every source layer starts from: which files a
+   set of roots names (deterministic order, each file once), which paths
+   an exclusion list removes, and the missing-[.mli] file check. *)
 
 module D = Diagnostics
-
-let strip src =
-  let n = String.length src in
-  let out = Bytes.of_string src in
-  let blank i = if Bytes.get out i <> '\n' then Bytes.set out i ' ' in
-  let i = ref 0 in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  (* Skip a string literal starting at the opening quote; blanks it fully.
-     Returns with [i] just past the closing quote. *)
-  let skip_string () =
-    blank !i;
-    incr i;
-    let closed = ref false in
-    while (not !closed) && !i < n do
-      (match src.[!i] with
-      | '\\' when !i + 1 < n ->
-        blank !i;
-        blank (!i + 1);
-        incr i
-      | '"' -> closed := true
-      | _ -> blank !i);
-      incr i
-    done
-  in
-  let skip_quoted_string () =
-    (* {|...|} (no identifier between the brace and the bar — the only
-       form used in this codebase) *)
-    blank !i;
-    blank (!i + 1);
-    i := !i + 2;
-    let closed = ref false in
-    while (not !closed) && !i < n do
-      if src.[!i] = '|' && !i + 1 < n && src.[!i + 1] = '}' then begin
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2;
-        closed := true
-      end
-      else begin
-        blank !i;
-        incr i
-      end
-    done
-  in
-  let skip_comment () =
-    let depth = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !i < n do
-      if src.[!i] = '(' && peek 1 = Some '*' then begin
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2;
-        incr depth
-      end
-      else if src.[!i] = '*' && peek 1 = Some ')' then begin
-        blank !i;
-        blank (!i + 1);
-        i := !i + 2;
-        decr depth;
-        if !depth = 0 then continue_ := false
-      end
-      else if src.[!i] = '"' then skip_string ()
-      else begin
-        blank !i;
-        incr i
-      end
-    done
-  in
-  while !i < n do
-    match src.[!i] with
-    | '(' when peek 1 = Some '*' -> skip_comment ()
-    | '"' -> skip_string ()
-    | '{' when peek 1 = Some '|' -> skip_quoted_string ()
-    | '\'' -> (
-      (* char literal vs. type variable: '\...' or 'c' are literals,
-         anything else (e.g. 'a in a type) passes through *)
-      match peek 1 with
-      | Some '\\' ->
-        blank !i;
-        incr i;
-        while !i < n && src.[!i] <> '\'' do
-          blank !i;
-          incr i
-        done;
-        if !i < n then begin
-          blank !i;
-          incr i
-        end
-      | Some _ when peek 2 = Some '\'' ->
-        blank !i;
-        blank (!i + 1);
-        blank (!i + 2);
-        i := !i + 3
-      | _ -> incr i)
-    | _ -> incr i
-  done;
-  Bytes.to_string out
-
-let compiled_pattern =
-  (* compile each rule's regexp once per process *)
-  let table : (string, Str.regexp) Hashtbl.t = Hashtbl.create 16 in
-  fun (rule : Source_rules.rule) ->
-    match Hashtbl.find_opt table rule.Source_rules.pattern with
-    | Some re -> re
-    | None ->
-      let re = Str.regexp rule.Source_rules.pattern in
-      Hashtbl.add table rule.Source_rules.pattern re;
-      re
-
-let lint_string ?(rules = Source_rules.builtin) ~path src =
-  let stripped = strip src in
-  let lines = String.split_on_char '\n' stripped in
-  let ds = ref [] in
-  List.iteri
-    (fun lineno line ->
-      List.iter
-        (fun (rule : Source_rules.rule) ->
-          if not (Source_rules.allowed rule path) then
-            match Str.search_forward (compiled_pattern rule) line 0 with
-            | col ->
-              ds :=
-                D.make rule.severity ~check:rule.name
-                  ~loc:(D.File { path; line = lineno + 1; col = col + 1 })
-                  rule.message ?hint:rule.hint
-                :: !ds
-            | exception Not_found -> ())
-        rules)
-    lines;
-  List.rev !ds
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file ?rules path = lint_string ?rules ~path (read_file path)
 
 let is_ocaml_source name =
   Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
@@ -155,7 +13,7 @@ let refuse_build_root root =
   let parts = String.split_on_char '/' root in
   if List.mem "_build" parts then
     invalid_arg
-      (Fmt.str "Source_lint.lint_tree: refusing to scan %s: _build holds generated \
+      (Fmt.str "Source_lint.collect_tree: refusing to scan %s: _build holds generated \
                 artifacts, lint the sources instead"
          root)
 
@@ -181,7 +39,7 @@ let missing_mli_check path =
   else []
 
 (* Is [path] under one of the [exclude] fragments? Matched on contiguous
-   whole path components, like Source_rules allowlists. *)
+   whole path components, like Ast_rules allowlists. *)
 let excluded ~exclude path =
   let pcs =
     String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
@@ -239,12 +97,6 @@ let collect_tree ?(exclude = []) roots =
   List.iter
     (fun root ->
       if Sys.file_exists root then walk ~is_root:true root
-      else invalid_arg (Fmt.str "Source_lint.lint_tree: no such path %s" root))
+      else invalid_arg (Fmt.str "Source_lint.collect_tree: no such path %s" root))
     roots;
   List.rev !files
-
-let lint_files ?rules files =
-  Diagnostics.sort
-    (List.concat_map (fun path -> missing_mli_check path @ lint_file ?rules path) files)
-
-let lint_tree ?rules ?exclude roots = lint_files ?rules (collect_tree ?exclude roots)

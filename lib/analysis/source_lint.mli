@@ -1,26 +1,13 @@
-(** Layer-2 lint: scan OCaml sources for the float-soundness footguns and
-    hygiene issues in {!Source_rules.builtin}, plus the missing-[.mli]
-    file check. Comments and string literals are stripped before matching,
-    so documented operators and banner strings never trigger. *)
-
-(** Blank out comments (nested, string-aware), string literals, [{|...|}]
-    quoted strings and character literals, preserving every character
-    position (replaced by spaces) so line/column reporting stays exact.
-    Exposed for tests. *)
-val strip : string -> string
-
-(** Lint one source string as if it were the named file. *)
-val lint_string : ?rules:Source_rules.rule list -> path:string -> string -> Diagnostics.t list
-
-(** Lint one file on disk ([.ml] / [.mli]). *)
-val lint_file : ?rules:Source_rules.rule list -> string -> Diagnostics.t list
+(** The source tree walker shared by every source layer: collects the
+    OCaml files under a set of roots, applies exclusions, and provides
+    the missing-[.mli] file check. *)
 
 (** The missing-[.mli] check for one path: warns when a library module
     (path contains a [lib] component, suffix [.ml]) has no interface. *)
 val missing_mli_check : string -> Diagnostics.t list
 
 (** Is [path] under one of the [fragments]? Matched on contiguous whole
-    path components, like {!Source_rules} allowlists — the exclusion
+    path components, like {!Ast_rules} allowlists — the exclusion
     predicate {!collect_tree} uses, exposed so other walkers (the typed
     layer's cmt scan) exclude identically. *)
 val path_under : fragments:string list -> string -> bool
@@ -34,13 +21,3 @@ val path_under : fragments:string list -> string -> bool
     each file once (and symlink cycles terminate). [exclude] fragments
     are matched on whole path components, like allowlists. *)
 val collect_tree : ?exclude:string list -> string list -> string list
-
-(** Lint the given files (regex rules plus the missing-[.mli] check),
-    sorted by location. *)
-val lint_files : ?rules:Source_rules.rule list -> string list -> Diagnostics.t list
-
-(** [lint_files] over [collect_tree]: recursively lint every [.ml]/[.mli]
-    under the given roots. *)
-val lint_tree :
-  ?rules:Source_rules.rule list -> ?exclude:string list -> string list ->
-  Diagnostics.t list

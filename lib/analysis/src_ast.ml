@@ -7,7 +7,7 @@
    Parsing uses compiler-libs.common (the same 5.1 front end that builds
    the repo), so anything dune accepts we parse identically. Files the
    parser rejects — which for this repo means "mid-edit garbage", since
-   tier-1 would fail too — fall back to the regex engine in Ast_lint. *)
+   tier-1 would fail too — get an ast-parse note from Ast_lint. *)
 
 type parsed = {
   path : string;

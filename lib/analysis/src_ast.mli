@@ -23,8 +23,10 @@ val span : Location.t -> int * int
 (** Absolute [start, end) character offsets, for containment tests. *)
 
 val parse_impl : path:string -> string -> (parsed, string) result
-(** Parse implementation source; [Error] carries a message with the
-    failure position (the caller falls back to the regex engine). *)
+(** Parse implementation source as if it were the file at [path]
+    (diagnostic locations use [path]); [Error] carries a message with
+    the failure position. Tests use it to lint source strings through
+    {!Ast_rules.lint_parsed}. *)
 
 val parse_file : string -> (parsed, string) result
 

@@ -28,9 +28,7 @@ let lint_tree ?build_dir ?(exclude = []) ?alloc_baseline ~roots () =
         (Cmt_index.load_errors idx)
   in
   let phys_eq_allow = Typed_rules.expr_phys_eq_allow idx in
-  let ast_diags =
-    Ast_lint.lint_tree ~phys_eq_allow ~exclude ~engine:Ast_lint.Both roots
-  in
+  let ast_diags = Ast_lint.lint_tree ~phys_eq_allow ~exclude roots in
   let budget_diags = Budget_threading.analyze idx in
   let sites, alloc_diags = Alloc_profile.profile idx in
   let baseline_diags =

@@ -1,7 +1,7 @@
 (** Layer-4 engine driver: everything [dwv_lint --engine typed] runs.
 
     Builds a {!Cmt_index} over the compiled tree, then:
-    - the full layer-2/3 lint ({!Ast_lint} in differential mode) with
+    - the full layer-2/3 lint ({!Ast_lint}) with
       the typed phys-equality exemption
       ({!Typed_rules.expr_phys_eq_allow}) in force;
     - the budget-discipline check ({!Budget_threading});

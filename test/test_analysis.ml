@@ -1,10 +1,13 @@
 (* Tests for dwv_analysis: fixture systems that each trip exactly the
    diagnostic they were built to trip, clean passes over the paper's three
-   systems, and the source-lint engine (stripping, rules, tree walking). *)
+   systems, the layer-2 rules on source strings, tree walking, and the
+   check catalog. *)
 
 module D = Dwv_analysis.Diagnostics
 module Model_check = Dwv_analysis.Model_check
-module Source_lint = Dwv_analysis.Source_lint
+module Src_ast = Dwv_analysis.Src_ast
+module Ast_rules = Dwv_analysis.Ast_rules
+module Ast_lint = Dwv_analysis.Ast_lint
 module Registry = Dwv_analysis.Registry
 module Expr = Dwv_expr.Expr
 module Parser = Dwv_expr.Parser
@@ -190,21 +193,15 @@ let test_builtin_systems_clean () =
       Alcotest.(check (list string)) (name ^ " clean") [] (check_names ds))
     [ "acc"; "oscillator"; "threed" ]
 
-(* ---------------- layer 2: stripping ---------------- *)
+(* ---------------- layer 2: rules on source strings ---------------- *)
 
-let contains haystack needle =
-  let n = String.length needle and m = String.length haystack in
-  let rec at i = i + n <= m && (String.sub haystack i n = needle || at (i + 1)) in
-  at 0
-
-let test_strip_preserves_positions () =
-  let src = "let a = 1 (* == *) + 2\n" in
-  let stripped = Source_lint.strip src in
-  Alcotest.(check int) "same length" (String.length src) (String.length stripped);
-  Alcotest.(check bool) "comment blanked" false (contains stripped "==")
+let lint_string ~path src =
+  match Src_ast.parse_impl ~path src with
+  | Ok parsed -> Ast_rules.lint_parsed parsed
+  | Error m -> Alcotest.failf "%s does not parse: %s" path m
 
 let test_phys_equality_flagged () =
-  let ds = Source_lint.lint_string ~path:"lib/x/y.ml" "let bad a b = a == b\n" in
+  let ds = lint_string ~path:"lib/x/y.ml" "let bad a b = a == b\n" in
   Alcotest.(check bool) "flagged" true (has ~check:"phys-equality" ds);
   match ds with
   | [ d ] -> (
@@ -218,23 +215,23 @@ let test_phys_equality_flagged () =
 let test_phys_equality_in_comment_or_string_clean () =
   let src = "(* a == b, != c *)\nlet banner = \"=== == !=\"\nlet ok = true\n" in
   Alcotest.(check (list string)) "clean" []
-    (check_names (Source_lint.lint_string ~path:"lib/x/y.ml" src))
+    (check_names (lint_string ~path:"lib/x/y.ml" src))
 
 let test_nan_compare_flagged_but_arrow_clean () =
-  let bad = Source_lint.lint_string ~path:"lib/x/y.ml" "let b x = x > nan\n" in
+  let bad = lint_string ~path:"lib/x/y.ml" "let b x = x > nan\n" in
   Alcotest.(check bool) "comparison flagged" true (has ~check:"nan-compare" bad);
-  let arm = Source_lint.lint_string ~path:"lib/x/y.ml" "let f = function None -> Float.nan | Some v -> v\n" in
+  let arm = lint_string ~path:"lib/x/y.ml" "let f = function None -> Float.nan | Some v -> v\n" in
   Alcotest.(check (list string)) "match arm clean" [] (check_names arm)
 
 let test_float_of_string_rule () =
-  let bad = Source_lint.lint_string ~path:"lib/x/y.ml" "let v = float_of_string s\n" in
+  let bad = lint_string ~path:"lib/x/y.ml" "let v = float_of_string s\n" in
   Alcotest.(check bool) "bare conversion flagged" true (has ~check:"float-of-string" bad);
-  let ok = Source_lint.lint_string ~path:"lib/x/y.ml" "let v = float_of_string_opt s\n" in
+  let ok = lint_string ~path:"lib/x/y.ml" "let v = float_of_string_opt s\n" in
   Alcotest.(check (list string)) "_opt variant clean" [] (check_names ok)
 
 let test_allowlist () =
   (* expr.ml is the documented legit use of the physical shortcut *)
-  let ds = Source_lint.lint_string ~path:"lib/expr/expr.ml" "let eq a b = a == b\n" in
+  let ds = lint_string ~path:"lib/expr/expr.ml" "let eq a b = a == b\n" in
   Alcotest.(check (list string)) "allowlisted" [] (check_names ds)
 
 let test_lint_tree_missing_mli_and_build_refusal () =
@@ -248,9 +245,9 @@ let test_lint_tree_missing_mli_and_build_refusal () =
   let oc = open_out orphan in
   output_string oc "let x = 1\n";
   close_out oc;
-  let ds = Source_lint.lint_tree [ root ] in
+  let ds = Ast_lint.lint_tree [ root ] in
   Alcotest.(check bool) "orphan flagged" true (has ~check:Registry.missing_mli ds);
-  (match Source_lint.lint_tree [ "_build/default" ] with
+  (match Ast_lint.lint_tree [ "_build/default" ] with
   | _ -> Alcotest.fail "expected _build refusal"
   | exception Invalid_argument _ -> ());
   Sys.remove orphan;
@@ -264,6 +261,22 @@ let test_registry_names_unique_and_enough () =
   Alcotest.(check bool) "at least 10 checks" true (List.length names >= 10);
   Alcotest.(check int) "names unique" (List.length names)
     (List.length (List.sort_uniq String.compare names))
+
+let test_registry_source_layer_is_rule_table () =
+  let source =
+    List.filter_map
+      (fun (e : Registry.entry) ->
+        if e.Registry.layer = Registry.Source_layer then Some e.Registry.name else None)
+      Registry.all
+  in
+  Alcotest.(check (list string)) "rule table plus missing-mli"
+    (List.map (fun (r : Ast_rules.rule) -> r.Ast_rules.name) Ast_rules.builtin
+    @ [ Registry.missing_mli ])
+    source;
+  let names = List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.all in
+  List.iter
+    (fun gone -> Alcotest.(check bool) (gone ^ " is gone") false (List.mem gone names))
+    [ "engine-diff"; "bare-failwith" ]
 
 let suite =
   [
@@ -284,7 +297,6 @@ let suite =
     Alcotest.test_case "linear gain shape" `Quick test_linear_gain_shape;
     Alcotest.test_case "unbounded activation warns" `Quick test_unbounded_activation_warns;
     Alcotest.test_case "builtin systems pass clean" `Quick test_builtin_systems_clean;
-    Alcotest.test_case "strip preserves positions" `Quick test_strip_preserves_positions;
     Alcotest.test_case "phys equality flagged" `Quick test_phys_equality_flagged;
     Alcotest.test_case "comments and strings clean" `Quick test_phys_equality_in_comment_or_string_clean;
     Alcotest.test_case "nan compare vs match arrow" `Quick test_nan_compare_flagged_but_arrow_clean;
@@ -293,4 +305,6 @@ let suite =
     Alcotest.test_case "tree walk: missing mli, _build refusal" `Quick
       test_lint_tree_missing_mli_and_build_refusal;
     Alcotest.test_case "registry" `Quick test_registry_names_unique_and_enough;
+    Alcotest.test_case "registry: source layer is the rule table" `Quick
+      test_registry_source_layer_is_rule_table;
   ]

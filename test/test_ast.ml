@@ -1,9 +1,9 @@
 (* Tests for the layer-3 AST analyses: the parse front end, the
    module-inventory index, the domain-safety and exception-escape
-   analyses over the fixture corpus in fixtures/analysis/, the migrated
-   layer-2 rules on both engines, the differential mode, and the
-   satellite fixes (allowlist component matching, tree-walk dedupe,
-   JSON report envelope). *)
+   analyses over the fixture corpus in fixtures/analysis/, the layer-2
+   rules under the ast and typed engines' configurations, the
+   unparseable-file note, and the satellite fixes (allowlist component
+   matching, tree-walk dedupe, JSON report envelope). *)
 
 module D = Dwv_analysis.Diagnostics
 module Src_ast = Dwv_analysis.Src_ast
@@ -13,7 +13,6 @@ module Ast_rules = Dwv_analysis.Ast_rules
 module Domain_safety = Dwv_analysis.Domain_safety
 module Exn_escape = Dwv_analysis.Exn_escape
 module Source_lint = Dwv_analysis.Source_lint
-module Source_rules = Dwv_analysis.Source_rules
 module Registry = Dwv_analysis.Registry
 
 let corpus = "fixtures/analysis"
@@ -147,82 +146,67 @@ let test_exn_escape_ignores_cold_modules () =
   Alcotest.(check int) "cold module is silent" 0
     (List.length (Exn_escape.analyze (index_of [ "exn_bad.ml" ])))
 
-(* ---------------- migrated layer-2 rules, both engines ---------------- *)
+(* ---------------- layer-2 rules, both engines ---------------- *)
 
-let engines = [ Ast_lint.Regex; Ast_lint.Ast ]
+(* The ast engine lints with the static allowlists; the typed engine
+   passes its typed phys-equality exemption instead (empty here: the
+   fixtures hold no Expr.t identity test), which drops the static
+   phys-equality allowlist. The rules must fire identically under both. *)
+let engines = [ ("ast", None); ("typed", Some []) ]
 
-let rule_pair ~check ~bad ~good ~bad_hits () =
+let rule_pair ~check ~bad ~good () =
   List.iter
-    (fun engine ->
-      let label s = Fmt.str "%s/%s" (Ast_lint.engine_label engine) s in
-      let ds_bad = Ast_lint.lint_files ~engine [ fixture bad ] in
-      let ds_good = Ast_lint.lint_files ~engine [ fixture good ] in
-      Alcotest.(check bool) (label "fires on bad") true (has ~check ds_bad);
+    (fun (engine, phys_eq_allow) ->
+      let label s = Fmt.str "%s/%s" engine s in
+      let ds_good = Ast_lint.lint_files ?phys_eq_allow [ fixture good ] in
       Alcotest.(check int) (label "silent on good") 0 (count ~check ds_good);
-      (* the AST engine sees every occurrence, regex one per line; the
-         fixtures put one occurrence per line so the counts agree *)
-      Alcotest.(check int) (label "hit count") bad_hits (count ~check ds_bad))
+      List.iter
+        (fun (file, hits) ->
+          let ds_bad = Ast_lint.lint_files ?phys_eq_allow [ fixture file ] in
+          Alcotest.(check int) (label (file ^ " hit count")) hits (count ~check ds_bad))
+        bad)
     engines
 
 let test_phys_equality =
-  rule_pair ~check:"phys-equality" ~bad:"phys_eq_bad.ml" ~good:"phys_eq_good.ml"
-    ~bad_hits:2
+  rule_pair ~check:"phys-equality" ~bad:[ ("phys_eq_bad.ml", 2) ]
+    ~good:"phys_eq_good.ml"
 
 let test_nan_compare =
-  rule_pair ~check:"nan-compare" ~bad:"nan_cmp_bad.ml" ~good:"nan_cmp_good.ml"
-    ~bad_hits:2
+  rule_pair ~check:"nan-compare" ~bad:[ ("nan_cmp_bad.ml", 2) ] ~good:"nan_cmp_good.ml"
 
 let test_poly_compare =
-  rule_pair ~check:"poly-compare" ~bad:"poly_cmp_bad.ml" ~good:"poly_cmp_good.ml"
-    ~bad_hits:1
+  rule_pair ~check:"poly-compare" ~bad:[ ("poly_cmp_bad.ml", 1) ]
+    ~good:"poly_cmp_good.ml"
 
 let test_float_of_string =
-  rule_pair ~check:"float-of-string" ~bad:"fos_bad.ml" ~good:"fos_good.ml" ~bad_hits:1
+  rule_pair ~check:"float-of-string"
+    ~bad:[ ("fos_bad.ml", 1); ("fos_bad_stdlib.ml", 1) ]
+    ~good:"fos_good.ml"
 
 let test_poly_compare_severity () =
-  let ds = Ast_lint.lint_files ~engine:Ast_lint.Ast [ fixture "poly_cmp_bad.ml" ] in
+  let ds = Ast_lint.lint_files [ fixture "poly_cmp_bad.ml" ] in
   Alcotest.(check bool) "warn, not error" true
     (severity_of ~check:"poly-compare" ds = Some D.Warn)
 
-(* ---------------- fallback and differential ---------------- *)
+(* ---------------- unparseable files ---------------- *)
 
-let test_ast_parse_fallback () =
-  let ds = Ast_lint.lint_files ~engine:Ast_lint.Ast [ fixture "broken_syntax.ml" ] in
+let test_ast_parse_note () =
+  let ds = Ast_lint.lint_files [ fixture "broken_syntax.ml" ] in
   Alcotest.(check int) "one ast-parse note" 1 (count ~check:Registry.ast_parse ds);
   Alcotest.(check bool) "note severity" true
-    (severity_of ~check:Registry.ast_parse ds = Some D.Info)
-
-let test_differential_agrees_on_corpus () =
-  let ds =
-    Ast_lint.lint_tree ~exclude:[ "diff_demo.ml" ] ~engine:Ast_lint.Both [ corpus ]
-  in
-  Alcotest.(check int) "no disagreements" 0 (count ~check:Registry.engine_diff ds)
-
-let test_differential_detects_blind_spot () =
-  let ds = Ast_lint.lint_files ~engine:Ast_lint.Both [ fixture "diff_demo.ml" ] in
-  Alcotest.(check bool) "Stdlib-qualified float_of_string disagrees" true
-    (has ~check:Registry.engine_diff ds);
-  Alcotest.(check bool) "and the ast engine still reports the rule" true
-    (has ~check:"float-of-string" ds)
+    (severity_of ~check:Registry.ast_parse ds = Some D.Info);
+  Alcotest.(check int) "and nothing else" 1 (List.length ds)
 
 let test_registry_lists_ast_checks () =
   let names = List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.all in
   List.iter
     (fun n -> Alcotest.(check bool) n true (List.mem n names))
-    [ Registry.domain_safety; Registry.exn_escape; Registry.ast_parse;
-      Registry.engine_diff ]
+    [ Registry.domain_safety; Registry.exn_escape; Registry.ast_parse ]
 
 (* ---------------- satellite: allowlist component matching ---------------- *)
 
 let rule_with_allow allow =
-  {
-    Source_rules.name = "fix";
-    severity = D.Error;
-    pattern = "unused";
-    message = "unused";
-    hint = None;
-    allow;
-  }
+  { Ast_rules.name = "fix"; severity = D.Error; message = "unused"; hint = None; allow }
 
 let test_allowed_components () =
   let file_rule = rule_with_allow [ "lib/expr/expr.ml" ] in
@@ -243,7 +227,7 @@ let test_allowed_components () =
   in
   List.iter
     (fun (rule, path, expected, what) ->
-      Alcotest.(check bool) what expected (Source_rules.allowed rule path))
+      Alcotest.(check bool) what expected (Ast_rules.allowed rule path))
     checks
 
 (* ---------------- satellite: tree-walk dedupe ---------------- *)
@@ -256,8 +240,8 @@ let test_duplicate_roots_dedupe () =
   let overlapping = Source_lint.collect_tree [ "fixtures"; corpus ] in
   Alcotest.(check int) "overlapping roots collect once" (List.length once)
     (List.length overlapping);
-  let ds_once = Source_lint.lint_tree [ corpus ] in
-  let ds_twice = Source_lint.lint_tree [ corpus; corpus ] in
+  let ds_once = Ast_lint.lint_tree [ corpus ] in
+  let ds_twice = Ast_lint.lint_tree [ corpus; corpus ] in
   Alcotest.(check int) "no duplicate diagnostics" (List.length ds_once)
     (List.length ds_twice)
 
@@ -298,25 +282,17 @@ let test_report_json_golden () =
   Alcotest.(check string) "envelope is stable" expected (D.report_to_json ds)
 
 let test_text_json_counts_agree () =
-  List.iter
-    (fun engine ->
-      let ds =
-        Ast_lint.lint_tree ~exclude:[ "diff_demo.ml" ] ~engine [ corpus ]
-      in
-      let json = D.report_to_json ds in
-      let expect field n =
-        let fragment = Fmt.str {|"%s":%d|} field n in
-        Alcotest.(check bool)
-          (Fmt.str "%s %s" (Ast_lint.engine_label engine) fragment)
-          true
-          (contains ~sub:fragment json)
-      in
-      (* the summary object carries the same counts the --plain text
-         summary prints *)
-      expect "errors" (D.count D.Error ds);
-      expect "warnings" (D.count D.Warn ds);
-      expect "notes" (D.count D.Info ds))
-    [ Ast_lint.Regex; Ast_lint.Ast; Ast_lint.Both ]
+  let ds = Ast_lint.lint_tree [ corpus ] in
+  let json = D.report_to_json ds in
+  let expect field n =
+    let fragment = Fmt.str {|"%s":%d|} field n in
+    Alcotest.(check bool) fragment true (contains ~sub:fragment json)
+  in
+  (* the summary object carries the same counts the --plain text summary
+     prints *)
+  expect "errors" (D.count D.Error ds);
+  expect "warnings" (D.count D.Warn ds);
+  expect "notes" (D.count D.Info ds)
 
 let suite =
   [
@@ -350,12 +326,8 @@ let suite =
       test_float_of_string;
     Alcotest.test_case "rules: poly-compare stays a warning" `Quick
       test_poly_compare_severity;
-    Alcotest.test_case "fallback: unparseable file gets ast-parse + regex" `Quick
-      test_ast_parse_fallback;
-    Alcotest.test_case "differential: engines agree on the corpus" `Quick
-      test_differential_agrees_on_corpus;
-    Alcotest.test_case "differential: regex blind spot is reported" `Quick
-      test_differential_detects_blind_spot;
+    Alcotest.test_case "fallback: unparseable file gets ast-parse note only" `Quick
+      test_ast_parse_note;
     Alcotest.test_case "registry lists the ast-layer checks" `Quick
       test_registry_lists_ast_checks;
     Alcotest.test_case "allowlist matches whole path components" `Quick

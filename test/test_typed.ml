@@ -83,7 +83,7 @@ let test_phys_eq_allow_filters_lint () =
       (TR.expr_phys_eq_allow (Lazy.force idx))
   in
   let file = fixture_build ^ "/expr.ml" in
-  let ds = AL.lint_files ~phys_eq_allow:allow ~engine:AL.Both [ file ] in
+  let ds = AL.lint_files ~phys_eq_allow:allow [ file ] in
   let phys_lines =
     List.filter_map
       (fun d ->
@@ -93,9 +93,7 @@ let test_phys_eq_allow_filters_lint () =
       ds
   in
   Alcotest.(check (list int)) "only the float-array == is flagged" [ 10 ]
-    phys_lines;
-  Alcotest.(check int) "no engine disagreement" 0
-    (List.length (List.filter (fun d -> d.D.check = "engine-diff") ds))
+    phys_lines
 
 (* ---------------- allocation profile ---------------- *)
 
