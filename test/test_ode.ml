@@ -141,6 +141,117 @@ let prop_linear_decay_matches_exact =
       let x = Rk4.integrate ~f ~u:[||] ~duration:t ~substeps:30 [| x0 |] in
       Float.abs (x.(0) -. (x0 *. exp (-0.5 *. t))) < 1e-8)
 
+(* ---------------- golden simulation digests ---------------- *)
+
+(* Pins the numeric simulator and everything that runs on it across
+   refactors: each digest hashes the [%h] text of every float of a
+   trace (states, inputs, dense substeps), of a falsifier counterexample,
+   or the determinism keys of a seeded fuzz campaign. The constants were
+   recorded against the tree-walking [Expr.eval] simulator. *)
+
+module Acc = Dwv_systems.Acc
+module Oscillator = Dwv_systems.Oscillator
+module Scenario = Dwv_scenario.Scenario
+module Scn_fuzz = Dwv_scenario.Scn_fuzz
+module Falsifier = Dwv_core.Falsifier
+module Spec = Dwv_core.Spec
+module Rng = Dwv_util.Rng
+
+let add_floats b xs =
+  Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h," x)) xs;
+  Buffer.add_char b '|'
+
+let trace_digest (tr : Sampled_system.trace) =
+  let b = Buffer.create 65536 in
+  Array.iter (add_floats b) tr.Sampled_system.states;
+  Buffer.add_char b '#';
+  Array.iter (add_floats b) tr.Sampled_system.inputs;
+  Buffer.add_char b '#';
+  Array.iter (add_floats b) tr.Sampled_system.dense;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A DSL plant exercising every numeric node kind, with an uncertain
+   parameter (x2) riding in the simulation state. *)
+let golden_scenario =
+  lazy
+    (Scenario.of_string
+       {|(scenario
+ (name golden-sim)
+ (dim 2)
+ (inputs 1)
+ (delta 0.05)
+ (steps 20)
+ (dynamics
+  "x1 - 0.2 * x0^3"
+  "-sin(x0) * x2 + 0.3 * cos(x1) - 0.1 * exp(-x0^2) + tanh(u0) / (1 + x1^2)")
+ (init (0.4 0.5) (-0.2 -0.1))
+ (goal (-1 1) (-1 1))
+ (params (0.8 1.2))
+ (controller (affine (-0.5 -0.8 0.1 0.05)))
+ (method (taylor (order 3))))|})
+
+let golden_osc_controller =
+  lazy (Oscillator.pretrained_controller (Rng.create 1))
+
+let golden_sim =
+  [
+    ( "acc linear",
+      "748a0abe9a3cb538cf2508c6eefea3b8",
+      fun () ->
+        let c = Acc.initial_controller in
+        trace_digest
+          (Sampled_system.simulate Acc.sampled ~controller:(Acc.sim_controller c)
+             ~x0:[| 123.3; 49.1 |] ~steps:Acc.steps) );
+    ( "oscillator nn",
+      "1eaea551a7e854029c8ec49a70a27703",
+      fun () ->
+        let c = Lazy.force golden_osc_controller in
+        trace_digest
+          (Sampled_system.simulate ~substeps:7 Oscillator.sampled
+             ~controller:(Oscillator.sim_controller c) ~x0:[| -0.45; 0.42 |]
+             ~steps:Oscillator.steps) );
+    ( "dsl all node kinds",
+      "c7004a0d7e8d47286bee56123bf9cc8c",
+      fun () ->
+        let scn = Lazy.force golden_scenario in
+        let c = Scenario.make_controller scn (Rng.create 1) in
+        trace_digest
+          (Sampled_system.simulate (Scenario.sampled scn)
+             ~controller:(Scenario.sim scn c) ~x0:[| 0.45; -0.15; 1.1 |]
+             ~steps:scn.Scenario.steps) );
+    ( "falsifier counterexample",
+      "88822db3e36a80e7c5bb7aef5e2bd6f0",
+      fun () ->
+        let c = Acc.initial_controller in
+        match
+          Falsifier.search ~attempts:10 ~rng:(Rng.create 7) ~sys:Acc.sampled
+            ~controller:(Acc.sim_controller c) ~spec:Acc.spec
+            ~property:Falsifier.Goal_reaching ()
+        with
+        | None -> "none"
+        | Some cx ->
+          let b = Buffer.create 256 in
+          add_floats b cx.Falsifier.x0;
+          add_floats b [| cx.Falsifier.robustness |];
+          Digest.to_hex (Digest.string (Buffer.contents b)) );
+    ( "fuzz seed 42",
+      "aa01f6c05a7dad5c6926705eea092998",
+      fun () ->
+        let r = Scn_fuzz.run ~count:50 ~seed:42 () in
+        Digest.to_hex
+          (Digest.string
+             (String.concat "\n"
+                (Array.to_list (Array.map Scn_fuzz.determinism_key r.Scn_fuzz.records))))
+    );
+  ]
+
+let test_golden_simulation () =
+  let got = List.map (fun (name, _, digest) -> (name, digest ())) golden_sim in
+  Alcotest.(check (list (pair string string)))
+    "simulation digests"
+    (List.map (fun (name, expected, _) -> (name, expected)) golden_sim)
+    got
+
 let suite =
   [
     Alcotest.test_case "rk4 exponential" `Quick test_rk4_exponential_decay;
@@ -160,4 +271,5 @@ let suite =
     Alcotest.test_case "rk45 matches rk4" `Quick test_rk45_matches_rk4;
     Alcotest.test_case "rk45 adapts step" `Quick test_rk45_adapts_step;
     Alcotest.test_case "rk45 step budget" `Quick test_rk45_step_budget_is_a_value;
+    Alcotest.test_case "golden simulation digests" `Quick test_golden_simulation;
   ]
