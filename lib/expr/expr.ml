@@ -269,6 +269,92 @@ let eval_vec f ~x ~u = Array.map (fun fi -> eval fi ~x ~u) f
 
 let ieval_vec f ~x ~u = Array.map (fun fi -> ieval fi ~x ~u) f
 
+(* Compiled numeric evaluation. [eval] walks the tree and returns a
+   boxed float from every node, and it re-walks a subtree each time the
+   DAG shares it. [compile] flattens the DAG once into a straight-line
+   register program: one slot per distinct interned node, children
+   before parents, so a shared subtree runs once. [run] executes the
+   program into a caller-owned register file (an unboxed float array),
+   allocating nothing. Every slot applies the same IEEE operation to the
+   same operands as the corresponding [eval] case ([**] for [Pow], the
+   same libm calls), so the outputs are bit-identical to [eval_vec]. *)
+
+type instr =
+  | Load_const of float
+  | Load_var of int
+  | Load_input of int
+  | Op_add of int * int
+  | Op_sub of int * int
+  | Op_mul of int * int
+  | Op_div of int * int
+  | Op_neg of int
+  | Op_pow of int * int
+  | Op_sin of int
+  | Op_cos of int
+  | Op_exp of int
+  | Op_tanh of int
+
+type program = { code : instr array; outputs : int array }
+
+let compile f =
+  let slot_of = Hashtbl.create 64 in
+  let code = ref [] and next = ref 0 in
+  let rec visit e =
+    match Hashtbl.find_opt slot_of e.id with
+    | Some s -> s
+    | None ->
+      let instr =
+        match e.node with
+        | Const c -> Load_const c
+        | Var i -> Load_var i
+        | Input j -> Load_input j
+        | Add (a, b) -> let a = visit a in Op_add (a, visit b)
+        | Sub (a, b) -> let a = visit a in Op_sub (a, visit b)
+        | Mul (a, b) -> let a = visit a in Op_mul (a, visit b)
+        | Div (a, b) -> let a = visit a in Op_div (a, visit b)
+        | Neg a -> Op_neg (visit a)
+        | Pow (a, n) -> Op_pow (visit a, n)
+        | Sin a -> Op_sin (visit a)
+        | Cos a -> Op_cos (visit a)
+        | Exp a -> Op_exp (visit a)
+        | Tanh a -> Op_tanh (visit a)
+      in
+      let s = !next in
+      incr next;
+      code := instr :: !code;
+      Hashtbl.add slot_of e.id s;
+      s
+  in
+  let outputs = Array.map visit f in
+  { code = Array.of_list (List.rev !code); outputs }
+
+let slots p = Array.length p.code
+let outputs p = Array.length p.outputs
+
+let run p ~regs ~x ~u out =
+  let code = p.code in
+  if Array.length regs < Array.length code then invalid_arg "Expr.run: register file too small";
+  if Array.length out < Array.length p.outputs then invalid_arg "Expr.run: output too small";
+  for s = 0 to Array.length code - 1 do
+    match code.(s) with
+    | Load_const c -> regs.(s) <- c
+    | Load_var i -> regs.(s) <- x.(i)
+    | Load_input j -> regs.(s) <- u.(j)
+    | Op_add (a, b) -> regs.(s) <- regs.(a) +. regs.(b)
+    | Op_sub (a, b) -> regs.(s) <- regs.(a) -. regs.(b)
+    | Op_mul (a, b) -> regs.(s) <- regs.(a) *. regs.(b)
+    | Op_div (a, b) -> regs.(s) <- regs.(a) /. regs.(b)
+    | Op_neg a -> regs.(s) <- -.regs.(a)
+    | Op_pow (a, n) -> regs.(s) <- regs.(a) ** float_of_int n
+    | Op_sin a -> regs.(s) <- sin regs.(a)
+    | Op_cos a -> regs.(s) <- cos regs.(a)
+    | Op_exp a -> regs.(s) <- exp regs.(a)
+    | Op_tanh a -> regs.(s) <- tanh regs.(a)
+  done;
+  for k = 0 to Array.length p.outputs - 1 do
+    out.(k) <- regs.(p.outputs.(k))
+  done
+
 (* Post-intern, structural equality IS physical identity: the intern
    table maps each structure (under Float.equal constant semantics:
    every NaN equal thanks to canonicalization, -0. distinct from 0.) to

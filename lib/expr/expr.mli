@@ -105,6 +105,33 @@ val ieval_vec :
   u:Dwv_interval.Interval.t array ->
   Dwv_interval.Interval.t array
 
+(** {1 Compiled evaluation} *)
+
+(** A vector of expressions flattened into a straight-line register
+    program: one slot per distinct interned node, children before
+    parents, so subtrees shared in the DAG are computed once. Immutable,
+    so one program may be run from several domains at once. *)
+type program
+
+(** Compile [f] once; run it with {!run}. *)
+val compile : t array -> program
+
+(** Register-file length {!run} needs. *)
+val slots : program -> int
+
+(** Number of outputs (the length of the compiled vector). *)
+val outputs : program -> int
+
+(** [run p ~regs ~x ~u out] writes output [i] of [p] at state [x] and
+    input [u] into [out.(i)]. [regs] is caller-owned scratch of length at
+    least [slots p]; nothing is allocated. The results equal
+    [eval_vec f ~x ~u] bit for bit: each slot performs the same IEEE
+    operation as the matching {!eval} case. Raises [Invalid_argument]
+    when [regs] or [out] is too short, or on an out-of-range variable
+    or input index (as {!eval} does). *)
+val run :
+  program -> regs:float array -> x:float array -> u:float array -> float array -> unit
+
 (** Structural equality — O(1): hash-consing makes it a physical
     identity check. Float constants keep [Float.equal] semantics (NaN is
     canonicalized at construction so [equal (const nan) (const nan)] is

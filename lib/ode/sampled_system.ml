@@ -10,12 +10,13 @@ type t = {
   n : int;              (* state dimension *)
   m : int;              (* input dimension *)
   delta : float;        (* sampling period *)
+  prog : Expr.program;  (* [f] compiled once, for every simulation *)
 }
 
 let make ~f ~n ~m ~delta =
   if Array.length f <> n then invalid_arg "Sampled_system.make: |f| must equal n";
   if delta <= 0.0 then invalid_arg "Sampled_system.make: delta must be positive";
-  { f; n; m; delta }
+  { f; n; m; delta; prog = Expr.compile f }
 
 type trace = {
   states : float array array;   (* state at each sample time, length steps+1 *)
@@ -27,23 +28,27 @@ type trace = {
    [substeps] RK4 steps per period. *)
 let simulate ?(substeps = 10) sys ~controller ~x0 ~steps =
   if Array.length x0 <> sys.n then invalid_arg "Sampled_system.simulate: bad initial state";
+  if steps < 0 then invalid_arg "Sampled_system.simulate: negative steps";
+  if substeps < 1 then invalid_arg "Sampled_system.simulate: substeps must be >= 1";
   let states = Array.make (steps + 1) x0 in
-  let inputs = Array.make (max steps 1) (Array.make sys.m 0.0) in
-  let dense = ref [] in
+  let inputs = Array.make steps [||] in
+  (* each period contributes its [substeps + 1] RK4 states, both
+     endpoints included *)
+  let dense = Array.make (steps * (substeps + 1)) x0 in
   for k = 0 to steps - 1 do
     let u = controller states.(k) in
     if Array.length u <> sys.m then invalid_arg "Sampled_system.simulate: controller arity";
     inputs.(k) <- u;
-    let seg = Rk4.integrate_dense ~f:sys.f ~u ~duration:sys.delta ~substeps states.(k) in
-    Array.iter (fun s -> dense := s :: !dense) seg;
+    let seg = Rk4.integrate_dense ~f:sys.prog ~u ~duration:sys.delta ~substeps states.(k) in
+    Array.blit seg 0 dense (k * (substeps + 1)) (substeps + 1);
     states.(k + 1) <- seg.(substeps)
   done;
-  { states; inputs; dense = Array.of_list (List.rev !dense) }
+  { states; inputs; dense }
 
 (* The discrete one-period transition map x -> x(delta); this is the step
    function the RL baselines treat as their environment dynamics. *)
 let step ?(substeps = 10) sys ~u x =
-  Rk4.integrate ~f:sys.f ~u ~duration:sys.delta ~substeps x
+  Rk4.integrate ~f:sys.prog ~u ~duration:sys.delta ~substeps x
 
 (* Max-norm bound of f over interval boxes; used to bloat flowpipe
    segments between sampling instants. *)

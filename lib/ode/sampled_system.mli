@@ -1,24 +1,28 @@
 (** Sampled-data closed loops: plant x' = f(x,u), controller sampled every
     [delta] seconds with zero-order hold (the system model of Section 2). *)
 
-type t = {
+type t = private {
   f : Dwv_expr.Expr.t array;
   n : int;
   m : int;
   delta : float;
+  prog : Dwv_expr.Expr.program;  (** [f] compiled by {!make} *)
 }
 
-(** Build; raises unless [|f| = n] and [delta > 0]. *)
+(** Build and compile [f] once; raises unless [|f| = n] and [delta > 0]. *)
 val make : f:Dwv_expr.Expr.t array -> n:int -> m:int -> delta:float -> t
 
 type trace = {
   states : float array array;  (** state at sample instants, length steps+1 *)
   inputs : float array array;  (** ZOH input per period, length steps *)
-  dense : float array array;   (** all RK4 substep states *)
+  dense : float array array;
+      (** the RK4 states of every period in order, both endpoints
+          included: length [steps * (substeps + 1)] *)
 }
 
 (** Closed-loop simulation for [steps] periods ([substeps] RK4 steps per
-    period, default 10). *)
+    period, default 10). Raises [Invalid_argument] on a wrong-length
+    [x0] or controller output, [steps < 0] or [substeps < 1]. *)
 val simulate :
   ?substeps:int ->
   t ->

@@ -165,24 +165,27 @@ let to_terms p =
   done;
   !acc
 
-let map_coeffs f p =
+(* Every coefficient c becomes -.c ([negate]) or s *. c; an exactly-zero
+   result drops its term. One closure-free loop: the product lands
+   straight in the coefficient array and only advances the write cursor
+   when it is non-zero. *)
+let map_coeffs ~negate s p =
   let n = Array.length p.keys in
   let keys = Array.make n 0 and coeffs = Array.make n 0.0 in
   let m = ref 0 in
   for i = 0 to n - 1 do
-    let c' = f p.coeffs.(i) in
-    if c' <> 0.0 then begin
+    coeffs.(!m) <- (if negate then -.p.coeffs.(i) else s *. p.coeffs.(i));
+    if coeffs.(!m) <> 0.0 then begin
       keys.(!m) <- p.keys.(i);
-      coeffs.(!m) <- c';
       incr m
     end
   done;
   if !m = n then mk p.nvars keys coeffs
   else mk p.nvars (Array.sub keys 0 !m) (Array.sub coeffs 0 !m)
 
-let neg p = map_coeffs (fun c -> -.c) p
+let neg p = map_coeffs ~negate:true 0.0 p
 
-let scale s p = if s = 0.0 then zero p.nvars else map_coeffs (fun c -> s *. c) p
+let scale s p = if s = 0.0 then zero p.nvars else map_coeffs ~negate:false s p
 
 (* Linear merge of the two sorted term arrays; on a shared key the sum is
    a.coeff +. b.coeff (left operand first, as Map.union evaluated it) and
@@ -439,15 +442,16 @@ let split_var p i =
   if i < 0 || i >= p.nvars then invalid_arg "Poly.split_var: index out of range";
   partition_keys (fun k -> exponent_of k i = 0) p
 
-(* Split by the coefficient-magnitude predicate [keep]; ascending order
-   preserved on both sides (the sweeping fast path of Taylor models). *)
-let partition_coeffs keep p =
+(* Split into (terms with |coefficient| > cutoff, the rest); ascending
+   order preserved on both sides (the sweeping fast path of Taylor
+   models). *)
+let partition_coeffs ~cutoff p =
   let n = Array.length p.keys in
   let kk = Array.make n 0 and kc = Array.make n 0.0 in
   let dk = Array.make n 0 and dc = Array.make n 0.0 in
   let nk = ref 0 and nd = ref 0 in
   for i = 0 to n - 1 do
-    if keep p.coeffs.(i) then begin
+    if Float.abs p.coeffs.(i) > cutoff then begin
       kk.(!nk) <- p.keys.(i); kc.(!nk) <- p.coeffs.(i); incr nk
     end
     else begin
@@ -457,11 +461,15 @@ let partition_coeffs keep p =
   ( mk p.nvars (Array.sub kk 0 !nk) (Array.sub kc 0 !nk),
     mk p.nvars (Array.sub dk 0 !nd) (Array.sub dc 0 !nd) )
 
-(* Largest |coefficient| (0 for the zero polynomial). *)
+(* Largest |coefficient| (0 for the zero polynomial). The running
+   maximum lives in a one-cell float array (flat, unboxed storage), not
+   a float ref, which the allocation profile reports as a boxing site. *)
 let max_abs_coeff p =
-  let m = ref 0.0 in
-  Array.iter (fun c -> m := Float.max !m (Float.abs c)) p.coeffs;
-  !m
+  let m = Array.make 1 0.0 in
+  for i = 0 to Array.length p.coeffs - 1 do
+    m.(0) <- Float.max m.(0) (Float.abs p.coeffs.(i))
+  done;
+  m.(0)
 
 let eval p x =
   if Array.length x <> p.nvars then invalid_arg "Poly.eval: arity mismatch";

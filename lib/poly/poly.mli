@@ -65,9 +65,9 @@ val mul_trunc : order:int -> t -> t -> t * Dwv_interval.Interval.t
 (** [split_var p i] = (terms without zᵢ, terms with zᵢ). *)
 val split_var : t -> int -> t * t
 
-(** [partition_coeffs keep p] = (terms whose coefficient satisfies [keep],
-    the rest); both sides preserve term order. *)
-val partition_coeffs : (float -> bool) -> t -> t * t
+(** [partition_coeffs ~cutoff p] = (terms whose coefficient has
+    magnitude [> cutoff], the rest); both sides preserve term order. *)
+val partition_coeffs : cutoff:float -> t -> t * t
 
 (** Largest absolute coefficient (0 for the zero polynomial). *)
 val max_abs_coeff : t -> float

@@ -75,7 +75,7 @@ let add_remainder iv tm = { tm with rem = I.add tm.rem iv }
 let sweep ?(tol = 1e-10) tm =
   let scale = Float.max 1e-30 (Poly.max_abs_coeff tm.poly) in
   let cutoff = tol *. scale in
-  let kept, dropped = Poly.partition_coeffs (fun c -> Float.abs c > cutoff) tm.poly in
+  let kept, dropped = Poly.partition_coeffs ~cutoff tm.poly in
   if Poly.is_zero dropped then tm
   else { tm with poly = kept; rem = I.add tm.rem (Poly.bound_unit dropped) }
 

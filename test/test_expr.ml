@@ -394,6 +394,129 @@ let test_size_and_pp () =
   Alcotest.(check int) "size" 5 (Expr.size e);
   Alcotest.(check bool) "pp nonempty" true (String.length (Fmt.str "%a" Expr.pp e) > 0)
 
+(* ---------------- compiled evaluation ---------------- *)
+
+(* A random DAG: node i is a leaf or an operation on earlier nodes, so
+   later nodes share subtrees; the outputs are picks from the pool. *)
+type dag_node =
+  | D_const of float
+  | D_var of int
+  | D_input of int
+  | D_bin of int * int * int  (* 0 add, 1 sub, 2 mul, 3 div; operands *)
+  | D_un of int * int         (* 0 neg, 1 sin, 2 cos, 3 exp, 4 tanh; operand *)
+  | D_pow of int * int        (* operand, exponent 0-5 *)
+
+type dag = { nodes : dag_node array; outs : int array; x : float array; u : float array }
+
+let gen_special_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range (-3.0) 3.0);
+        (1, float_range (-1e3) 1e3);
+        ( 2,
+          oneofl
+            [ 0.0; -0.0; 1.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity;
+              Float.min_float; Float.max_float; 1e-300 ] );
+      ])
+
+let gen_dag =
+  let open QCheck.Gen in
+  let* len = int_range 1 24 in
+  let node i =
+    let earlier = int_bound (max 0 (i - 1)) in
+    let leaf =
+      frequency
+        [
+          (2, map (fun c -> D_const c) gen_special_float);
+          (3, map (fun k -> D_var k) (int_bound 2));
+          (1, map (fun k -> D_input k) (int_bound 1));
+        ]
+    in
+    if i = 0 then leaf
+    else
+      frequency
+        [
+          (1, leaf);
+          (4, map3 (fun k a b -> D_bin (k, a, b)) (int_bound 3) earlier earlier);
+          (3, map2 (fun k a -> D_un (k, a)) (int_bound 4) earlier);
+          (1, map2 (fun a e -> D_pow (a, e)) earlier (int_bound 5));
+        ]
+  in
+  let rec nodes i acc = if i = len then return (Array.of_list (List.rev acc)) else
+      let* n = node i in
+      nodes (i + 1) (n :: acc)
+  in
+  let* nodes = nodes 0 [] in
+  let* outs = array_size (int_range 1 4) (int_bound (len - 1)) in
+  let* x = array_repeat 3 gen_special_float in
+  let* u = array_repeat 2 gen_special_float in
+  return { nodes; outs; x; u }
+
+let dag_to_string d =
+  let node = function
+    | D_const c -> Fmt.str "%h" c
+    | D_var k -> Fmt.str "x%d" k
+    | D_input k -> Fmt.str "u%d" k
+    | D_bin (k, a, b) -> Fmt.str "%s(%d,%d)" [| "add"; "sub"; "mul"; "div" |].(k) a b
+    | D_un (k, a) -> Fmt.str "%s(%d)" [| "neg"; "sin"; "cos"; "exp"; "tanh" |].(k) a
+    | D_pow (a, e) -> Fmt.str "pow(%d,%d)" a e
+  in
+  let floats a = String.concat ";" (Array.to_list (Array.map (Fmt.str "%h") a)) in
+  Fmt.str "nodes=[%s] outs=[%s] x=[%s] u=[%s]"
+    (String.concat "; " (Array.to_list (Array.mapi (fun i n -> Fmt.str "%d:%s" i (node n)) d.nodes)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int d.outs)))
+    (floats d.x) (floats d.u)
+
+let build_dag d =
+  let pool = Array.make (Array.length d.nodes) (Expr.const 0.0) in
+  Array.iteri
+    (fun i n ->
+      pool.(i) <-
+        (match n with
+        | D_const c -> Expr.const c
+        | D_var k -> Expr.var k
+        | D_input k -> Expr.input k
+        | D_bin (0, a, b) -> Expr.add pool.(a) pool.(b)
+        | D_bin (1, a, b) -> Expr.sub pool.(a) pool.(b)
+        | D_bin (2, a, b) -> Expr.mul pool.(a) pool.(b)
+        | D_bin (_, a, b) -> (
+          (* the smart constructor rejects a literal zero divisor; a
+             divisor that evaluates to zero still reaches run and eval *)
+          try Expr.div pool.(a) pool.(b) with Invalid_argument _ -> pool.(a))
+        | D_un (0, a) -> Expr.neg pool.(a)
+        | D_un (1, a) -> Expr.sin_ pool.(a)
+        | D_un (2, a) -> Expr.cos_ pool.(a)
+        | D_un (3, a) -> Expr.exp_ pool.(a)
+        | D_un (_, a) -> Expr.tanh_ pool.(a)
+        | D_pow (a, e) -> Expr.pow pool.(a) e))
+    d.nodes;
+  Array.map (fun i -> pool.(i)) d.outs
+
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_compiled_matches_eval =
+  QCheck.Test.make ~name:"compiled run equals eval_vec bit for bit" ~count:1000
+    (QCheck.make ~print:dag_to_string gen_dag)
+    (fun d ->
+      let f = build_dag d in
+      let p = Expr.compile f in
+      let out = Array.make (Expr.outputs p) 0.0 in
+      Expr.run p ~regs:(Array.make (Expr.slots p) 0.0) ~x:d.x ~u:d.u out;
+      let expected = Expr.eval_vec f ~x:d.x ~u:d.u in
+      Array.length out = Array.length expected && Array.for_all2 same_bits out expected)
+
+let test_compile_shares_subtrees () =
+  (* (x0 * x1) appears twice but is one interned node: one slot *)
+  let s = Expr.(mul (var 0) (var 1)) in
+  let p = Expr.compile [| Expr.add s (Expr.sin_ s); Expr.cos_ s |] in
+  (* x0, x1, s, sin s, add, cos s *)
+  Alcotest.(check int) "slots" 6 (Expr.slots p);
+  Alcotest.(check int) "outputs" 2 (Expr.outputs p);
+  Alcotest.check_raises "short register file" (Invalid_argument "Expr.run: register file too small")
+    (fun () -> Expr.run p ~regs:(Array.make 5 0.0) ~x:[| 1.0; 2.0 |] ~u:[||] (Array.make 2 0.0))
+
 let suite =
   [
     Alcotest.test_case "eval basic" `Quick test_eval_basic;
@@ -428,4 +551,6 @@ let suite =
     Alcotest.test_case "parse system" `Quick test_parse_system;
     Alcotest.test_case "parse system error" `Quick test_parse_system_error_position;
     QCheck_alcotest.to_alcotest prop_parse_roundtrip_eval;
+    QCheck_alcotest.to_alcotest prop_compiled_matches_eval;
+    Alcotest.test_case "compile shares subtrees" `Quick test_compile_shares_subtrees;
   ]

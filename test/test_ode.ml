@@ -9,43 +9,43 @@ module I = Dwv_interval.Interval
 let test_rk4_exponential_decay () =
   (* x' = -x: x(t) = e^{-t} *)
   let f = [| Expr.neg (Expr.var 0) |] in
-  let x = Rk4.integrate ~f ~u:[||] ~duration:1.0 ~substeps:20 [| 1.0 |] in
+  let x = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:20 [| 1.0 |] in
   Alcotest.(check (float 1e-7)) "e^-1" (exp (-1.0)) x.(0)
 
 let test_rk4_harmonic () =
   (* x'' = -x from (1, 0): x(t) = cos t *)
   let f = [| Expr.var 1; Expr.neg (Expr.var 0) |] in
-  let x = Rk4.integrate ~f ~u:[||] ~duration:(Float.pi /. 2.0) ~substeps:50 [| 1.0; 0.0 |] in
+  let x = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:(Float.pi /. 2.0) ~substeps:50 [| 1.0; 0.0 |] in
   Alcotest.(check (float 1e-6)) "cos(pi/2)" 0.0 x.(0);
   Alcotest.(check (float 1e-6)) "-sin(pi/2)" (-1.0) x.(1)
 
 let test_rk4_controlled () =
   (* x' = u: linear growth *)
   let f = [| Expr.input 0 |] in
-  let x = Rk4.integrate ~f ~u:[| 2.5 |] ~duration:2.0 ~substeps:4 [| 1.0 |] in
+  let x = Rk4.integrate ~f:(Expr.compile f) ~u:[| 2.5 |] ~duration:2.0 ~substeps:4 [| 1.0 |] in
   Alcotest.(check (float 1e-10)) "linear" 6.0 x.(0)
 
 let test_rk4_fourth_order_convergence () =
   (* halving the step should cut the error by about 2^4 *)
   let f = [| Expr.(mul (var 0) (cos_ (var 0))) |] in
-  let reference = Rk4.integrate ~f ~u:[||] ~duration:1.0 ~substeps:400 [| 0.5 |] in
-  let coarse = Rk4.integrate ~f ~u:[||] ~duration:1.0 ~substeps:5 [| 0.5 |] in
-  let fine = Rk4.integrate ~f ~u:[||] ~duration:1.0 ~substeps:10 [| 0.5 |] in
+  let reference = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:400 [| 0.5 |] in
+  let coarse = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:5 [| 0.5 |] in
+  let fine = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:10 [| 0.5 |] in
   let e_coarse = Float.abs (coarse.(0) -. reference.(0)) in
   let e_fine = Float.abs (fine.(0) -. reference.(0)) in
   Alcotest.(check bool) "order ~4" true (e_coarse /. Float.max e_fine 1e-18 > 8.0)
 
 let test_rk4_dense_endpoints () =
   let f = [| Expr.neg (Expr.var 0) |] in
-  let states = Rk4.integrate_dense ~f ~u:[||] ~duration:1.0 ~substeps:10 [| 2.0 |] in
+  let states = Rk4.integrate_dense ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:10 [| 2.0 |] in
   Alcotest.(check int) "count" 11 (Array.length states);
   Alcotest.(check (float 1e-12)) "initial" 2.0 states.(0).(0);
-  let final = Rk4.integrate ~f ~u:[||] ~duration:1.0 ~substeps:10 [| 2.0 |] in
+  let final = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:10 [| 2.0 |] in
   Alcotest.(check (float 1e-12)) "final matches" final.(0) states.(10).(0)
 
 let test_rk4_substeps_guard () =
   Alcotest.check_raises "bad substeps" (Invalid_argument "Rk4.integrate: substeps must be >= 1")
-    (fun () -> ignore (Rk4.integrate ~f:[| Expr.var 0 |] ~u:[||] ~duration:1.0 ~substeps:0 [| 1.0 |]))
+    (fun () -> ignore (Rk4.integrate ~f:(Expr.compile [| Expr.var 0 |]) ~u:[||] ~duration:1.0 ~substeps:0 [| 1.0 |]))
 
 let make_decay () =
   Sampled_system.make ~f:[| Expr.(add (neg (var 0)) (input 0)) |] ~n:1 ~m:1 ~delta:0.5
@@ -62,7 +62,7 @@ let test_sampled_zoh_holds_input () =
      period against direct RK4 with constant input *)
   let sys = make_decay () in
   let u = [| 0.7 |] in
-  let direct = Dwv_ode.Rk4.integrate ~f:sys.Sampled_system.f ~u ~duration:0.5 ~substeps:10 [| 2.0 |] in
+  let direct = Dwv_ode.Rk4.integrate ~f:sys.Sampled_system.prog ~u ~duration:0.5 ~substeps:10 [| 2.0 |] in
   let stepped = Sampled_system.step sys ~u [| 2.0 |] in
   Alcotest.(check (float 1e-12)) "one period" direct.(0) stepped.(0)
 
@@ -73,6 +73,34 @@ let test_sampled_trace_inputs_recorded () =
   let trace = Sampled_system.simulate sys ~controller ~x0:[| 0.0 |] ~steps:3 in
   Alcotest.(check (array (float 1e-12))) "inputs" [| 1.0 |] trace.Sampled_system.inputs.(0);
   Alcotest.(check (array (float 1e-12))) "inputs" [| 3.0 |] trace.Sampled_system.inputs.(2)
+
+let test_sampled_zero_steps () =
+  (* zero periods: the initial state alone, no inputs, no dense states *)
+  let sys = make_decay () in
+  let calls = ref 0 in
+  let controller _ = incr calls; [| 1.0 |] in
+  let trace = Sampled_system.simulate sys ~controller ~x0:[| 0.5 |] ~steps:0 in
+  Alcotest.(check int) "states" 1 (Array.length trace.Sampled_system.states);
+  Alcotest.(check int) "inputs" 0 (Array.length trace.Sampled_system.inputs);
+  Alcotest.(check int) "dense" 0 (Array.length trace.Sampled_system.dense);
+  Alcotest.(check int) "controller not called" 0 !calls
+
+let test_sampled_dense_layout () =
+  (* each period contributes substeps + 1 states, both endpoints *)
+  let sys = make_decay () in
+  let trace =
+    Sampled_system.simulate ~substeps:4 sys ~controller:(fun _ -> [| 1.0 |]) ~x0:[| 0.0 |]
+      ~steps:3
+  in
+  let dense = trace.Sampled_system.dense in
+  Alcotest.(check int) "dense length" 15 (Array.length dense);
+  Array.iteri
+    (fun k s ->
+      if k < 3 then
+        Alcotest.(check (array (float 0.0))) "period start" s dense.(k * 5);
+      if k > 0 then
+        Alcotest.(check (array (float 0.0))) "period end" s dense.((k * 5) - 1))
+    trace.Sampled_system.states
 
 let test_field_bound () =
   let sys = make_decay () in
@@ -111,7 +139,7 @@ let test_rk45_matches_rk4 () =
   let f = Dwv_systems.Oscillator.dynamics in
   let u = [| 0.4 |] in
   let x0 = [| -0.5; 0.5 |] in
-  let reference = Rk4.integrate ~f ~u ~duration:1.0 ~substeps:2000 x0 in
+  let reference = Rk4.integrate ~f:(Expr.compile f) ~u ~duration:1.0 ~substeps:2000 x0 in
   let adaptive, _ = rk45_ok (Rk45.integrate ~rtol:1e-10 ~atol:1e-12 ~f ~u ~duration:1.0 x0) in
   Alcotest.(check (float 1e-7)) "x1 agrees" reference.(0) adaptive.(0);
   Alcotest.(check (float 1e-7)) "x2 agrees" reference.(1) adaptive.(1)
@@ -138,7 +166,7 @@ let prop_linear_decay_matches_exact =
     QCheck.(pair (float_range (-2.0) 2.0) (float_range 0.1 1.0))
     (fun (x0, t) ->
       let f = [| Expr.scale (-0.5) (Expr.var 0) |] in
-      let x = Rk4.integrate ~f ~u:[||] ~duration:t ~substeps:30 [| x0 |] in
+      let x = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:t ~substeps:30 [| x0 |] in
       Float.abs (x.(0) -. (x0 *. exp (-0.5 *. t))) < 1e-8)
 
 (* ---------------- golden simulation digests ---------------- *)
@@ -263,6 +291,8 @@ let suite =
     Alcotest.test_case "sampled simulate" `Quick test_sampled_simulate_zoh;
     Alcotest.test_case "sampled ZOH hold" `Quick test_sampled_zoh_holds_input;
     Alcotest.test_case "sampled inputs recorded" `Quick test_sampled_trace_inputs_recorded;
+    Alcotest.test_case "sampled zero steps" `Quick test_sampled_zero_steps;
+    Alcotest.test_case "sampled dense layout" `Quick test_sampled_dense_layout;
     Alcotest.test_case "field bound" `Quick test_field_bound;
     Alcotest.test_case "make validation" `Quick test_make_validation;
     QCheck_alcotest.to_alcotest prop_linear_decay_matches_exact;

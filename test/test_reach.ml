@@ -180,7 +180,7 @@ let test_taylor_step_nonlinear_sound () =
     let rng = Rng.create 5 in
     for _ = 1 to 30 do
       let p = Box.sample rng x0 in
-      let xe = Dwv_ode.Rk4.integrate ~f ~u:[| u_val |] ~duration:0.1 ~substeps:50 p in
+      let xe = Dwv_ode.Rk4.integrate ~f:(Expr.compile f) ~u:[| u_val |] ~duration:0.1 ~substeps:50 p in
       Alcotest.(check bool) "rk4 point inside" true (Box.contains (Box.bloat 1e-6 final) xe)
     done
 
@@ -272,7 +272,7 @@ let prop_taylor_step_sound_fuzz =
         let final = Tm_vec.bound_box state in
         let rng = Rng.create seed in
         let p = Box.sample rng x0 in
-        let exact = Dwv_ode.Rk4.integrate ~f ~u:[| u_val |] ~duration:0.1 ~substeps:50 p in
+        let exact = Dwv_ode.Rk4.integrate ~f:(Expr.compile f) ~u:[| u_val |] ~duration:0.1 ~substeps:50 p in
         Box.contains (Box.bloat 1e-6 final) exact
         && Box.contains (Box.bloat 1e-6 segment) exact
         && Box.contains (Box.bloat 1e-6 segment) p)
