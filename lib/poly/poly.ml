@@ -28,7 +28,13 @@
    (ascending-key iteration; in [mul] and [mul_trunc], contributions to
    one result key accumulate in ascending order of the left factor's
    key), so flowpipes, certificates and counters are bit-identical
-   whichever product path runs. *)
+   whichever product path runs. The Map's one irregular rule — a running
+   sum of exactly 0.0 evicts its key, and a lone first contribution of
+   0.0 is kept — only matters once some running sum is ±0. [mul_trunc]'s
+   dense kernel therefore starts every slot at -0.0 (x +. -0.0 is x bit
+   for bit, ±0, NaN and ±inf included) and adds every contribution the
+   same way, with no presence flag; a product in which any running sum
+   comes out ±0 is redone by the exact kernel that applies the rule. *)
 
 module I = Dwv_interval.Interval
 
@@ -166,22 +172,29 @@ let to_terms p =
   !acc
 
 (* Every coefficient c becomes -.c ([negate]) or s *. c; an exactly-zero
-   result drops its term. One closure-free loop: the product lands
-   straight in the coefficient array and only advances the write cursor
-   when it is non-zero. *)
+   result drops its term. The results land in one array of the input's
+   length; when none is zero (the usual case) it is the result and the
+   keys are shared with [p] (key arrays are never mutated), otherwise the
+   non-zero terms are compacted into arrays of the exact size. *)
 let map_coeffs ~negate s p =
   let n = Array.length p.keys in
-  let keys = Array.make n 0 and coeffs = Array.make n 0.0 in
+  let coeffs = Array.make n 0.0 in
   let m = ref 0 in
   for i = 0 to n - 1 do
-    coeffs.(!m) <- (if negate then -.p.coeffs.(i) else s *. p.coeffs.(i));
-    if coeffs.(!m) <> 0.0 then begin
-      keys.(!m) <- p.keys.(i);
-      incr m
-    end
+    coeffs.(i) <- (if negate then -.p.coeffs.(i) else s *. p.coeffs.(i));
+    if coeffs.(i) <> 0.0 then incr m
   done;
-  if !m = n then mk p.nvars keys coeffs
-  else mk p.nvars (Array.sub keys 0 !m) (Array.sub coeffs 0 !m)
+  if !m = n then mk p.nvars p.keys coeffs
+  else begin
+    let kk = Array.make !m 0 and kc = Array.make !m 0.0 in
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      if coeffs.(i) <> 0.0 then begin
+        kk.(!m) <- p.keys.(i); kc.(!m) <- coeffs.(i); incr m
+      end
+    done;
+    mk p.nvars kk kc
+  end
 
 let neg p = map_coeffs ~negate:true 0.0 p
 
@@ -189,14 +202,29 @@ let scale s p = if s = 0.0 then zero p.nvars else map_coeffs ~negate:false s p
 
 (* Linear merge of the two sorted term arrays; on a shared key the sum is
    a.coeff +. b.coeff (left operand first, as Map.union evaluated it) and
-   an exactly-zero sum drops the term. *)
+   an exactly-zero sum drops the term. A first pass counts the merged
+   length (forming each shared sum, deterministically the same value the
+   second pass stores), so the result is allocated once at its exact
+   size. *)
 let add a b =
   if a.nvars <> b.nvars then invalid_arg "Poly.add: arity mismatch";
   let na = Array.length a.keys and nb = Array.length b.keys in
   if na = 0 then b
   else if nb = 0 then a
   else begin
-    let keys = Array.make (na + nb) 0 and coeffs = Array.make (na + nb) 0.0 in
+    let i = ref 0 and j = ref 0 and m = ref 0 in
+    while !i < na && !j < nb do
+      let ka = a.keys.(!i) and kb = b.keys.(!j) in
+      if ka < kb then incr i
+      else if kb < ka then incr j
+      else begin
+        if a.coeffs.(!i) +. b.coeffs.(!j) = 0.0 then decr m;
+        incr i; incr j
+      end;
+      incr m
+    done;
+    let len = !m + (na - !i) + (nb - !j) in
+    let keys = Array.make len 0 and coeffs = Array.make len 0.0 in
     let i = ref 0 and j = ref 0 and m = ref 0 in
     while !i < na && !j < nb do
       let ka = a.keys.(!i) and kb = b.keys.(!j) in
@@ -212,13 +240,12 @@ let add a b =
         incr i; incr j
       end
     done;
-    while !i < na do
-      keys.(!m) <- a.keys.(!i); coeffs.(!m) <- a.coeffs.(!i); incr i; incr m
-    done;
-    while !j < nb do
-      keys.(!m) <- b.keys.(!j); coeffs.(!m) <- b.coeffs.(!j); incr j; incr m
-    done;
-    mk a.nvars (Array.sub keys 0 !m) (Array.sub coeffs 0 !m)
+    Array.blit a.keys !i keys !m (na - !i);
+    Array.blit a.coeffs !i coeffs !m (na - !i);
+    let m = !m + (na - !i) in
+    Array.blit b.keys !j keys m (nb - !j);
+    Array.blit b.coeffs !j coeffs m (nb - !j);
+    mk a.nvars keys coeffs
   end
 
 let sub a b = add a (neg b)
@@ -415,51 +442,47 @@ let rec pow p n =
     if n mod 2 = 0 then sq else mul p sq
   end
 
-(* Split by a key predicate, preserving ascending order on both sides. *)
-let partition_keys pred p =
+(* Split by a predicate on term indices, preserving ascending order on
+   both sides. A counting pass sizes both sides exactly, so each is
+   allocated once; when the first side takes every term (the usual
+   [truncate]) it shares [p]'s arrays, which are never mutated. *)
+let partition keep p =
   let n = Array.length p.keys in
-  let kk = Array.make n 0 and kc = Array.make n 0.0 in
-  let dk = Array.make n 0 and dc = Array.make n 0.0 in
-  let nk = ref 0 and nd = ref 0 in
+  let nk = ref 0 in
   for i = 0 to n - 1 do
-    if pred p.keys.(i) then begin
-      kk.(!nk) <- p.keys.(i); kc.(!nk) <- p.coeffs.(i); incr nk
-    end
-    else begin
-      dk.(!nd) <- p.keys.(i); dc.(!nd) <- p.coeffs.(i); incr nd
-    end
+    if keep i then incr nk
   done;
-  ( mk p.nvars (Array.sub kk 0 !nk) (Array.sub kc 0 !nk),
-    mk p.nvars (Array.sub dk 0 !nd) (Array.sub dc 0 !nd) )
+  let nk = !nk in
+  if nk = n then (mk p.nvars p.keys p.coeffs, mk p.nvars [||] [||])
+  else begin
+    let kk = Array.make nk 0 and kc = Array.make nk 0.0 in
+    let dk = Array.make (n - nk) 0 and dc = Array.make (n - nk) 0.0 in
+    let k = ref 0 and d = ref 0 in
+    for i = 0 to n - 1 do
+      if keep i then begin
+        kk.(!k) <- p.keys.(i); kc.(!k) <- p.coeffs.(i); incr k
+      end
+      else begin
+        dk.(!d) <- p.keys.(i); dc.(!d) <- p.coeffs.(i); incr d
+      end
+    done;
+    (mk p.nvars kk kc, mk p.nvars dk dc)
+  end
 
 (* Split into (terms of degree <= order, terms of degree > order); the
    second component is what a Taylor model moves into its remainder. *)
-let truncate ~order p = partition_keys (fun k -> key_degree p.nvars k <= order) p
+let truncate ~order p = partition (fun i -> key_degree p.nvars p.keys.(i) <= order) p
 
 (* Split into (terms not involving variable i, terms involving it); used
    to retire a disturbance symbol by bounding its contribution. *)
 let split_var p i =
   if i < 0 || i >= p.nvars then invalid_arg "Poly.split_var: index out of range";
-  partition_keys (fun k -> exponent_of k i = 0) p
+  partition (fun t -> exponent_of p.keys.(t) i = 0) p
 
 (* Split into (terms with |coefficient| > cutoff, the rest); ascending
    order preserved on both sides (the sweeping fast path of Taylor
    models). *)
-let partition_coeffs ~cutoff p =
-  let n = Array.length p.keys in
-  let kk = Array.make n 0 and kc = Array.make n 0.0 in
-  let dk = Array.make n 0 and dc = Array.make n 0.0 in
-  let nk = ref 0 and nd = ref 0 in
-  for i = 0 to n - 1 do
-    if Float.abs p.coeffs.(i) > cutoff then begin
-      kk.(!nk) <- p.keys.(i); kc.(!nk) <- p.coeffs.(i); incr nk
-    end
-    else begin
-      dk.(!nd) <- p.keys.(i); dc.(!nd) <- p.coeffs.(i); incr nd
-    end
-  done;
-  ( mk p.nvars (Array.sub kk 0 !nk) (Array.sub kc 0 !nk),
-    mk p.nvars (Array.sub dk 0 !nd) (Array.sub dc 0 !nd) )
+let partition_coeffs ~cutoff p = partition (fun i -> Float.abs p.coeffs.(i) > cutoff) p
 
 (* Largest |coefficient| (0 for the zero polynomial). The running
    maximum lives in a one-cell float array (flat, unboxed storage), not
@@ -574,7 +597,9 @@ let bound_unit p =
    polynomial and the same remainder bound, bit for bit, as
    [truncate ~order (mul a b)] followed by [bound_unit] of the dropped
    part: the products are formed in [mul]'s order (outer over [a],
-   inner over [b]) and follow [mul]'s exact-zero eviction rule.
+   inner over [b]) and follow [mul]'s exact-zero eviction rule (the
+   fast kernel never sees it fire; a ±0 running sum sends the product
+   to the exact kernel).
 
    Plans are a pure function of (nvars, order), built once per process
    and shared by every domain through a publish-once registry. One whose
@@ -691,10 +716,11 @@ let plan_for nvars order =
       build_plan nvars order)
 
 (* Per-domain dense accumulator, grown to the largest plan seen. Between
-   calls every [state] byte is '\000' (the sweep resets what it reads). *)
+   calls every [vals] slot holds -0.0 and every [state] byte is '\000'
+   (the sweeps restore both). *)
 type dense_scratch = {
   mutable vals : float array;
-  mutable state : Bytes.t; (* '\001' = a live sum at this rank *)
+  mutable state : Bytes.t; (* exact kernel only: '\001' = a live sum *)
   mutable ra : int array;  (* a's term ranks, pre-scaled by n_in *)
   mutable rb : int array;  (* b's term ranks *)
   mutable kk : int array;  (* kept terms, before the exact-size copy *)
@@ -709,7 +735,7 @@ let dense_scratch pl =
   let s = Domain.DLS.get dense_key in
   let n_out = Array.length pl.out_keys in
   if Array.length s.vals < n_out then begin
-    s.vals <- Array.make n_out 0.0;
+    s.vals <- Array.make n_out (-0.0);
     s.state <- Bytes.make n_out '\000'
   end;
   if Array.length s.ra < pl.n_in then begin
@@ -735,43 +761,109 @@ let generic_mul_trunc ~order a b =
   let keep, drop = truncate ~order (mul a b) in
   (keep, bound_unit drop)
 
-(* [r_lo], [r_hi]: ranks of the smallest and largest product key. *)
-let dense_mul_trunc pl s a b ~r_lo ~r_hi =
-  let na = Array.length a.keys and nb = Array.length b.keys in
+(* The fast kernel, one row: vals.(prod.(row + rb.(j))) +.= ac.(i) *. bc.(j)
+   for every j < nb, in ascending j. Every slot starts at -0.0 and
+   -0.0 +. c is c bit for bit (±0, NaN and ±inf included), so a first
+   contribution and a later one are the same update, with no presence
+   flag. Returns true when some running value came out ±0: then the
+   Map's eviction rule (and its keeping a lone 0.0 contribution) decides
+   the result, and the caller reruns the product on the exact kernel.
+   Within a row the ranks are distinct (key addition is injective), so
+   the four updates of an unrolled step are independent. Every float
+   stays in an array slot (stored, then reloaded for the test), so no
+   boxed float is ever let-bound. *)
+let accumulate_row prod vals rb bc ac i row nb =
+  let hit = ref false and j = ref 0 in
+  while !j + 3 < nb do
+    let j0 = !j in
+    let r0 = Array.unsafe_get prod (row + Array.unsafe_get rb j0) in
+    let r1 = Array.unsafe_get prod (row + Array.unsafe_get rb (j0 + 1)) in
+    let r2 = Array.unsafe_get prod (row + Array.unsafe_get rb (j0 + 2)) in
+    let r3 = Array.unsafe_get prod (row + Array.unsafe_get rb (j0 + 3)) in
+    Array.unsafe_set vals r0
+      (Array.unsafe_get vals r0 +. (Array.unsafe_get ac i *. Array.unsafe_get bc j0));
+    Array.unsafe_set vals r1
+      (Array.unsafe_get vals r1 +. (Array.unsafe_get ac i *. Array.unsafe_get bc (j0 + 1)));
+    Array.unsafe_set vals r2
+      (Array.unsafe_get vals r2 +. (Array.unsafe_get ac i *. Array.unsafe_get bc (j0 + 2)));
+    Array.unsafe_set vals r3
+      (Array.unsafe_get vals r3 +. (Array.unsafe_get ac i *. Array.unsafe_get bc (j0 + 3)));
+    if Array.unsafe_get vals r0 = 0.0 || Array.unsafe_get vals r1 = 0.0
+       || Array.unsafe_get vals r2 = 0.0 || Array.unsafe_get vals r3 = 0.0
+    then hit := true;
+    j := j0 + 4
+  done;
+  while !j < nb do
+    let r = Array.unsafe_get prod (row + Array.unsafe_get rb !j) in
+    Array.unsafe_set vals r
+      (Array.unsafe_get vals r +. (Array.unsafe_get ac i *. Array.unsafe_get bc !j));
+    if Array.unsafe_get vals r = 0.0 then hit := true;
+    incr j
+  done;
+  !hit
+
+(* The exact kernel: the Map's M.update semantics with a presence byte
+   per rank. A first contribution (or the first since an eviction) is
+   stored and kept even when it is 0.0; a running sum that hits exactly
+   0.0 evicts the key. Runs only when the fast kernel saw a ±0. *)
+let accumulate_exact pl s a b =
   let prod = pl.prod and vals = s.vals and state = s.state in
   let ra = s.ra and rb = s.rb and ac = a.coeffs and bc = b.coeffs in
-  for i = 0 to na - 1 do
+  for i = 0 to Array.length a.keys - 1 do
     let row = Array.unsafe_get ra i in
-    for j = 0 to nb - 1 do
+    for j = 0 to Array.length b.keys - 1 do
       let r = Array.unsafe_get prod (row + Array.unsafe_get rb j) in
       if Bytes.unsafe_get state r = '\000' then begin
-        (* first (or first since an eviction): kept even when 0.0 *)
         Bytes.unsafe_set state r '\001';
         Array.unsafe_set vals r (Array.unsafe_get ac i *. Array.unsafe_get bc j)
       end
       else begin
         Array.unsafe_set vals r
           (Array.unsafe_get vals r +. (Array.unsafe_get ac i *. Array.unsafe_get bc j));
-        (* an exactly-zero running sum evicts the key *)
         if Array.unsafe_get vals r = 0.0 then Bytes.unsafe_set state r '\000'
       end
     done
+  done
+
+(* [r_lo], [r_hi]: ranks of the smallest and largest product key. One
+   ascending sweep over them emits the live ranks: kept terms in order,
+   dropped ones into the tail. A live rank is a non-zero slot after the
+   fast kernel and a '\001' byte after the exact one. Every slot is back
+   to -0.0 (and every byte to '\000') before anything below can raise,
+   such as [I.make] on a non-finite tail. *)
+let dense_mul_trunc pl s a b ~r_lo ~r_hi =
+  let vals = s.vals and state = s.state in
+  let nb = Array.length b.keys in
+  let hit = ref false in
+  for i = 0 to Array.length a.keys - 1 do
+    if accumulate_row pl.prod vals s.rb b.coeffs a.coeffs i (Array.unsafe_get s.ra i) nb then
+      hit := true
   done;
+  let exact = !hit in
+  (* the exact kernel overwrites each rank it touches first, and the
+     fast pass touched the same ranks *)
+  if exact then accumulate_exact pl s a b;
   let out_keys = pl.out_keys and kept = pl.out_kept and kk = s.kk and kc = s.kc in
   let mask = parity_mask a.nvars in
   let acc = { lo = 0.0; hi = 0.0 } in
   let m = ref 0 in
   for r = r_lo to r_hi do
-    if Bytes.unsafe_get state r <> '\000' then begin
-      Bytes.unsafe_set state r '\000';
+    if (if exact then Bytes.unsafe_get state r <> '\000' else Array.unsafe_get vals r <> 0.0)
+    then begin
       if Bytes.unsafe_get kept r <> '\000' then begin
         Array.unsafe_set kk !m (Array.unsafe_get out_keys r);
         Array.unsafe_set kc !m (Array.unsafe_get vals r);
         incr m
       end
-      else tail_add acc mask out_keys vals r
+      else tail_add acc mask out_keys vals r;
+      Array.unsafe_set vals r (-0.0)
     end
   done;
+  if exact then begin
+    (* evicted ranks hold a ±0 sum but no live byte *)
+    Array.fill vals r_lo (r_hi - r_lo + 1) (-0.0);
+    Bytes.fill state r_lo (r_hi - r_lo + 1) '\000'
+  end;
   (mk a.nvars (Array.sub kk 0 !m) (Array.sub kc 0 !m), I.make acc.lo acc.hi)
 
 let mul_trunc ~order a b =

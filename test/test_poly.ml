@@ -146,8 +146,13 @@ let result_bits (p, iv) =
     Int64.bits_of_float (I.lo iv),
     Int64.bits_of_float (I.hi iv) )
 
+(* A non-finite dropped tail raises in [Interval.make] on both sides, so
+   the outcomes are compared, exception included. *)
+let outcome f =
+  match f () with r -> Ok (result_bits r) | exception Invalid_argument m -> Error m
+
 let same_as_reference ~order a b =
-  result_bits (Poly.mul_trunc ~order a b) = result_bits (reference_mul_trunc ~order a b)
+  outcome (fun () -> Poly.mul_trunc ~order a b) = outcome (fun () -> reference_mul_trunc ~order a b)
 
 (* A random monomial of total degree <= d. *)
 let gen_monomial nvars d st =
@@ -216,13 +221,49 @@ let gen_sparse st =
   let g () = gen_poly nvars ~deg:order ~terms:(1 + Random.State.int st 12) gen_small_coeff st in
   { shape = "sparse"; order; a = g (); b = g () }
 
+(* Magnitudes around 1e-170: products land near 1e-340, so they flush
+   to 0.0 of either sign or to subnormals, and running sums reach ±0
+   with no cancellation. *)
+let gen_underflow_coeff st =
+  let m = Float.pow 10.0 (-.(155.0 +. Random.State.float st 30.0)) in
+  if Random.State.bool st then m else -.m
+
+let gen_underflow st =
+  let nvars = 1 + Random.State.int st 9 and order = 1 + Random.State.int st 3 in
+  let g () = gen_poly nvars ~deg:order ~terms:(1 + Random.State.int st 40) gen_underflow_coeff st in
+  { shape = "underflow"; order; a = g (); b = g () }
+
+(* [of_terms] drops zero coefficients; a product by a tiny constant keeps
+   the terms whose coefficients underflow, as 0.0 of either sign. *)
+let scale_down nvars p = Poly.mul (Poly.const nvars 1e-200) p
+
+(* Before [scale_down]: ±1e-200 becomes ±0.0, ±1e200 a small coefficient
+   (so products still cancel exactly), NaN and ±inf stay. *)
+let gen_special_coeff st =
+  match Random.State.int st 30 with
+  | 0 -> Float.nan
+  | 1 -> Float.infinity
+  | 2 -> Float.neg_infinity
+  | 3 | 4 | 5 | 6 | 7 | 8 -> if Random.State.bool st then 1e-200 else -1e-200
+  | _ -> 1e200 *. gen_small_coeff st
+
+let gen_special st =
+  let nvars = 1 + Random.State.int st 6 and order = 1 + Random.State.int st 3 in
+  let g () =
+    scale_down nvars
+      (gen_poly nvars ~deg:order ~terms:(1 + Random.State.int st 12) gen_special_coeff st)
+  in
+  { shape = "special"; order; a = g (); b = g () }
+
 let arb_mt_case =
   let gen st =
-    match Random.State.int st 5 with
+    match Random.State.int st 7 with
     | 0 -> gen_realistic st
     | 1 -> gen_cancelling st
     | 2 -> gen_over_order st
     | 3 -> gen_tiny st
+    | 4 -> gen_underflow st
+    | 5 -> gen_special st
     | _ -> gen_sparse st
   in
   let print c =
@@ -232,7 +273,7 @@ let arb_mt_case =
 
 let prop_mul_trunc_bit_identical =
   QCheck.Test.make ~name:"mul_trunc = truncate (mul a b) + bound_unit, bit for bit"
-    ~count:400 arb_mt_case (fun c -> same_as_reference ~order:c.order c.a c.b)
+    ~count:560 arb_mt_case (fun c -> same_as_reference ~order:c.order c.a c.b)
 
 (* The flowpipe's own factor shape: every monomial of degree <= 3 in 8
    variables (the dense 165-term case), with a few exact cancellations. *)
@@ -247,15 +288,50 @@ let test_mul_trunc_dense_full () =
   Alcotest.(check bool) "a*a" true (same_as_reference ~order:3 a a);
   Alcotest.(check bool) "full*noisy" true (same_as_reference ~order:3 full noisy)
 
+(* A product that falls back to the exact kernel (on a running sum of
+   ±0) leaves the per-domain accumulator as it found it: the clean
+   products that follow on the same domain, plan and ranks still match
+   the reference. Fallbacks from an exact cancellation and from an
+   underflow, and a dropped tail that raises, each followed by a clean
+   product. *)
+let test_mul_trunc_fallback_then_fast () =
+  let x = Poly.var 2 0 and y = Poly.var 2 1 in
+  let s = Poly.add x y and d = Poly.sub x y in
+  let tiny = Poly.add (Poly.scale 1e-170 x) y in
+  let nan_x = Poly.scale Float.nan x in
+  List.iteri
+    (fun k (name, order, a, b) ->
+      Alcotest.(check bool) (Fmt.str "%d: %s" k name) true (same_as_reference ~order a b))
+    [ ("xy - xy cancels", 2, s, d);
+      ("clean", 2, s, s);
+      ("x^2 underflows to 0", 2, tiny, tiny);
+      ("clean", 2, s, s);
+      ("NaN tail raises", 1, nan_x, y);
+      ("clean", 1, s, s) ]
+
 (* One plan serves every domain: the same products computed in 1 domain
    and concurrently in 4 (racing to build a plan no earlier test used)
-   are bit-identical to the reference. *)
+   are bit-identical to the reference. Every third product cancels
+   exactly, so each domain's accumulator goes fast -> fallback -> fast
+   again and again. *)
 let test_mul_trunc_domains () =
   let st = Random.State.make [| 23 |] in
+  let realistic () = gen_poly 9 ~deg:3 ~terms:(60 + Random.State.int st 100) gen_wide_coeff st in
+  (* noise free of z0 and z1: only z0 * (-z1) and then z1 * z0 reach
+     z0 z1, whose running sum goes -1 -> 0 *)
+  let noise () =
+    Poly.of_terms 9
+      (List.init (40 + Random.State.int st 80) (fun _ ->
+           let e = gen_monomial 9 3 st in
+           e.(0) <- 0;
+           e.(1) <- 0;
+           (e, gen_wide_coeff st)))
+  in
+  let z0 = Poly.var 9 0 and z1 = Poly.var 9 1 in
   let cases =
-    List.init 12 (fun _ ->
-        let g () = gen_poly 9 ~deg:3 ~terms:(60 + Random.State.int st 100) gen_wide_coeff st in
-        (g (), g ()))
+    List.init 18 (fun k ->
+        if k mod 3 = 1 then (Poly.add (Poly.add z0 z1) (noise ()), Poly.add (Poly.sub z0 z1) (noise ()))
+        else (realistic (), realistic ()))
   in
   let expected = List.map (fun (a, b) -> result_bits (reference_mul_trunc ~order:3 a b)) cases in
   let run () = List.map (fun (a, b) -> result_bits (Poly.mul_trunc ~order:3 a b)) cases in
@@ -363,6 +439,7 @@ let suite =
     Alcotest.test_case "mul in the 15th variable" `Quick test_mul_top_variable;
     Alcotest.test_case "mul_trunc dense 165-term" `Quick test_mul_trunc_dense_full;
     Alcotest.test_case "mul_trunc 1 vs 4 domains" `Quick test_mul_trunc_domains;
+    Alcotest.test_case "mul_trunc fallback then fast" `Quick test_mul_trunc_fallback_then_fast;
     QCheck_alcotest.to_alcotest prop_mul_trunc_bit_identical;
     QCheck_alcotest.to_alcotest prop_bound_unit_sound;
     QCheck_alcotest.to_alcotest prop_mul_eval_homomorphism;
