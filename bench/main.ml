@@ -475,8 +475,8 @@ let print_micro () =
   Fmt.pr "%s@." (Table.render t)
 
 (* ---------------------------------------------------------------- *)
-(* The three fan-out workloads the hotpath section times at 1 and N
-   domains.                                                           *)
+(* The three workloads the hotpath section times at 1 and N domains:
+   the paper's own success paths, each with the outcome it must reach. *)
 
 module Pool = Dwv_parallel.Pool
 
@@ -484,54 +484,85 @@ type pworkload = {
   p_name : string;
   p_seq : float;     (* wall seconds at domains = 1 *)
   p_par : float;     (* wall seconds at the requested domain count *)
-  p_match : bool;    (* bit-identical results at both domain counts? *)
+  p_match : bool;    (* bit-identical results and counters at both domain counts? *)
+  p_outcome : bool;  (* the paper's outcome reached? *)
   p_detail : string;
   p_counters_seq : (string * int) list;  (* Counters snapshot of the seq run *)
   p_counters_par : (string * int) list;  (* ... and of the par run *)
   p_phases_seq : (string * float) list;  (* Phases breakdown of the seq run *)
-  p_minor_words_seq : float;  (* Gc minor words of the seq run (informational) *)
+  p_minor_words : int;  (* exact Gc minor words of the seq run *)
 }
 
-(* Algorithm 1 on ACC: 3 coordinate probe pairs fan out per iteration. *)
-let parallel_learn domains =
+let verdict_of (spec : Spec.t) pipe =
+  Verifier.check ~unsafe:spec.Spec.unsafe ~goal:spec.Spec.goal pipe
+
+let initset_equal (a : Initset.result) (b : Initset.result) =
+  a.Initset.verified = b.Initset.verified
+  && a.Initset.rejected = b.Initset.rejected
+  && a.Initset.coverage = b.Initset.coverage
+  && a.Initset.verifier_calls = b.Initset.verifier_calls
+
+let learn_equal (a : Learner.result) (b : Learner.result) =
+  Controller.params a.Learner.controller = Controller.params b.Learner.controller
+  && a.Learner.iterations = b.Learner.iterations
+  && a.Learner.verifier_calls = b.Learner.verifier_calls
+  && a.Learner.verdict = b.Learner.verdict
+
+(* Algorithm 1 on ACC, the G job at seed 1 of paperbench's acc-linear:
+   coordinate probe pairs fan out per iteration, and the learner must
+   end at Reach_avoid. *)
+let learn_acc domains =
   Pool.with_pool ~domains (fun pool ->
       Learner.learn ~pool
-        { (acc_learn_cfg 0.2) with Learner.max_iters = 40; seed = 1 }
-        ~metric:Metrics.Geometric ~spec:Acc.spec ~verify:Acc.verify
+        { (acc_learn_cfg 0.2) with Learner.seed = 1 }
+        ~metric:Metrics.Geometric ~spec:Acc.spec
+        ~verify:(fun c -> (Acc.verify_robust c).Verifier.pipe)
         ~init:(acc_init_for_seed 1))
 
-(* Algorithm 2 on the oscillator warm start: frontier cells fan out per
-   refinement level. The goal is shrunk to 40% width so the top-level
-   cell fails and the search actually refines (the full goal certifies
-   X_0 in one call, leaving nothing to parallelize). The verifier is the
-   warm-threading robust wrapper with the pool passed through, so this
-   workload exercises the whole incremental stack: parent-to-child
-   Picard warm starts (warm_hits counters) plus intra-call per-dimension
-   parallelism inside each flowpipe step. *)
-let parallel_initset domains =
-  let c = osc_init_for_seed 1 in
-  let g = Oscillator.spec.Spec.goal in
-  let lo = Box.lo g and hi = Box.hi g in
-  let goal =
-    Box.make
-      ~lo:(Array.mapi (fun i l -> l +. (0.3 *. (hi.(i) -. l))) lo)
-      ~hi:(Array.mapi (fun i h -> h -. (0.3 *. (h -. lo.(i)))) hi)
-  in
-  Pool.with_pool ~domains (fun pool ->
-      Initset.search ~max_depth:2 ~pool
-        ~verify_warm:(fun ?warm cell ->
-          let r =
-            Oscillator.verify_robust_from ~method_:Dwv_reach.Verifier.Polar ~pool ?warm
-              cell c
-          in
-          (r.Dwv_reach.Verifier.pipe, r.Dwv_reach.Verifier.warm))
-        ~verify:(fun cell ->
-          Oscillator.verify_from ~method_:Dwv_reach.Verifier.Polar cell c)
-        ~goal ~x0:Oscillator.spec.Spec.x0 ())
+(* The seed-1 oscillator controller of paperbench's osc-nn (its SPSA-2
+   schedule runs 20 iterations), learned once, before anything is timed. *)
+let osc_learned =
+  lazy
+    (Pool.with_pool (fun pool ->
+         Learner.learn ~pool
+           { nn_learn_cfg with Learner.max_iters = 20; seed = 1 }
+           ~metric:Metrics.Wasserstein ~spec:Oscillator.spec
+           ~verify:(fun c -> (Oscillator.verify_robust ~pool c).Verifier.pipe)
+           ~init:(osc_init_for_seed 1)))
 
-(* Monte-Carlo rates on ACC: rollouts shard across domains. *)
-let parallel_rates domains =
-  let c = Acc.sim_controller (acc_init_for_seed 1) in
+(* The goal's central half: the full goal certifies all of X0 in one
+   call, leaving the search nothing to refine. *)
+let central_half box =
+  let lo = Box.lo box and hi = Box.hi box in
+  Box.make
+    ~lo:(Array.mapi (fun i l -> l +. (0.25 *. (hi.(i) -. l))) lo)
+    ~hi:(Array.mapi (fun i h -> h -. (0.25 *. (h -. lo.(i)))) hi)
+
+(* Algorithm 2 on the learned oscillator controller: one ReachNN
+   re-verification (the Bernstein abstraction, as osc-nn's certify stage
+   runs it), then the warm depth-3 search over the goal's central half,
+   whose frontier cells fan out per level with parent-to-child Picard
+   warm starts and intra-call per-dimension parallelism. Returns the
+   ReachNN verdict and the search result. *)
+let initset_osc domains =
+  let c = (Lazy.force osc_learned).Learner.controller in
+  let spec = Oscillator.spec in
+  Pool.with_pool ~domains (fun pool ->
+      let reachnn = Oscillator.verify_robust ~method_:reachnn_osc ~pool c in
+      let search =
+        Initset.search ~max_depth:3 ~pool
+          ~verify_warm:(fun ?warm cell ->
+            let r = Oscillator.verify_robust_from ~pool ?warm cell c in
+            (r.Verifier.pipe, r.Verifier.warm))
+          ~verify:(fun cell -> (Oscillator.verify_robust_from ~pool cell c).Verifier.pipe)
+          ~goal:(central_half spec.Spec.goal) ~x0:spec.Spec.x0 ()
+      in
+      (verdict_of spec reachnn.Verifier.pipe, search))
+
+(* Monte-Carlo rates on ACC for the certified design θ=[0.55,−2,1.83]
+   (its X_I is all of X0): rollouts shard across domains. *)
+let rates_acc domains =
+  let c = Acc.sim_controller (Acc.controller_of_theta [| 0.55; -2.0; 1.83 |]) in
   Pool.with_pool ~domains (fun pool ->
       Evaluate.rates ~n:2000 ~pool ~rng:(Rng.create 2024) ~sys:Acc.sampled
         ~controller:c ~spec:Acc.spec ())
@@ -553,14 +584,21 @@ let par_not_slower w = w.p_par <= (w.p_seq *. 1.10) +. 0.05
 
 (* ---------------------------------------------------------------- *)
 (* Section: hotpath — the regression-gated bench trajectory
-   (BENCH_hotpath.json). The three fan-out workloads above, each run at
-   1 domain and at the requested count, timed min-of-reps for the short
-   ones, compared against the committed baseline file, and gated hard:
-   the job fails when any parallel path is slower than its sequential
-   path, when any seq/par result pair is not bit-identical, or when the
-   aggregate speedup regresses more than 10% against a baseline recorded
-   on the same core count (baselines from different hardware are
-   reported but not compared). *)
+   (BENCH_hotpath.json). The three workloads above, each run at 1
+   domain and at the requested count, timed min-of-reps for the short
+   ones, and gated hard: the job fails when a workload misses its
+   paper outcome, when any parallel path is slower than its sequential
+   path, when any seq/par result or counter pair is not bit-identical,
+   when a workload's Counters snapshot or exact minor words grow against
+   COUNTERS_history.json, when the aggregate speedup regresses more than
+   10% against a baseline recorded on the same core count (baselines
+   from different hardware are reported but not compared), or when
+   initset-osc falls behind its reference time. *)
+
+(* Format of BENCH_hotpath.json; 3 is the first with the success-path
+   workloads, so an older baseline timed different work and is not
+   compared. *)
+let hotpath_version = 3
 
 (* Minimal field scanner so the committed baseline can be read back
    without a JSON dependency: finds ["field":] and parses the number
@@ -591,8 +629,9 @@ let scan_json_number content field =
 
 let read_hotpath_baseline path =
   match In_channel.with_open_text path In_channel.input_all with
-  | content ->
+  | content when scan_json_number content "version" = Some (float_of_int hotpath_version) ->
     (scan_json_number content "cores", scan_json_number content "aggregate_speedup")
+  | _ -> (None, None)
   | exception Sys_error _ -> (None, None)
 
 (* Min-of-reps for sub-2s workloads: the first run also pays the
@@ -608,7 +647,7 @@ let adaptive_timed run arg =
   Dwv_util.Phases.reset ();
   let mw0 = Gc.minor_words () in
   let r, t0 = timed (fun () -> run arg) in
-  let minor_words = Gc.minor_words () -. mw0 in
+  let minor_words = int_of_float (Gc.minor_words () -. mw0) in
   let counters = Dwv_util.Counters.snapshot () in
   let phases = Dwv_util.Phases.snapshot () in
   if t0 >= 2.0 then (r, t0, counters, phases, minor_words)
@@ -629,14 +668,13 @@ let bprint_counters b counters =
     counters;
   Printf.bprintf b "}"
 
-(* Fixed pre-optimization reference for the initset workload: the
-   sequential wall time committed before the sparse-polynomial kernel
-   rewrite and the incremental re-verification work landed. The hotpath
-   gate requires the current sequential time to beat it by 3x on the
-   same class of runner (the measurement is sequential, so it does not
-   depend on the core count). *)
-let initset_reference_seq = 12.056345
-let initset_reference_required = 3.0
+(* Reference for the initset-osc workload: its median sequential wall
+   time over ten runs on the library before this workload was gated, on
+   a 2-core VM. The gate allows the current sequential time up to twice
+   that, so a slower runner passes and a doubling of the search's cost
+   does not. *)
+let initset_reference_seq = 0.93
+let initset_reference_required = 0.5
 
 let bprint_phases b phases =
   Printf.bprintf b "{";
@@ -647,39 +685,40 @@ let bprint_phases b phases =
   Printf.bprintf b "}"
 
 let write_hotpath_json ~domains_requested ~cores ~effective_domains ~aggregate_speedup
-    ~all_match ~slowdown_ok ~baseline_cores ~baseline_aggregate ~baseline_ok
+    ~all_match ~outcomes_ok ~slowdown_ok ~baseline_cores ~baseline_aggregate ~baseline_ok
     ~counters_ok ~reference_speedup ~reference_ok ~passed workloads path =
   let b = Buffer.create 2048 in
   Printf.bprintf b
-    "{\n  \"version\": 2,\n  \"domains_requested\": %d,\n  \"cores\": %d,\n  \
+    "{\n  \"version\": %d,\n  \"domains_requested\": %d,\n  \"cores\": %d,\n  \
      \"effective_domains\": %d,\n  \"workloads\": [\n"
-    domains_requested cores effective_domains;
+    hotpath_version domains_requested cores effective_domains;
   List.iteri
     (fun i w ->
       Printf.bprintf b
         "    {\"name\": \"%s\", \"seq_seconds\": %.6f, \"par_seconds\": %.6f, \
-         \"speedup\": %.3f, \"match\": %b, \"detail\": \"%s\",\n     \
+         \"speedup\": %.3f, \"match\": %b, \"outcome\": %b, \"detail\": \"%s\",\n     \
          \"counters_seq\": "
         (json_escape w.p_name) w.p_seq w.p_par
         (if w.p_par > 0.0 then w.p_seq /. w.p_par else Float.nan)
-        w.p_match (json_escape w.p_detail);
+        w.p_match w.p_outcome (json_escape w.p_detail);
       bprint_counters b w.p_counters_seq;
       Printf.bprintf b ", \"counters_par\": ";
       bprint_counters b w.p_counters_par;
       Printf.bprintf b ", \"counters_match\": %b,\n     \"phases_seq\": "
         (w.p_counters_seq = w.p_counters_par);
       bprint_phases b w.p_phases_seq;
-      Printf.bprintf b ", \"minor_words_seq\": %.0f}%s\n" w.p_minor_words_seq
-        (if i = List.length workloads - 1 then "" else ","))
+      Printf.bprintf b "}%s\n" (if i = List.length workloads - 1 then "" else ","))
     workloads;
   Printf.bprintf b "  ],\n  \"aggregate_speedup\": %.3f,\n  \"all_match\": %b,\n"
     aggregate_speedup all_match;
   Printf.bprintf b
-    "  \"reference\": {\"workload\": \"initset\", \"reference_seq_seconds\": %.6f, \
+    "  \"reference\": {\"workload\": \"initset-osc\", \"reference_seq_seconds\": %.6f, \
      \"speedup_vs_reference\": %.3f, \"required\": %.1f, \"ok\": %b},\n"
     initset_reference_seq reference_speedup initset_reference_required reference_ok;
-  Printf.bprintf b "  \"gate\": {\n    \"rule\": \"%s\",\n    \"slowdown_ok\": %b,\n"
-    (json_escape gate_rule) slowdown_ok;
+  Printf.bprintf b
+    "  \"gate\": {\n    \"rule\": \"%s\",\n    \"outcomes_ok\": %b,\n    \
+     \"slowdown_ok\": %b,\n"
+    (json_escape gate_rule) outcomes_ok slowdown_ok;
   (match (baseline_cores, baseline_aggregate) with
   | Some bc, Some ba ->
     Printf.bprintf b
@@ -702,48 +741,50 @@ let print_hotpath ~domains () =
   (* read the committed baseline before this run overwrites it *)
   let baseline_cores_f, baseline_aggregate = read_hotpath_baseline baseline_path in
   let baseline_cores = Option.map int_of_float baseline_cores_f in
-  let workload name detail run equal =
+  ignore (Lazy.force osc_learned);
+  let workload name ~outcome ~detail run equal =
     let seq, t_seq, c_seq, phases_seq, mw_seq = adaptive_timed run 1 in
     let par, t_par, c_par, _, _ = adaptive_timed run domains in
     let ok = equal seq par && c_seq = c_par in
-    Fmt.pr "%-12s  seq %.2fs  par %.2fs  speedup %.2fx  %s@." name t_seq t_par
+    let reached = outcome seq in
+    Fmt.pr "%-12s  seq %.2fs  par %.2fs  speedup %.2fx  %s  %s  %d minor words@." name
+      t_seq t_par
       (if t_par > 0.0 then t_seq /. t_par else Float.nan)
-      (if ok then "identical" else "MISMATCH");
-    { p_name = name; p_seq = t_seq; p_par = t_par; p_match = ok;
+      (if ok then "identical" else "MISMATCH")
+      (if reached then "outcome ok" else "OUTCOME MISSED")
+      mw_seq;
+    { p_name = name; p_seq = t_seq; p_par = t_par; p_match = ok; p_outcome = reached;
       p_detail = detail (if ok then seq else par);
       p_counters_seq = c_seq; p_counters_par = c_par;
-      p_phases_seq = phases_seq; p_minor_words_seq = mw_seq }
+      p_phases_seq = phases_seq; p_minor_words = mw_seq }
   in
   let learn =
-    workload "learn"
-      (fun (r : Learner.result) ->
-        Fmt.str "acc coordinate, CI=%d, %d calls, %s" r.Learner.iterations
+    workload "learn-acc"
+      ~outcome:(fun (r : Learner.result) -> r.Learner.verdict = Verifier.Reach_avoid)
+      ~detail:(fun (r : Learner.result) ->
+        Fmt.str "acc G seed 1, CI=%d, %d calls, %s" r.Learner.iterations
           r.Learner.verifier_calls
-          (Dwv_reach.Verifier.verdict_to_string r.Learner.verdict))
-      parallel_learn
-      (fun (a : Learner.result) (b : Learner.result) ->
-        Controller.params a.Learner.controller = Controller.params b.Learner.controller
-        && a.Learner.iterations = b.Learner.iterations
-        && a.Learner.verifier_calls = b.Learner.verifier_calls
-        && a.Learner.verdict = b.Learner.verdict)
+          (Verifier.verdict_to_string r.Learner.verdict))
+      learn_acc learn_equal
   in
   let initset =
-    workload "initset"
-      (fun (r : Initset.result) ->
-        Fmt.str "oscillator depth 2, coverage=%.4f, %d calls" r.Initset.coverage
-          r.Initset.verifier_calls)
-      parallel_initset
-      (fun (a : Initset.result) (b : Initset.result) ->
-        a.Initset.verified = b.Initset.verified
-        && a.Initset.coverage = b.Initset.coverage
-        && a.Initset.verifier_calls = b.Initset.verifier_calls)
+    workload "initset-osc"
+      ~outcome:(fun (reachnn, (r : Initset.result)) ->
+        reachnn = Verifier.Reach_avoid && r.Initset.coverage >= 0.375)
+      ~detail:(fun (reachnn, (r : Initset.result)) ->
+        Fmt.str "oscillator ReachNN %s, central-half goal depth 3, coverage=%.4f, %d calls"
+          (Verifier.verdict_to_string reachnn) r.Initset.coverage r.Initset.verifier_calls)
+      initset_osc
+      (fun (va, a) (vb, b) -> va = vb && initset_equal a b)
   in
   let rates =
-    workload "rates"
-      (fun (r : Evaluate.rates) ->
-        Fmt.str "acc n=2000, SC=%.2f%%, GR=%.2f%%" r.Evaluate.safe_percent
-          r.Evaluate.goal_percent)
-      parallel_rates
+    workload "rates-acc"
+      ~outcome:(fun (r : Evaluate.rates) ->
+        r.Evaluate.safe_percent = 100.0 && r.Evaluate.goal_percent = 100.0)
+      ~detail:(fun (r : Evaluate.rates) ->
+        Fmt.str "acc theta=[0.55,-2,1.83] n=2000, SC=%.2f%%, GR=%.2f%%"
+          r.Evaluate.safe_percent r.Evaluate.goal_percent)
+      rates_acc
       (fun (a : Evaluate.rates) (b : Evaluate.rates) ->
         a.Evaluate.safe_percent = b.Evaluate.safe_percent
         && a.Evaluate.goal_percent = b.Evaluate.goal_percent)
@@ -755,18 +796,22 @@ let print_hotpath ~domains () =
     if par > 0.0 then total (fun w -> w.p_seq) /. par else Float.nan
   in
   let all_match = List.for_all (fun w -> w.p_match) workloads in
+  let outcomes_ok = List.for_all (fun w -> w.p_outcome) workloads in
   let slowdown_ok = List.for_all par_not_slower workloads in
   let baseline_ok =
     match (baseline_cores, baseline_aggregate) with
     | Some bc, Some ba when bc = cores -> aggregate_speedup >= 0.9 *. ba
     | _ -> true (* first run, or baseline from different hardware *)
   in
-  (* deterministic-counter ratchet: the seq snapshots are load-independent,
-     so any growth against the committed history is a real regression even
-     when the wall-clock gate is green *)
+  (* deterministic ratchet: the seq counter snapshots and exact minor
+     words are load-independent, so any growth against the committed
+     history is a real regression even when the wall-clock gate is
+     green *)
   let ratchet =
     Dwv_util.Trend.record ~path:"COUNTERS_history.json" ~section:"hotpath"
-      (List.map (fun w -> (w.p_name, w.p_counters_seq)) workloads)
+      (List.map
+         (fun w -> (w.p_name, ("minor_words", w.p_minor_words) :: w.p_counters_seq))
+         workloads)
   in
   List.iter (Fmt.pr "counters ratchet: %s@.") ratchet;
   let counters_ok = ratchet = [] in
@@ -774,14 +819,24 @@ let print_hotpath ~domains () =
     if initset.p_seq > 0.0 then initset_reference_seq /. initset.p_seq else Float.nan
   in
   let reference_ok = reference_speedup >= initset_reference_required in
-  Fmt.pr "initset vs %.2fs reference: %.1fx (>= %.0fx required) %s@."
+  Fmt.pr "initset-osc vs %.3fs reference: %.2fx (>= %.1fx required) %s@."
     initset_reference_seq reference_speedup initset_reference_required
     (if reference_ok then "ok" else "FAILED");
-  let passed = all_match && slowdown_ok && baseline_ok && counters_ok && reference_ok in
+  let failures =
+    List.filter_map
+      (fun (ok, why) -> if ok then None else Some why)
+      [ (outcomes_ok, "a workload missed its paper outcome");
+        (all_match, "seq/par mismatch");
+        (slowdown_ok, "parallel slower than sequential");
+        (baseline_ok, ">10% regression vs baseline");
+        (counters_ok, "counter or minor-word regression vs COUNTERS_history.json");
+        (reference_ok, "initset-osc slower than twice its reference") ]
+  in
+  let passed = failures = [] in
   write_hotpath_json ~domains_requested:domains ~cores ~effective_domains:effective
-    ~aggregate_speedup ~all_match ~slowdown_ok ~baseline_cores ~baseline_aggregate
-    ~baseline_ok ~counters_ok ~reference_speedup ~reference_ok ~passed workloads
-    baseline_path;
+    ~aggregate_speedup ~all_match ~outcomes_ok ~slowdown_ok ~baseline_cores
+    ~baseline_aggregate ~baseline_ok ~counters_ok ~reference_speedup ~reference_ok
+    ~passed workloads baseline_path;
   Fmt.pr "aggregate speedup %.2fx%s, all results %s, gate %s [BENCH_hotpath.json written]@."
     aggregate_speedup
     (match (baseline_cores, baseline_aggregate) with
@@ -789,14 +844,7 @@ let print_hotpath ~domains () =
     | Some bc, Some _ -> Fmt.str " (baseline on %d cores: not compared)" bc
     | _ -> " (no baseline)")
     (if all_match then "identical" else "MISMATCHED")
-    (if passed then "passed"
-     else if not slowdown_ok then "FAILED (parallel slower than sequential)"
-     else if not baseline_ok then "FAILED (>10% regression vs baseline)"
-     else if not counters_ok then
-       "FAILED (deterministic-counter regression vs COUNTERS_history.json)"
-     else if not reference_ok then
-       "FAILED (initset not 3x faster than the committed reference)"
-     else "FAILED (seq/par mismatch)");
+    (if passed then "passed" else Fmt.str "FAILED (%s)" (String.concat "; " failures));
   if not passed then exit 1
 
 (* ---------------------------------------------------------------- *)
@@ -819,9 +867,11 @@ let rec remove_tree path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
+(* fixed-width pid: the path's length, and so the words its strings
+   take, is the same in every process *)
 let cert_bench_dir =
   Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "dwv_bench_certs_%d" (Unix.getpid ()))
+    (Printf.sprintf "dwv_bench_certs_%010d" (Unix.getpid ()))
 
 let certs_initset cache =
   let c = acc_init_for_seed 1 in
@@ -836,18 +886,6 @@ let certs_learn cache =
     ~verify:(fun ctrl -> (Acc.verify_robust ?cache ctrl).Verifier.pipe)
     ~init:(acc_init_for_seed 1)
 
-let initset_equal (a : Initset.result) (b : Initset.result) =
-  a.Initset.verified = b.Initset.verified
-  && a.Initset.rejected = b.Initset.rejected
-  && a.Initset.coverage = b.Initset.coverage
-  && a.Initset.verifier_calls = b.Initset.verifier_calls
-
-let learn_equal (a : Learner.result) (b : Learner.result) =
-  Controller.params a.Learner.controller = Controller.params b.Learner.controller
-  && a.Learner.iterations = b.Learner.iterations
-  && a.Learner.verifier_calls = b.Learner.verifier_calls
-  && a.Learner.verdict = b.Learner.verdict
-
 type cert_run = {
   cr_name : string;
   cr_cold : float;
@@ -859,10 +897,15 @@ type cert_run = {
   cr_warm_counters : (string * int) list;
 }
 
+(* The Counters snapshot of one run, with its exact minor words as one
+   more entry (the cert runs are sequential, so the meter sees them
+   whole). *)
 let counted_timed f =
   Dwv_util.Counters.reset ();
+  let mw0 = Gc.minor_words () in
   let r, t = timed f in
-  (r, t, Dwv_util.Counters.snapshot ())
+  let mw = int_of_float (Gc.minor_words () -. mw0) in
+  (r, t, ("minor_words", mw) :: Dwv_util.Counters.snapshot ())
 
 let count counters key = Option.value ~default:0 (List.assoc_opt key counters)
 
@@ -870,7 +913,7 @@ let certs_gate_rule =
   "initset warm >= 2x cold; warm runs all-hit (0 miss, 0 reject, 0 fresh \
    flowpipes, hits = cold lookups); cold/warm results bit-identical; tampered \
    certificate rejected and recomputed to the identical result; counter totals \
-   no worse than the last committed COUNTERS_history.json entry"
+   and minor words no worse than the last committed COUNTERS_history.json entry"
 
 let write_certs_json ~workloads ~tamper_rejects ~tamper_match ~initset_speedup_ok
     ~counters_ok ~passed path =
@@ -1020,8 +1063,8 @@ let scenarios_gate_rule =
   "500-case campaign has zero soundness-oracle violations; records are \
    bit-identical (minus latency) at domains 1 vs N; every committed \
    benchmark scenario verifies Reach_avoid; every corpus scenario examines \
-   clean; campaign counter totals no worse than the last committed \
-   COUNTERS_history.json entry"
+   clean; campaign counter totals and minor words no worse than the last \
+   committed COUNTERS_history.json entry"
 
 let scenario_files dir ext =
   if Sys.file_exists dir && Sys.is_directory dir then
@@ -1064,12 +1107,14 @@ let write_scenarios_json ~campaign_json ~det_match ~benchmarks ~corpus
 
 let print_scenarios ~domains () =
   Fmt.pr "--- Scenario farm: fuzz campaign, benchmarks, corpus ---@.";
-  (* counters around the sequential campaign only: its totals are a pure
-     function of (seed, count), so the ratchet below sees a
+  (* counters and minor words around the sequential campaign only: both
+     are a pure function of (seed, count), so the ratchet below sees a
      load-independent signature of the whole fuzz pipeline *)
   Dwv_util.Counters.reset ();
+  let mw0 = Gc.minor_words () in
   let seq = Scn_fuzz.run ~count:scenarios_count ~seed:scenarios_seed () in
-  let campaign_counters = Dwv_util.Counters.snapshot () in
+  let mw = int_of_float (Gc.minor_words () -. mw0) in
+  let campaign_counters = ("minor_words", mw) :: Dwv_util.Counters.snapshot () in
   let par =
     Pool.with_pool ~domains (fun pool ->
         Scn_fuzz.run ~pool ~count:scenarios_count ~seed:scenarios_seed ())
@@ -1152,9 +1197,10 @@ let print_scenarios ~domains () =
 (* ---------------------------------------------------------------- *)
 
 let print_profile () =
+  ignore (Lazy.force osc_learned);
   Dwv_util.Phases.reset ();
-  let r, t = timed (fun () -> parallel_initset 1) in
-  Fmt.pr "initset seq: %.3fs (%d calls)@." t r.Initset.verifier_calls;
+  let (_, r), t = timed (fun () -> initset_osc 1) in
+  Fmt.pr "initset-osc seq: %.3fs (%d calls)@." t r.Initset.verifier_calls;
   List.iter (fun (k, v) -> Fmt.pr "  %-28s %8.3fs@." k v) (Dwv_util.Phases.snapshot ())
 
 let flush_section () = Format.pp_print_flush Format.std_formatter ()

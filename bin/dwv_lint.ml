@@ -10,10 +10,12 @@
 
    The typed engine (--engine typed) reads the .cmt files under _build
    (run `dune build @check` first) and adds the layer-4 analyses:
-   budget-threading, the allocation profile (--alloc-report /
-   --alloc-baseline) and the type-aware phys-equality exemption. The
-   sound engine (--engine sound) reads the same .cmt files and runs only
-   the layer-5 analyses (rounding-flow, cache-purity).
+   budget-threading, pool-capture (a Pool task reading a captured local
+   ref/Hashtbl.t) and the type-aware phys-equality exemption. Allocation
+   is not checked statically: `bench hotpath` ratchets each workload's
+   exact minor words instead. The sound engine (--engine sound) reads
+   the same .cmt files and runs only the layer-5 analyses
+   (rounding-flow, cache-purity).
 
    JSON output is one envelope document (see Diagnostics.report_to_json);
    --format sarif emits SARIF 2.1.0; --plain renders one diagnostic per
@@ -27,7 +29,6 @@ module Model_check = Dwv_analysis.Model_check
 module Ast_lint = Dwv_analysis.Ast_lint
 module Typed_lint = Dwv_analysis.Typed_lint
 module Sound_lint = Dwv_analysis.Sound_lint
-module Alloc_profile = Dwv_analysis.Alloc_profile
 module Registry = Dwv_analysis.Registry
 module Box = Dwv_interval.Box
 module Spec = Dwv_core.Spec
@@ -144,7 +145,7 @@ let engine_arg =
        & info [ "engine" ] ~docv:"ENGINE"
            ~doc:"Source engine: ast (layer-2 rules and layer-3 Parsetree analyses), \
                  typed (ast plus the layer-4 cmt analyses: budget-threading, \
-                 allocation profile, type-aware phys-equality exemption), or sound \
+                 pool-capture, type-aware phys-equality exemption), or sound \
                  (only the layer-5 semantic soundness analyses: rounding-flow, \
                  cache-purity).")
 
@@ -153,18 +154,6 @@ let build_dir_arg =
        & info [ "build-dir" ] ~docv:"DIR"
            ~doc:"Where the typed engine looks for .cmt files (default: _build/default \
                  when it exists, else the current directory).")
-
-let alloc_report_arg =
-  Arg.(value & opt (some string) None
-       & info [ "alloc-report" ] ~docv:"FILE"
-           ~doc:"With --engine typed, write the ranked allocation profile to this \
-                 file (ALLOC_report.json format, deterministic).")
-
-let alloc_baseline_arg =
-  Arg.(value & opt (some string) None
-       & info [ "alloc-baseline" ] ~docv:"FILE"
-           ~doc:"With --engine typed, fail on allocation sites not covered by this \
-                 committed baseline (a previous --alloc-report document).")
 
 let exclude_arg =
   Arg.(value & opt_all string []
@@ -186,18 +175,7 @@ let models_cmd =
 
 let default_source_roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 
-let read_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | contents -> contents
-  | exception Sys_error m -> usage_die m
-
-let write_file path contents =
-  match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
-  with
-  | () -> ()
-  | exception Sys_error m -> usage_die m
-
-let lint_sources ~engine ~exclude ?build_dir ?alloc_report ?alloc_baseline paths =
+let lint_sources ~engine ~exclude ?build_dir paths =
   let roots =
     match paths with
     | [] -> List.filter Sys.file_exists default_source_roots
@@ -209,13 +187,8 @@ let lint_sources ~engine ~exclude ?build_dir ?alloc_report ?alloc_baseline paths
     | ds -> ds
     | exception Invalid_argument m -> usage_die m)
   | Typed -> (
-    let alloc_baseline = Option.map read_file alloc_baseline in
-    match Typed_lint.lint_tree ?build_dir ~exclude ?alloc_baseline ~roots () with
-    | r ->
-      Option.iter
-        (fun file -> write_file file (Alloc_profile.report_to_json r.Typed_lint.sites))
-        alloc_report;
-      r.Typed_lint.diags
+    match Typed_lint.lint_tree ?build_dir ~exclude ~roots () with
+    | ds -> ds
     | exception Invalid_argument m -> usage_die m)
   | Sound -> (
     match Sound_lint.lint_tree ?build_dir ~exclude ~roots () with
@@ -227,10 +200,8 @@ let source_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"PATH"
          ~doc:"Files or directories to lint (default: lib bin bench test examples).")
   in
-  let run fmt plain engine exclude build_dir alloc_report alloc_baseline paths =
-    let ds =
-      lint_sources ~engine ~exclude ?build_dir ?alloc_report ?alloc_baseline paths
-    in
+  let run fmt plain engine exclude build_dir paths =
+    let ds = lint_sources ~engine ~exclude ?build_dir paths in
     render ~plain fmt ds;
     exit (exit_of ds)
   in
@@ -239,7 +210,7 @@ let source_cmd =
        ~doc:"Source lint: layer-2 rules plus the layer-3 AST analyses (domain-safety, \
              exn-escape) and, with --engine typed, the layer-4 cmt analyses")
     Term.(const run $ format_arg $ plain_arg $ engine_arg $ exclude_arg $ build_dir_arg
-          $ alloc_report_arg $ alloc_baseline_arg $ paths_arg)
+          $ paths_arg)
 
 let system_cmd =
   let f_arg =
@@ -314,17 +285,14 @@ let all_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"PATH"
          ~doc:"Source roots for the source layers (default: lib bin bench test examples).")
   in
-  let run fmt plain engine exclude build_dir alloc_report alloc_baseline paths =
-    let ds =
-      check_models []
-      @ lint_sources ~engine ~exclude ?build_dir ?alloc_report ?alloc_baseline paths
-    in
+  let run fmt plain engine exclude build_dir paths =
+    let ds = check_models [] @ lint_sources ~engine ~exclude ?build_dir paths in
     render ~plain fmt ds;
     exit (exit_of ds)
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every analysis layer (what `dune build @lint` runs)")
     Term.(const run $ format_arg $ plain_arg $ engine_arg $ exclude_arg $ build_dir_arg
-          $ alloc_report_arg $ alloc_baseline_arg $ paths_arg)
+          $ paths_arg)
 
 let () =
   let doc = "Static soundness analyzer for design-while-verify models and sources" in

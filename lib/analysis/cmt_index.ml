@@ -1,7 +1,7 @@
 (* Layer-4 front end: load the .cmt files dune already produced and turn
    them into a queryable typed index.
 
-   Everything downstream (Alloc_profile, Budget_threading, Typed_rules)
+   Everything downstream (Budget_threading, Typed_rules, the layer-5 passes)
    wants the same three things: top-level functions with their typed
    bodies, call sites with resolved callees and per-argument passing
    facts, and a canonical spelling for paths and type constructors that
@@ -159,14 +159,6 @@ let guarded_type_exists pred ty =
 let type_head t u ty = constr_name t u ty
 
 let type_mentions t u name ty = guarded_type_exists (fun ty' -> constr_name t u ty' = name) ty
-
-let type_mentions_float ty =
-  guarded_type_exists
-    (fun ty' ->
-      match Types.get_desc ty' with
-      | Types.Tconstr (p, _, _) -> Path.name p = "float"
-      | _ -> false)
-    ty
 
 let file_loc u (loc : Location.t) =
   let line, col = Src_ast.start_line_col loc in

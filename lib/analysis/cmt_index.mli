@@ -45,7 +45,7 @@ type tfn = {
       (** every identifier the body mentions, canonically resolved — a
           superset of the call heads, so purity passes see eta-passed
           functions and bare global reads *)
-  t_body : Typedtree.expression;  (** for the allocation pass *)
+  t_body : Typedtree.expression;  (** for the body-walking passes *)
 }
 
 type unit_info = {
@@ -116,9 +116,6 @@ val type_head : t -> unit_info -> Types.type_expr -> string
 (** Does canonical constructor [name] occur anywhere in the type
     (under arrows, tuples, constructor arguments, [option], ...)? *)
 val type_mentions : t -> unit_info -> string -> Types.type_expr -> bool
-
-(** Does the type tree reach the [float] constructor? *)
-val type_mentions_float : Types.type_expr -> bool
 
 (** 1-based line/col location for a typed-tree node of [u]. *)
 val file_loc : unit_info -> Location.t -> Diagnostics.location

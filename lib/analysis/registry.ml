@@ -22,7 +22,7 @@ let missing_mli = "missing-mli"
 let domain_safety = "domain-safety"
 let exn_escape = "exn-escape"
 let ast_parse = "ast-parse"
-let alloc_hotspot = "alloc-hotspot"
+let pool_capture = "pool-capture"
 let budget_threading = "budget-threading"
 let cmt_missing = "cmt-missing"
 let rounding_flow = "rounding-flow"
@@ -59,10 +59,9 @@ let ast_entries =
 
 let typed_entries =
   [
-    ( alloc_hotspot,
-      "no hot-loop allocation sites beyond the committed ALLOC_baseline.json \
-       (boxed floats, tuples/records/closures in loops, polymorphic compare on \
-       float types, mutable captures in Pool tasks)" );
+    ( pool_capture,
+      "no Pool task reads a local ref or Hashtbl.t captured from its \
+       enclosing scope" );
     ( budget_threading,
       "every call path from a public verify/learn/initset entry point to the \
        flowpipe/ODE kernels threads a Budget.t" );

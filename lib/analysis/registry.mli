@@ -36,7 +36,7 @@ val ast_parse : string
 
 (** {1 Layer-4 (typed) check names} *)
 
-val alloc_hotspot : string
+val pool_capture : string
 val budget_threading : string
 val cmt_missing : string
 

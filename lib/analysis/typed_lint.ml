@@ -2,9 +2,7 @@
 
 module D = Diagnostics
 
-type result = { diags : D.t list; sites : Alloc_profile.site list }
-
-let lint_tree ?build_dir ?(exclude = []) ?alloc_baseline ~roots () =
+let lint_tree ?build_dir ?(exclude = []) ~roots () =
   let idx = Cmt_index.scan ?build_dir ~exclude ~roots () in
   let cmt_diags =
     if Cmt_index.units idx = [] then
@@ -30,14 +28,5 @@ let lint_tree ?build_dir ?(exclude = []) ?alloc_baseline ~roots () =
   let phys_eq_allow = Typed_rules.expr_phys_eq_allow idx in
   let ast_diags = Ast_lint.lint_tree ~phys_eq_allow ~exclude roots in
   let budget_diags = Budget_threading.analyze idx in
-  let sites, alloc_diags = Alloc_profile.profile idx in
-  let baseline_diags =
-    match alloc_baseline with
-    | None -> []
-    | Some baseline -> Alloc_profile.diff_against_baseline ~baseline sites
-  in
-  {
-    diags =
-      D.sort (cmt_diags @ ast_diags @ budget_diags @ alloc_diags @ baseline_diags);
-    sites;
-  }
+  let capture_diags = Typed_rules.pool_captures idx in
+  D.sort (cmt_diags @ ast_diags @ budget_diags @ capture_diags)

@@ -105,9 +105,11 @@ let read_file path =
 
 let tmp_seq = Atomic.make 0
 
+(* the pid is printed at a fixed width, so the name's length (and the
+   words it allocates) does not depend on the process *)
 let write_file t path bytes =
   let tmp =
-    Printf.sprintf "%s.tmp.%d.%d.%d" path (Unix.getpid ())
+    Printf.sprintf "%s.tmp.%010d.%d.%d" path (Unix.getpid ())
       (Domain.self () :> int)
       (Atomic.fetch_and_add tmp_seq 1)
   in

@@ -1,5 +1,5 @@
-(* Fixture stand-in for the parallel pool: gives the profiler Pool.mapi
-   call sites whose task closures it must inspect. *)
+(* Fixture stand-in for the parallel pool: gives the pool-capture check
+   Pool.mapi call sites whose task closures it must inspect. *)
 
 type t = unit
 

@@ -1,26 +1,10 @@
-(* Allocation-profile fixture: a grab-bag of hot-loop allocation
-   patterns the profiler must classify. Every site here is intentional;
-   the test pins down the expected class multiset. *)
+(* Pool-capture fixture: task closures that share a local mutable value
+   across domains, and a clean counterpart. The typed pool-capture check
+   must flag [pool_hot] and [pool_helper] and stay silent on
+   [pool_clean]. *)
 
-(* Entry point: float ref accumulator, boxed-float let, per-iteration
-   tuple / list / option / array / closure allocs, and polymorphic
-   comparison on a float-bearing composite. *)
-let hot (xs : float array) (ys : (float * float) array) =
-  let acc = ref 0.0 in
-  for i = 0 to Array.length xs - 1 do
-    let scaled = xs.(i) *. 3.0 in
-    let pair = (xs.(i), scaled) in
-    let cell = [ xs.(i) ] in
-    let opt = Some xs.(i) in
-    let tmp = Array.make 2 xs.(i) in
-    let f = fun v -> v +. scaled in
-    if compare pair ys.(i) < 0 then acc := !acc +. f tmp.(0);
-    ignore cell;
-    ignore opt
-  done;
-  !acc
-
-(* Entry point: Pool task capturing mutable state shared across domains. *)
+(* The task bumps a ref the enclosing function owns: every domain the
+   tasks land on writes the same cell. *)
 let pool_hot (p : Pool.t) (xs : float array) =
   let hits = ref 0 in
   let out =
@@ -31,3 +15,22 @@ let pool_hot (p : Pool.t) (xs : float array) =
       xs
   in
   (out, !hits)
+
+(* The same race one call away, through a local helper. *)
+let pool_helper (p : Pool.t) (xs : float array) =
+  let seen : (int, float) Hashtbl.t = Hashtbl.create 8 in
+  let note i x = Hashtbl.replace seen i x in
+  Pool.mapi p (fun i x -> note i x; x) xs
+
+(* Per-task state only: the ref is created inside the task, and the
+   count is combined on the caller. *)
+let pool_clean (p : Pool.t) (xs : float array) =
+  let counts =
+    Pool.mapi p
+      (fun _ x ->
+        let n = ref 0 in
+        if x > 0.0 then incr n;
+        !n)
+      xs
+  in
+  Array.fold_left ( + ) 0 counts

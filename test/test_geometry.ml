@@ -120,10 +120,9 @@ let test_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Setops.min_sq_distance: empty flowpipe")
     (fun () -> ignore (Setops.min_sq_distance [] (box2 0.0 1.0 0.0 1.0)))
 
-(* ---------------- halfspaces & polytopes ---------------- *)
+(* ---------------- halfspaces ---------------- *)
 
 module Halfspace = Dwv_geometry.Halfspace
-module Polytope = Dwv_geometry.Polytope
 
 (* the ACC unsafe halfspace: s <= 120 *)
 let acc_unsafe = Halfspace.make ~normal:[| 1.0; 0.0 |] ~offset:120.0
@@ -171,39 +170,6 @@ let test_halfspace_deep_box_substitution_sound () =
         Alcotest.(check bool) "box point in halfspace" true (Halfspace.contains acc_unsafe p))
     [ [| 0.0; -100.0 |]; [| 120.0; 200.0 |]; [| 60.0; 50.0 |] ]
 
-let test_polytope_of_box_roundtrip () =
-  let b = box2 (-1.0) 2.0 3.0 5.0 in
-  let p = Polytope.of_box b in
-  Alcotest.(check bool) "center in" true (Polytope.contains p (Box.center b));
-  Alcotest.(check bool) "outside" false (Polytope.contains p [| 3.0; 4.0 |]);
-  (* the widened interval test is conservative on the exact boundary, so
-     prove containment against a slightly bloated polytope *)
-  Alcotest.(check bool) "box inside" true
-    (Polytope.contains_box (Polytope.of_box (Box.bloat 1e-9 b)) b);
-  Alcotest.(check bool) "shrunk box inside" true
-    (Polytope.contains_box p (box2 (-0.99) 1.99 3.01 4.99));
-  Alcotest.(check bool) "shifted avoids" true
-    (Polytope.box_avoids p (box2 5.0 6.0 3.0 5.0))
-
-let test_polytope_triangle () =
-  (* triangle x >= 0, y >= 0, x + y <= 1 *)
-  let tri =
-    Polytope.of_halfspaces
-      [ Halfspace.make ~normal:[| -1.0; 0.0 |] ~offset:0.0;
-        Halfspace.make ~normal:[| 0.0; -1.0 |] ~offset:0.0;
-        Halfspace.make ~normal:[| 1.0; 1.0 |] ~offset:1.0 ]
-  in
-  Alcotest.(check bool) "inside" true (Polytope.contains tri [| 0.25; 0.25 |]);
-  Alcotest.(check bool) "outside" false (Polytope.contains tri [| 0.75; 0.75 |]);
-  Alcotest.(check bool) "small box inside" true
-    (Polytope.contains_box tri (box2 0.1 0.2 0.1 0.2));
-  Alcotest.(check bool) "corner box not inside" false
-    (Polytope.contains_box tri (box2 0.4 0.7 0.4 0.7));
-  Alcotest.(check bool) "distant box avoids" true (Polytope.box_avoids tri (box2 2.0 3.0 2.0 3.0));
-  (* zonotope containment via support functions *)
-  let z = Zonotope.of_box (box2 0.2 0.3 0.2 0.3) in
-  Alcotest.(check bool) "zonotope inside" true (Polytope.zonotope_inside tri z)
-
 let prop_halfspace_box_tests_consistent =
   QCheck.Test.make ~name:"halfspace box tests partition correctly" ~count:300
     QCheck.(
@@ -240,7 +206,5 @@ let suite =
     Alcotest.test_case "halfspace signed distance" `Quick test_halfspace_signed_distance;
     Alcotest.test_case "halfspace deep-box substitution" `Quick
       test_halfspace_deep_box_substitution_sound;
-    Alcotest.test_case "polytope of box" `Quick test_polytope_of_box_roundtrip;
-    Alcotest.test_case "polytope triangle" `Quick test_polytope_triangle;
     QCheck_alcotest.to_alcotest prop_halfspace_box_tests_consistent;
   ]

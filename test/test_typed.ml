@@ -2,14 +2,13 @@
    in fixtures/analysis/typed (a real dune library, so its .cmt files
    exist under the test's own build directory). Covers the cmt index,
    the typed phys-equality exemption end to end through Ast_lint, the
-   allocation profiler (boxed loop vs clean loop, determinism, baseline
-   round-trip) and the budget-threading verifier (clean chain, dropped
+   pool-capture check (a Pool task reading a captured local ref or
+   table) and the budget-threading verifier (clean chain, dropped
    budget, unbudgeted kernel, bad entries), plus the SARIF envelope. *)
 
 module D = Dwv_analysis.Diagnostics
 module CI = Dwv_analysis.Cmt_index
 module TR = Dwv_analysis.Typed_rules
-module AP = Dwv_analysis.Alloc_profile
 module BT = Dwv_analysis.Budget_threading
 module AL = Dwv_analysis.Ast_lint
 
@@ -33,7 +32,7 @@ let test_index_units () =
     "fixture units, canonical names, sorted"
     [
       "Budget"; "Expr"; "Interval"; "Pool"; "Rk45"; "Sf_cache"; "Sf_ival";
-      "Tf_boxed_loop"; "Tf_budget_drop"; "Tf_budget_ok"; "Tf_clean_loop";
+      "Tf_boxed_loop"; "Tf_budget_drop"; "Tf_budget_ok";
     ]
     (List.map (fun u -> u.CI.u_name) (CI.units idx));
   Alcotest.(check (list (pair string string))) "no load errors" []
@@ -95,85 +94,29 @@ let test_phys_eq_allow_filters_lint () =
   Alcotest.(check (list int)) "only the float-array == is flagged" [ 10 ]
     phys_lines
 
-(* ---------------- allocation profile ---------------- *)
-
-let hot_entries = [ "Tf_boxed_loop.hot"; "Tf_boxed_loop.pool_hot" ]
-
-let profile entries =
-  AP.profile ~entries (Lazy.force idx)
-
-let classes_of fn sites =
-  List.filter (fun s -> s.AP.s_fn = fn) sites
-  |> List.map (fun s -> s.AP.s_class)
-  |> List.sort_uniq String.compare
-
-let test_alloc_boxed_loop () =
-  let sites, diags = profile hot_entries in
-  Alcotest.(check int) "all entries resolved" 0 (List.length diags);
-  let got = classes_of "Tf_boxed_loop.hot" sites in
-  List.iter
-    (fun cls ->
-      Alcotest.(check bool) (cls ^ " detected") true (List.mem cls got))
-    [
-      "float-ref"; "boxed-float-let"; "tuple-in-loop"; "list-cons-in-loop";
-      "option-alloc-in-loop"; "array-alloc-in-loop"; "closure-in-loop";
-      "float-poly-compare";
-    ];
-  (* every in-loop site carries its nesting depth in the score *)
-  List.iter
-    (fun s ->
-      Alcotest.(check int)
-        (Fmt.str "score law at %s:%d" s.AP.s_file s.AP.s_line)
-        (s.AP.s_weight * (1 + s.AP.s_depth))
-        s.AP.s_score)
-    sites
+(* ---------------- pool capture ---------------- *)
 
 let test_alloc_task_state () =
-  let sites, _ = profile hot_entries in
-  let task =
-    List.filter
-      (fun s ->
-        s.AP.s_fn = "Tf_boxed_loop.pool_hot"
-        && s.AP.s_class = "task-mutable-state")
-      sites
+  let ds = TR.pool_captures (Lazy.force idx) in
+  Alcotest.(check bool) "captures are errors" true
+    (List.for_all (fun d -> d.D.severity = D.Error && d.D.check = "pool-capture") ds);
+  let lines =
+    List.filter_map
+      (fun d ->
+        match d.D.loc with
+        | D.File { path; line; _ } when path = fixture_src ^ "/tf_boxed_loop.ml" -> Some line
+        | _ -> None)
+      ds
   in
-  Alcotest.(check bool) "mutable capture inside the Pool task flagged" true
-    (task <> [])
-
-let test_alloc_clean_loop () =
-  (* Pool-launching functions are auto-rooted whatever the entry list
-     (so repo scans never miss a task body), hence the filter: the
-     assertion is about [clean] itself. *)
-  let sites, diags = profile [ "Tf_clean_loop.clean" ] in
-  Alcotest.(check int) "entry resolved" 0 (List.length diags);
-  Alcotest.(check int) "preallocated loop has no sites" 0
-    (List.length (List.filter (fun s -> s.AP.s_fn = "Tf_clean_loop.clean") sites))
-
-let test_alloc_unresolved_entry () =
-  let _, diags = profile [ "Tf_boxed_loop.nope" ] in
-  match diags with
-  | [ d ] ->
-    Alcotest.(check bool) "info, not error" true (d.D.severity = D.Info);
-    Alcotest.(check bool) "names the entry" true
-      (contains ~sub:"Tf_boxed_loop.nope" d.D.message)
-  | ds -> Alcotest.fail (Fmt.str "expected 1 info, got %d" (List.length ds))
-
-let test_alloc_determinism () =
-  let s1, _ = profile hot_entries in
-  let s2, _ = profile hot_entries in
-  Alcotest.(check string) "report is bit-identical across runs"
-    (AP.report_to_json s1) (AP.report_to_json s2)
-
-let test_alloc_baseline_roundtrip () =
-  let sites, _ = profile hot_entries in
-  Alcotest.(check bool) "profile is non-empty" true (sites <> []);
-  let baseline = AP.report_to_json sites in
-  Alcotest.(check int) "full baseline covers the profile" 0
-    (List.length (AP.diff_against_baseline ~baseline sites));
-  let truncated = AP.report_to_json (List.tl (AP.sort sites)) in
-  let ds = AP.diff_against_baseline ~baseline:truncated sites in
-  Alcotest.(check bool) "dropping a baseline line re-arms the gate" true
-    (D.has_errors ds)
+  (* the ref bumped inside [pool_hot]'s task, and the table [pool_helper]'s
+     task writes through a local helper; [pool_clean]'s per-task ref is
+     not a capture *)
+  Alcotest.(check (list int)) "both capturing fan-outs, nothing else" [ 11; 23 ] lines;
+  let messages = String.concat "\n" (List.map (fun d -> d.D.message) ds) in
+  Alcotest.(check bool) "names the captured ref" true
+    (contains ~sub:"hits (ref)" messages);
+  Alcotest.(check bool) "follows the local helper" true
+    (contains ~sub:"seen (Hashtbl.t)" messages)
 
 (* ---------------- budget threading ---------------- *)
 
@@ -240,18 +183,8 @@ let suite =
       test_phys_eq_allow_sites;
     Alcotest.test_case "phys-eq: typed allow filters both engines" `Quick
       test_phys_eq_allow_filters_lint;
-    Alcotest.test_case "alloc: boxed-loop classes all detected" `Quick
-      test_alloc_boxed_loop;
     Alcotest.test_case "alloc: Pool task mutable capture flagged" `Quick
       test_alloc_task_state;
-    Alcotest.test_case "alloc: clean preallocated loop is silent" `Quick
-      test_alloc_clean_loop;
-    Alcotest.test_case "alloc: unresolved entry is an info" `Quick
-      test_alloc_unresolved_entry;
-    Alcotest.test_case "alloc: report is deterministic" `Quick
-      test_alloc_determinism;
-    Alcotest.test_case "alloc: baseline round-trips and re-arms" `Quick
-      test_alloc_baseline_roundtrip;
     Alcotest.test_case "budget: threaded chain verifies clean" `Quick
       test_budget_clean_chain;
     Alcotest.test_case "budget: drop and unbudgeted kernel caught" `Quick

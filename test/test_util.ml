@@ -256,6 +256,33 @@ let test_trend_record_roundtrip () =
         (Some [ ("cache_hits", 4); ("verifier_calls", 8) ])
         (Trend.last history ~section:"hotpath" ~workload:"learn"))
 
+module Mono = Dwv_util.Mono
+
+(* Minor words of [n] clock reads. [Gc.minor_words] is unboxed, so the
+   meter itself allocates nothing. *)
+let mono_words n =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Mono.now ()))
+  done;
+  Gc.minor_words () -. w0
+
+(* Every read allocates the same, whether or not the clock moved since
+   the last one: 100k back-to-back reads see a few thousand distinct
+   instants, so a clock-dependent allocation cannot come out at exactly
+   [n] times the cost of one read. *)
+let test_mono_alloc_constant () =
+  let k = mono_words 1 in
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d reads allocate %d x one read" n n)
+        (float_of_int n *. k) (mono_words n))
+    [ 1_000; 100_000 ];
+  let a = Mono.now () in
+  let b = Mono.now () in
+  Alcotest.(check bool) "non-decreasing" true (b >= a)
+
 module Publish_once = Dwv_util.Publish_once
 
 let test_publish_once () =
@@ -310,6 +337,7 @@ let suite =
     Alcotest.test_case "svg empty raises" `Quick test_svg_empty_scene_raises;
     Alcotest.test_case "svg rect validation" `Quick test_svg_rect_validation;
     Alcotest.test_case "svg file save" `Quick test_svg_file_save;
+    Alcotest.test_case "mono clock allocation is constant" `Quick test_mono_alloc_constant;
     Alcotest.test_case "publish-once registry" `Quick test_publish_once;
     Alcotest.test_case "publish-once race" `Quick test_publish_once_race;
   ]
