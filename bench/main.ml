@@ -559,10 +559,14 @@ let initset_osc domains =
       in
       (verdict_of spec reachnn.Verifier.pipe, search))
 
-(* Monte-Carlo rates on ACC for the certified design θ=[0.55,−2,1.83]
-   (its X_I is all of X0): rollouts shard across domains. *)
+(* The certified ACC design θ=[0.55,−2,1.83]: its X_I is all of X0,
+   found only by refining the search to depth 7. *)
+let acc_marginal = Acc.controller_of_theta [| 0.55; -2.0; 1.83 |]
+
+(* Monte-Carlo rates on ACC for that design: rollouts shard across
+   domains. *)
 let rates_acc domains =
-  let c = Acc.sim_controller (Acc.controller_of_theta [| 0.55; -2.0; 1.83 |]) in
+  let c = Acc.sim_controller acc_marginal in
   Pool.with_pool ~domains (fun pool ->
       Evaluate.rates ~n:2000 ~pool ~rng:(Rng.create 2024) ~sys:Acc.sampled
         ~controller:c ~spec:Acc.spec ())
@@ -590,10 +594,11 @@ let par_not_slower w = w.p_par <= (w.p_seq *. 1.10) +. 0.05
    paper outcome, when any parallel path is slower than its sequential
    path, when any seq/par result or counter pair is not bit-identical,
    when a workload's Counters snapshot or exact minor words grow against
-   COUNTERS_history.json, when the aggregate speedup regresses more than
-   10% against a baseline recorded on the same core count (baselines
-   from different hardware are reported but not compared), or when
-   initset-osc falls behind its reference time. *)
+   COUNTERS_history.json, or when initset-osc falls behind its reference
+   time. The aggregate seq/par speedup is reported next to the previous
+   run's (same core count only), but it does not gate: five runs of
+   identical code read 1.31-2.02x, and every run overwrites the file it
+   would be compared with. *)
 
 (* Format of BENCH_hotpath.json; 3 is the first with the success-path
    workloads, so an older baseline timed different work and is not
@@ -685,8 +690,8 @@ let bprint_phases b phases =
   Printf.bprintf b "}"
 
 let write_hotpath_json ~domains_requested ~cores ~effective_domains ~aggregate_speedup
-    ~all_match ~outcomes_ok ~slowdown_ok ~baseline_cores ~baseline_aggregate ~baseline_ok
-    ~counters_ok ~reference_speedup ~reference_ok ~passed workloads path =
+    ~all_match ~outcomes_ok ~slowdown_ok ~counters_ok ~reference_speedup ~reference_ok
+    ~passed workloads path =
   let b = Buffer.create 2048 in
   Printf.bprintf b
     "{\n  \"version\": %d,\n  \"domains_requested\": %d,\n  \"cores\": %d,\n  \
@@ -719,15 +724,9 @@ let write_hotpath_json ~domains_requested ~cores ~effective_domains ~aggregate_s
     "  \"gate\": {\n    \"rule\": \"%s\",\n    \"outcomes_ok\": %b,\n    \
      \"slowdown_ok\": %b,\n"
     (json_escape gate_rule) outcomes_ok slowdown_ok;
-  (match (baseline_cores, baseline_aggregate) with
-  | Some bc, Some ba ->
-    Printf.bprintf b
-      "    \"baseline_cores\": %d,\n    \"baseline_aggregate\": %.3f,\n" bc ba
-  | _ -> ());
   Printf.bprintf b
-    "    \"baseline_ok\": %b,\n    \"counters_ok\": %b,\n    \"reference_ok\": %b,\n    \
-     \"passed\": %b\n  }\n}\n"
-    baseline_ok counters_ok reference_ok passed;
+    "    \"counters_ok\": %b,\n    \"reference_ok\": %b,\n    \"passed\": %b\n  }\n}\n"
+    counters_ok reference_ok passed;
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc
@@ -738,7 +737,8 @@ let print_hotpath ~domains () =
   Fmt.pr "--- Hot path: seq vs par at %d domains (%d cores -> %d effective) ---@."
     domains cores effective;
   let baseline_path = "BENCH_hotpath.json" in
-  (* read the committed baseline before this run overwrites it *)
+  (* the previous run's aggregate speedup, printed for reading the trend
+     (not gated); read before this run overwrites the file *)
   let baseline_cores_f, baseline_aggregate = read_hotpath_baseline baseline_path in
   let baseline_cores = Option.map int_of_float baseline_cores_f in
   ignore (Lazy.force osc_learned);
@@ -798,15 +798,9 @@ let print_hotpath ~domains () =
   let all_match = List.for_all (fun w -> w.p_match) workloads in
   let outcomes_ok = List.for_all (fun w -> w.p_outcome) workloads in
   let slowdown_ok = List.for_all par_not_slower workloads in
-  let baseline_ok =
-    match (baseline_cores, baseline_aggregate) with
-    | Some bc, Some ba when bc = cores -> aggregate_speedup >= 0.9 *. ba
-    | _ -> true (* first run, or baseline from different hardware *)
-  in
   (* deterministic ratchet: the seq counter snapshots and exact minor
      words are load-independent, so any growth against the committed
-     history is a real regression even when the wall-clock gate is
-     green *)
+     history is a real regression whatever the wall clock says *)
   let ratchet =
     Dwv_util.Trend.record ~path:"COUNTERS_history.json" ~section:"hotpath"
       (List.map
@@ -828,21 +822,20 @@ let print_hotpath ~domains () =
       [ (outcomes_ok, "a workload missed its paper outcome");
         (all_match, "seq/par mismatch");
         (slowdown_ok, "parallel slower than sequential");
-        (baseline_ok, ">10% regression vs baseline");
         (counters_ok, "counter or minor-word regression vs COUNTERS_history.json");
         (reference_ok, "initset-osc slower than twice its reference") ]
   in
   let passed = failures = [] in
   write_hotpath_json ~domains_requested:domains ~cores ~effective_domains:effective
-    ~aggregate_speedup ~all_match ~outcomes_ok ~slowdown_ok ~baseline_cores
-    ~baseline_aggregate ~baseline_ok ~counters_ok ~reference_speedup ~reference_ok
+    ~aggregate_speedup ~all_match ~outcomes_ok ~slowdown_ok ~counters_ok
+    ~reference_speedup ~reference_ok
     ~passed workloads baseline_path;
   Fmt.pr "aggregate speedup %.2fx%s, all results %s, gate %s [BENCH_hotpath.json written]@."
     aggregate_speedup
     (match (baseline_cores, baseline_aggregate) with
-    | Some bc, Some ba when bc = cores -> Fmt.str " (baseline %.2fx)" ba
-    | Some bc, Some _ -> Fmt.str " (baseline on %d cores: not compared)" bc
-    | _ -> " (no baseline)")
+    | Some bc, Some ba when bc = cores -> Fmt.str " (previous run %.2fx, not gated)" ba
+    | Some bc, Some _ -> Fmt.str " (previous run on %d cores)" bc
+    | _ -> " (no previous run)")
     (if all_match then "identical" else "MISMATCHED")
     (if passed then "passed" else Fmt.str "FAILED (%s)" (String.concat "; " failures));
   if not passed then exit 1
@@ -852,10 +845,12 @@ let print_hotpath ~domains () =
    Cold run: every verifier call computes fresh and deposits a
    certificate. Warm run: a new cache instance over the same directory
    replays every call from its validated certificate — zero fresh
-   flowpipes — with bit-identical results. A third run re-checks the
-   reject path: one stored certificate gets a single byte flipped on
-   disk; the checker must reject exactly that entry, recompute it fresh,
-   and still produce the cold result. *)
+   flowpipes — with bit-identical results. The workloads are paperbench
+   acc-linear's success paths, and each cold run must reach its paper
+   outcome. A third run re-checks the reject path: one certificate the
+   initset run stored gets a single byte flipped on disk; the checker
+   must reject exactly that entry, recompute it fresh, and still produce
+   the cold result. *)
 
 module Cert_cache = Dwv_cert.Cert_cache
 
@@ -873,15 +868,17 @@ let cert_bench_dir =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "dwv_bench_certs_%010d" (Unix.getpid ()))
 
+(* paperbench acc-linear's success paths: the depth-7 search for
+   [acc_marginal], and the G learn at seed 1, which ends at
+   Reach_avoid. *)
 let certs_initset cache =
-  let c = acc_init_for_seed 1 in
-  Initset.search ~max_depth:3
-    ~verify:(fun cell -> (Acc.verify_robust_from ?cache cell c).Verifier.pipe)
+  Initset.search ~max_depth:7
+    ~verify:(fun cell -> (Acc.verify_robust_from ?cache cell acc_marginal).Verifier.pipe)
     ~goal:Acc.spec.Spec.goal ~x0:Acc.spec.Spec.x0 ()
 
 let certs_learn cache =
   Learner.learn
-    { (acc_learn_cfg 0.2) with Learner.max_iters = 8; seed = 1 }
+    { (acc_learn_cfg 0.2) with Learner.seed = 1 }
     ~metric:Metrics.Geometric ~spec:Acc.spec
     ~verify:(fun ctrl -> (Acc.verify_robust ?cache ctrl).Verifier.pipe)
     ~init:(acc_init_for_seed 1)
@@ -892,6 +889,7 @@ type cert_run = {
   cr_warm : float;
   cr_match : bool;
   cr_clean : bool;   (* warm run all-hit: 0 miss, 0 reject, 0 fresh flowpipes *)
+  cr_outcome : bool;  (* the cold run reached its paper outcome *)
   cr_detail : string;
   cr_cold_counters : (string * int) list;
   cr_warm_counters : (string * int) list;
@@ -910,24 +908,25 @@ let counted_timed f =
 let count counters key = Option.value ~default:0 (List.assoc_opt key counters)
 
 let certs_gate_rule =
-  "initset warm >= 2x cold; warm runs all-hit (0 miss, 0 reject, 0 fresh \
+  "initset-acc certifies all of X0 and learn-acc ends Reach_avoid; initset warm >= \
+   2x cold; warm runs all-hit (0 miss, 0 reject, 0 fresh \
    flowpipes, hits = cold lookups); cold/warm results bit-identical; tampered \
    certificate rejected and recomputed to the identical result; counter totals \
    and minor words no worse than the last committed COUNTERS_history.json entry"
 
 let write_certs_json ~workloads ~tamper_rejects ~tamper_match ~initset_speedup_ok
-    ~counters_ok ~passed path =
+    ~outcomes_ok ~counters_ok ~passed path =
   let b = Buffer.create 2048 in
   Printf.bprintf b "{\n  \"version\": 1,\n  \"workloads\": [\n";
   List.iteri
     (fun i w ->
       Printf.bprintf b
         "    {\"name\": \"%s\", \"cold_seconds\": %.6f, \"warm_seconds\": %.6f, \
-         \"speedup\": %.3f, \"match\": %b, \"warm_clean\": %b, \"detail\": \"%s\",\n     \
-         \"counters_cold\": "
+         \"speedup\": %.3f, \"match\": %b, \"warm_clean\": %b, \"outcome\": %b, \
+         \"detail\": \"%s\",\n     \"counters_cold\": "
         (json_escape w.cr_name) w.cr_cold w.cr_warm
         (if w.cr_warm > 0.0 then w.cr_cold /. w.cr_warm else Float.nan)
-        w.cr_match w.cr_clean (json_escape w.cr_detail);
+        w.cr_match w.cr_clean w.cr_outcome (json_escape w.cr_detail);
       bprint_counters b w.cr_cold_counters;
       Printf.bprintf b ", \"counters_warm\": ";
       bprint_counters b w.cr_warm_counters;
@@ -935,9 +934,10 @@ let write_certs_json ~workloads ~tamper_rejects ~tamper_match ~initset_speedup_o
     workloads;
   Printf.bprintf b
     "  ],\n  \"tamper\": {\"rejects\": %d, \"match\": %b},\n  \"gate\": {\"rule\": \
-     \"%s\", \"initset_speedup_ok\": %b, \"counters_ok\": %b, \"passed\": %b}\n}\n"
-    tamper_rejects tamper_match (json_escape certs_gate_rule) initset_speedup_ok
-    counters_ok passed;
+     \"%s\", \"outcomes_ok\": %b, \"initset_speedup_ok\": %b, \"counters_ok\": %b, \
+     \"passed\": %b}\n}\n"
+    tamper_rejects tamper_match (json_escape certs_gate_rule) outcomes_ok
+    initset_speedup_ok counters_ok passed;
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc
@@ -946,7 +946,7 @@ let print_certs () =
   Fmt.pr "--- Certificates: cold vs warm cache, reject-on-tamper ---@.";
   remove_tree cert_bench_dir;
   let fresh_cache () = Some (Cert_cache.create ~dir:cert_bench_dir ()) in
-  let cert_workload name detail run equal =
+  let cert_workload name ~outcome detail run equal =
     let cold, t_cold, c_cold = counted_timed (fun () -> run (fresh_cache ())) in
     let warm, t_warm, c_warm = counted_timed (fun () -> run (fresh_cache ())) in
     let ok = equal cold warm in
@@ -960,26 +960,39 @@ let print_certs () =
       && count c_warm "cache_hits" = count c_cold "cache_hits" + count c_cold "cache_misses"
       && count c_warm "verifier_calls" = count c_cold "verifier_calls"
     in
-    Fmt.pr "%-12s  cold %.3fs  warm %.3fs  speedup %.2fx  %s  %s@." name t_cold t_warm
+    let reached = outcome cold in
+    Fmt.pr "%-12s  cold %.3fs  warm %.3fs  speedup %.2fx  %s  %s  %s  (%s)@." name t_cold
+      t_warm
       (if t_warm > 0.0 then t_cold /. t_warm else Float.nan)
       (if ok then "identical" else "MISMATCH")
-      (if clean then "all-hit" else "NOT-ALL-HIT");
+      (if clean then "all-hit" else "NOT-ALL-HIT")
+      (if reached then "outcome ok" else "OUTCOME MISSED")
+      (detail cold);
     ( { cr_name = name; cr_cold = t_cold; cr_warm = t_warm; cr_match = ok;
-        cr_clean = clean; cr_detail = detail cold;
+        cr_clean = clean; cr_outcome = reached; cr_detail = detail cold;
         cr_cold_counters = c_cold; cr_warm_counters = c_warm },
       cold )
   in
   let initset_w, initset_cold =
-    cert_workload "initset"
+    cert_workload "initset-acc"
+      ~outcome:(fun (r : Initset.result) -> r.Initset.coverage >= 1.0)
       (fun (r : Initset.result) ->
-        Fmt.str "acc depth 3, coverage=%.4f, %d calls" r.Initset.coverage
-          r.Initset.verifier_calls)
+        Fmt.str "acc theta=[0.55,-2,1.83] depth 7, coverage=%.4f, %d calls"
+          r.Initset.coverage r.Initset.verifier_calls)
       certs_initset initset_equal
   in
+  (* the tamper check below flips a certificate the initset run replays,
+     so pick it before the learn run adds its own *)
+  let initset_certs =
+    Sys.readdir cert_bench_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".dwvcert")
+    |> List.sort compare
+  in
   let learn_w, _ =
-    cert_workload "learn"
+    cert_workload "learn-acc"
+      ~outcome:(fun (r : Learner.result) -> r.Learner.verdict = Verifier.Reach_avoid)
       (fun (r : Learner.result) ->
-        Fmt.str "acc coordinate, CI=%d, %d calls, %s" r.Learner.iterations
+        Fmt.str "acc G seed 1, CI=%d, %d calls, %s" r.Learner.iterations
           r.Learner.verifier_calls
           (Dwv_reach.Verifier.verdict_to_string r.Learner.verdict))
       certs_learn learn_equal
@@ -988,10 +1001,7 @@ let print_certs () =
      checker must reject it (checksum), the rung recomputes fresh, and
      the result is still bit-identical to the cold run *)
   let tamper_file =
-    Sys.readdir cert_bench_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".dwvcert")
-    |> List.sort compare
-    |> function
+    match initset_certs with
     | [] -> None
     | f :: _ -> Some (Filename.concat cert_bench_dir f)
   in
@@ -1016,6 +1026,7 @@ let print_certs () =
   let workloads = [ initset_w; learn_w ] in
   let initset_speedup_ok = initset_w.cr_cold >= 2.0 *. initset_w.cr_warm in
   let all_ok = List.for_all (fun w -> w.cr_match && w.cr_clean) workloads in
+  let outcomes_ok = List.for_all (fun w -> w.cr_outcome) workloads in
   let ratchet =
     Dwv_util.Trend.record ~path:"COUNTERS_history.json" ~section:"certs"
       (List.concat_map
@@ -1027,13 +1038,14 @@ let print_certs () =
   List.iter (Fmt.pr "counters ratchet: %s@.") ratchet;
   let counters_ok = ratchet = [] in
   let passed =
-    initset_speedup_ok && all_ok && tamper_rejects >= 1 && tamper_match
+    outcomes_ok && initset_speedup_ok && all_ok && tamper_rejects >= 1 && tamper_match
     && counters_ok
   in
   write_certs_json ~workloads ~tamper_rejects ~tamper_match ~initset_speedup_ok
-    ~counters_ok ~passed "BENCH_certs.json";
+    ~outcomes_ok ~counters_ok ~passed "BENCH_certs.json";
   Fmt.pr "gate %s [BENCH_certs.json written]@."
     (if passed then "passed"
+     else if not outcomes_ok then "FAILED (a workload missed its paper outcome)"
      else if not initset_speedup_ok then "FAILED (warm initset not 2x faster)"
      else if not all_ok then "FAILED (warm run mismatched or not all-hit)"
      else if not counters_ok then

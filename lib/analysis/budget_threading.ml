@@ -20,7 +20,7 @@ let default_entries =
 
 let targets =
   [
-    "Rk45.integrate"; "Taylor_reach.step"; "Interval_reach.step";
+    "Taylor_reach.step"; "Interval_reach.step";
     "Closed_loop.taylor_kernel"; "Verifier.nn_flowpipe_outcome";
     "Verifier.nn_flowpipe"; "Verifier.nn_flowpipe_robust";
   ]

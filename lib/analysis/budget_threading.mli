@@ -25,8 +25,8 @@
     [Initset.search], the certificate checker and the scenario driver. *)
 val default_entries : string list
 
-(** Kernel call sites every path must reach budgeted: [Rk45.integrate],
-    the Taylor and interval period kernels ([Taylor_reach.step],
+(** Kernel call sites every path must reach budgeted: the Taylor and
+    interval period kernels ([Taylor_reach.step],
     [Interval_reach.step], [Closed_loop.taylor_kernel]) and the
     [Verifier] flowpipe drivers. *)
 val targets : string list

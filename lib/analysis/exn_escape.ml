@@ -39,7 +39,6 @@ let default_hot_modules =
     "Closed_loop";
     "Taylor_reach";
     "Robust_verify";
-    "Rk45";
     "Flowpipe";
     "Interval_reach";
     "Linear_reach";

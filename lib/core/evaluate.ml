@@ -10,27 +10,32 @@ module Rng = Dwv_util.Rng
 module Stats = Dwv_util.Stats
 module Pool = Dwv_parallel.Pool
 
-type rollout = { safe : bool; reached : bool; trace : Sampled_system.trace }
+type rollout = { safe : bool; reached : bool }
 
-let point_finite p = Array.for_all Float.is_finite p
+(* Allocation-free loops: they run on every dense state of every
+   rollout. *)
+let point_finite p =
+  let i = ref 0 in
+  while !i < Array.length p && Float.is_finite p.(!i) do
+    incr i
+  done;
+  !i = Array.length p
 
+let rec in_any p = function [] -> false | b :: rest -> Box.contains b p || in_any p rest
+
+(* The checks run on the states as the simulator streams them; no trace
+   is built. *)
 let rollout ?substeps ?avoid ~sys ~controller ~(spec : Spec.t) x0 =
   let avoid = match avoid with Some l -> l | None -> [ spec.Spec.unsafe ] in
-  let trace = Sampled_system.simulate ?substeps sys ~controller ~x0 ~steps:spec.Spec.steps in
+  let safe = ref true and reached = ref false in
   (* a NaN state would vacuously pass the box membership tests (NaN
      compares false against every bound), counting a blown-up simulation
      as safe; a non-finite trajectory is unsafe and never goal-reaching *)
-  let safe =
-    Array.for_all
-      (fun p -> point_finite p && not (List.exists (fun b -> Box.contains b p) avoid))
-      trace.Sampled_system.dense
-  in
-  let reached =
-    Array.exists
-      (fun p -> point_finite p && Spec.point_in_goal spec p)
-      trace.Sampled_system.dense
-  in
-  { safe; reached; trace }
+  Sampled_system.stream ?substeps sys ~controller ~x0 ~steps:spec.Spec.steps (fun p ->
+      let finite = point_finite p in
+      if not finite || in_any p avoid then safe := false;
+      if finite && Box.contains spec.Spec.goal p then reached := true);
+  { safe = !safe; reached = !reached }
 
 type rates = { safe_percent : float; goal_percent : float; n : int }
 

@@ -4,12 +4,13 @@
 type rollout = {
   safe : bool;     (** no densely-sampled state entered the avoid set *)
   reached : bool;  (** some state entered the goal box within the horizon *)
-  trace : Dwv_ode.Sampled_system.trace;
 }
 
-(** One rollout from a concrete initial state. [avoid] is the multi-box
-    avoid set (default: the spec's single unsafe box); a non-finite
-    trajectory is conservatively unsafe and never goal-reaching. *)
+(** One rollout from a concrete initial state, checked on the dense
+    states as {!Dwv_ode.Sampled_system.stream} produces them (no trace
+    is kept). [avoid] is the multi-box avoid set (default: the spec's
+    single unsafe box); a non-finite trajectory is conservatively
+    unsafe and never goal-reaching. *)
 val rollout :
   ?substeps:int ->
   ?avoid:Dwv_interval.Box.t list ->

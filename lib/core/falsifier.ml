@@ -13,27 +13,34 @@ module Sampled_system = Dwv_ode.Sampled_system
 module Rng = Dwv_util.Rng
 
 (* Signed distance from a point to a box: negative inside (depth to the
-   nearest face), positive outside (Euclidean gap). *)
-let signed_distance (box : Box.t) x =
+   nearest face), positive outside (Euclidean gap). It is written into
+   [cell.(k)] rather than returned, because a float returned from a call
+   is boxed and the robustness monitor runs this on every dense state. *)
+let signed_distance_into cell k (box : Box.t) x =
   let n = Box.dim box in
   if Box.contains box x then begin
     let depth = ref infinity in
     for i = 0 to n - 1 do
-      let iv = Box.get box i in
-      let d = Float.min (x.(i) -. I.lo iv) (I.hi iv -. x.(i)) in
+      let iv = box.(i) in
+      let d = Float.min (x.(i) -. iv.I.lo) (iv.I.hi -. x.(i)) in
       if d < !depth then depth := d
     done;
-    -. !depth
+    cell.(k) <- -. !depth
   end
   else begin
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
-      let iv = Box.get box i in
-      let gap = Float.max 0.0 (Float.max (I.lo iv -. x.(i)) (x.(i) -. I.hi iv)) in
+      let iv = box.(i) in
+      let gap = Float.max 0.0 (Float.max (iv.I.lo -. x.(i)) (x.(i) -. iv.I.hi)) in
       acc := !acc +. (gap *. gap)
     done;
-    sqrt !acc
+    cell.(k) <- sqrt !acc
   end
+
+let signed_distance box x =
+  let cell = [| 0.0 |] in
+  signed_distance_into cell 0 box x;
+  cell.(0)
 
 type property =
   | Safety          (* falsified when some state enters the avoid set *)
@@ -41,32 +48,48 @@ type property =
 
 (* Signed distance to a union of boxes: the minimum of the per-box signed
    distances (negative inside any member, positive Euclidean gap to the
-   nearest member outside all of them). *)
-let avoid_distance avoid x =
-  List.fold_left (fun acc box -> Float.min acc (signed_distance box x)) infinity avoid
+   nearest member outside all of them), folded in list order into
+   [cell.(0)], which the caller starts at infinity; [cell.(1)] holds
+   each box's distance. *)
+let rec avoid_distance_into cell x = function
+  | [] -> ()
+  | box :: rest ->
+    signed_distance_into cell 1 box x;
+    cell.(0) <- Float.min cell.(0) cell.(1);
+    avoid_distance_into cell x rest
 
-(* Trace robustness. Safety: min over the dense trace of the distance to
-   the avoid set ([avoid] defaults to the spec's single unsafe box;
-   obstacle-rich scenarios pass their whole multi-box avoid list).
-   Goal-reaching: -(min distance to the goal box). Both boxes are closed
+let avoid_distance avoid x =
+  let cell = [| infinity; 0.0 |] in
+  avoid_distance_into cell x avoid;
+  cell.(0)
+
+(* Trace robustness, computed on the states as the simulator streams
+   them. Safety: min over the dense trace of the distance to the avoid
+   set ([avoid] defaults to the spec's single unsafe box; obstacle-rich
+   scenarios pass their whole multi-box avoid list). Goal-reaching:
+   -(min distance to the goal box). Both boxes are closed
    (Box.contains / Verifier.goal_step semantics), so the boundary cases
    differ: robustness 0 means *touching* — which already violates safety
-   but still counts as reaching the goal. See [falsified] below. *)
+   but still counts as reaching the goal. See [falsified] below. The
+   running minimum lives in [cell.(2)]: a float ref captured by the
+   callback would be boxed on every update. *)
 let robustness ?avoid ~sys ~controller ~(spec : Spec.t) ~property x0 =
   let avoid = match avoid with Some l -> l | None -> [ spec.Spec.unsafe ] in
-  let trace = Sampled_system.simulate sys ~controller ~x0 ~steps:spec.Spec.steps in
+  let cell = [| 0.0; 0.0; infinity |] in
+  let steps = spec.Spec.steps in
   match property with
   | Safety ->
-    Array.fold_left
-      (fun acc x -> Float.min acc (avoid_distance avoid x))
-      infinity trace.Sampled_system.dense
+    Sampled_system.stream sys ~controller ~x0 ~steps (fun x ->
+        cell.(0) <- infinity;
+        avoid_distance_into cell x avoid;
+        cell.(2) <- Float.min cell.(2) cell.(0));
+    cell.(2)
   | Goal_reaching ->
-    let closest =
-      Array.fold_left
-        (fun acc x -> Float.min acc (signed_distance spec.Spec.goal x))
-        infinity trace.Sampled_system.dense
-    in
-    -.closest
+    let goal = spec.Spec.goal in
+    Sampled_system.stream sys ~controller ~x0 ~steps (fun x ->
+        signed_distance_into cell 0 goal x;
+        cell.(2) <- Float.min cell.(2) cell.(0));
+    -.cell.(2)
 
 type counterexample = {
   x0 : float array;        (* falsifying initial state (inside X_0) *)

@@ -15,9 +15,12 @@ type property =
 val avoid_distance : Dwv_interval.Box.t list -> float array -> float
 
 (** Trace robustness of one rollout; positive iff the property holds
-    with margin. Boxes are closed, so robustness 0 (touching) falsifies
-    [Safety] but still satisfies [Goal_reaching] — {!search} applies the
-    matching per-property threshold. [avoid] is the multi-box avoid set
+    with margin. Computed on the dense states as
+    {!Dwv_ode.Sampled_system.stream} produces them: the minimum over the
+    same states, in the same order, as over [simulate]'s [dense]. Boxes
+    are closed, so robustness 0 (touching) falsifies [Safety] but still
+    satisfies [Goal_reaching] — {!search} applies the matching
+    per-property threshold. [avoid] is the multi-box avoid set
     for [Safety] (default: the spec's single unsafe box). *)
 val robustness :
   ?avoid:Dwv_interval.Box.t list ->

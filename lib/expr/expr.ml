@@ -271,86 +271,170 @@ let ieval_vec f ~x ~u = Array.map (fun fi -> ieval fi ~x ~u) f
 
 (* Compiled numeric evaluation. [eval] walks the tree and returns a
    boxed float from every node, and it re-walks a subtree each time the
-   DAG shares it. [compile] flattens the DAG once into a straight-line
-   register program: one slot per distinct interned node, children
-   before parents, so a shared subtree runs once. [run] executes the
-   program into a caller-owned register file (an unboxed float array),
-   allocating nothing. Every slot applies the same IEEE operation to the
-   same operands as the corresponding [eval] case ([**] for [Pow], the
-   same libm calls), so the outputs are bit-identical to [eval_vec]. *)
+   DAG shares it. [compile] flattens the DAG once into a register
+   program, one slot per distinct interned node (a shared subtree runs
+   once), laid out as
 
-type instr =
-  | Load_const of float
-  | Load_var of int
-  | Load_input of int
-  | Op_add of int * int
-  | Op_sub of int * int
-  | Op_mul of int * int
-  | Op_div of int * int
-  | Op_neg of int
-  | Op_pow of int * int
-  | Op_sin of int
-  | Op_cos of int
-  | Op_exp of int
-  | Op_tanh of int
+     constants | x_0 .. x_(vars-1) | u_0 .. u_(inputs-1) | operations
 
-type program = { code : instr array; outputs : int array }
+   Each operation node becomes one closure that captures its operand
+   slots and its destination slot and writes that slot; the closures run
+   children before parents. There is no instruction variant to dispatch
+   on: a run is one indirect call per operation into straight-line code,
+   so its speed does not hinge on where a jump table lands in the
+   binary. [run] executes the program into a caller-owned register file
+   (an unboxed float array), allocating nothing. Every closure applies
+   the same IEEE operation to the same operands as the matching [eval]
+   case ([**] for [Pow], the same libm calls), so the outputs are
+   bit-identical to [eval_vec].
+
+   [exec] checks the register file's length against [slots] once per
+   run; every slot a closure captures is below [slots] by construction,
+   so the closures index without bounds checks. *)
+
+type program = {
+  consts : float array;  (* slot i < |consts| holds consts.(i) *)
+  vars : int;  (* state slots: 1 + the largest state index read *)
+  inputs : int;  (* input slots: 1 + the largest input index read *)
+  ops : (float array -> unit) array;  (* children before parents *)
+  outputs : int array;  (* slot of each output *)
+  slots : int;
+}
+
+(* The closure of operation node [e] writing slot [d]; [slot] gives the
+   children's slots. Each arm closes over plain ints, so no partial
+   application sits between the call and the arithmetic. *)
+let op_closure slot e d =
+  match e.node with
+  | Add (a, b) ->
+    let a = slot a and b = slot b in
+    fun (r : float array) -> Array.unsafe_set r d (Array.unsafe_get r a +. Array.unsafe_get r b)
+  | Sub (a, b) ->
+    let a = slot a and b = slot b in
+    fun (r : float array) -> Array.unsafe_set r d (Array.unsafe_get r a -. Array.unsafe_get r b)
+  | Mul (a, b) ->
+    let a = slot a and b = slot b in
+    fun (r : float array) -> Array.unsafe_set r d (Array.unsafe_get r a *. Array.unsafe_get r b)
+  | Div (a, b) ->
+    let a = slot a and b = slot b in
+    fun (r : float array) -> Array.unsafe_set r d (Array.unsafe_get r a /. Array.unsafe_get r b)
+  | Neg a ->
+    let a = slot a in
+    fun (r : float array) -> Array.unsafe_set r d (-.Array.unsafe_get r a)
+  | Pow (a, n) ->
+    let a = slot a and fn = float_of_int n in
+    fun (r : float array) -> Array.unsafe_set r d (Array.unsafe_get r a ** fn)
+  | Sin a ->
+    let a = slot a in
+    fun (r : float array) -> Array.unsafe_set r d (sin (Array.unsafe_get r a))
+  | Cos a ->
+    let a = slot a in
+    fun (r : float array) -> Array.unsafe_set r d (cos (Array.unsafe_get r a))
+  | Exp a ->
+    let a = slot a in
+    fun (r : float array) -> Array.unsafe_set r d (exp (Array.unsafe_get r a))
+  | Tanh a ->
+    let a = slot a in
+    fun (r : float array) -> Array.unsafe_set r d (tanh (Array.unsafe_get r a))
+  | Const _ | Var _ | Input _ -> invalid_arg "Expr.compile: a leaf is not an operation"
 
 let compile f =
-  let slot_of = Hashtbl.create 64 in
-  let code = ref [] and next = ref 0 in
+  (* distinct nodes, children before parents *)
+  let seen = Hashtbl.create 64 and order = ref [] in
   let rec visit e =
-    match Hashtbl.find_opt slot_of e.id with
-    | Some s -> s
-    | None ->
-      let instr =
-        match e.node with
-        | Const c -> Load_const c
-        | Var i -> Load_var i
-        | Input j -> Load_input j
-        | Add (a, b) -> let a = visit a in Op_add (a, visit b)
-        | Sub (a, b) -> let a = visit a in Op_sub (a, visit b)
-        | Mul (a, b) -> let a = visit a in Op_mul (a, visit b)
-        | Div (a, b) -> let a = visit a in Op_div (a, visit b)
-        | Neg a -> Op_neg (visit a)
-        | Pow (a, n) -> Op_pow (visit a, n)
-        | Sin a -> Op_sin (visit a)
-        | Cos a -> Op_cos (visit a)
-        | Exp a -> Op_exp (visit a)
-        | Tanh a -> Op_tanh (visit a)
-      in
-      let s = !next in
-      incr next;
-      code := instr :: !code;
-      Hashtbl.add slot_of e.id s;
-      s
+    if not (Hashtbl.mem seen e.id) then begin
+      (match e.node with
+      | Const _ -> ()
+      | Var i | Input i -> if i < 0 then invalid_arg "Expr.compile: negative index"
+      | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) ->
+        visit a;
+        visit b
+      | Neg a | Pow (a, _) | Sin a | Cos a | Exp a | Tanh a -> visit a);
+      Hashtbl.add seen e.id ();
+      order := e :: !order
+    end
   in
-  let outputs = Array.map visit f in
-  { code = Array.of_list (List.rev !code); outputs }
+  Array.iter visit f;
+  let nodes = List.rev !order in
+  let consts =
+    Array.of_list (List.filter_map (fun e -> match e.node with Const c -> Some c | _ -> None) nodes)
+  in
+  let vars, inputs =
+    List.fold_left
+      (fun (v, w) e ->
+        match e.node with
+        | Var i -> (max v (i + 1), w)
+        | Input j -> (v, max w (j + 1))
+        | _ -> (v, w))
+      (0, 0) nodes
+  in
+  let nc = Array.length consts in
+  let slot_of = Hashtbl.create 64 in
+  let slot e = Hashtbl.find slot_of e.id in
+  let next_const = ref 0 and next_op = ref (nc + vars + inputs) and ops = ref [] in
+  List.iter
+    (fun e ->
+      let s =
+        match e.node with
+        | Const _ ->
+          incr next_const;
+          !next_const - 1
+        | Var i -> nc + i
+        | Input j -> nc + vars + j
+        | _ ->
+          let d = !next_op in
+          incr next_op;
+          (* build the closure first: [op_closure] reads the children's
+             slots, which [nodes] has already assigned *)
+          let op = op_closure slot e d in
+          ops := op :: !ops;
+          d
+      in
+      Hashtbl.add slot_of e.id s)
+    nodes;
+  {
+    consts;
+    vars;
+    inputs;
+    ops = Array.of_list (List.rev !ops);
+    outputs = Array.map slot f;
+    slots = !next_op;
+  }
 
-let slots p = Array.length p.code
+let slots p = p.slots
 let outputs p = Array.length p.outputs
+let vars p = p.vars
+let inputs p = p.inputs
+let var_slot p i = Array.length p.consts + i
+let input_slot p j = Array.length p.consts + p.vars + j
+let output_slot p k = p.outputs.(k)
+
+let registers p =
+  let regs = Array.make p.slots 0.0 in
+  Array.blit p.consts 0 regs 0 (Array.length p.consts);
+  regs
+
+let exec p regs =
+  if Array.length regs < p.slots then invalid_arg "Expr.run: register file too small";
+  let ops = p.ops in
+  for k = 0 to Array.length ops - 1 do
+    (Array.unsafe_get ops k) regs
+  done
 
 let run p ~regs ~x ~u out =
-  let code = p.code in
-  if Array.length regs < Array.length code then invalid_arg "Expr.run: register file too small";
+  if Array.length regs < p.slots then invalid_arg "Expr.run: register file too small";
   if Array.length out < Array.length p.outputs then invalid_arg "Expr.run: output too small";
-  for s = 0 to Array.length code - 1 do
-    match code.(s) with
-    | Load_const c -> regs.(s) <- c
-    | Load_var i -> regs.(s) <- x.(i)
-    | Load_input j -> regs.(s) <- u.(j)
-    | Op_add (a, b) -> regs.(s) <- regs.(a) +. regs.(b)
-    | Op_sub (a, b) -> regs.(s) <- regs.(a) -. regs.(b)
-    | Op_mul (a, b) -> regs.(s) <- regs.(a) *. regs.(b)
-    | Op_div (a, b) -> regs.(s) <- regs.(a) /. regs.(b)
-    | Op_neg a -> regs.(s) <- -.regs.(a)
-    | Op_pow (a, n) -> regs.(s) <- regs.(a) ** float_of_int n
-    | Op_sin a -> regs.(s) <- sin regs.(a)
-    | Op_cos a -> regs.(s) <- cos regs.(a)
-    | Op_exp a -> regs.(s) <- exp regs.(a)
-    | Op_tanh a -> regs.(s) <- tanh regs.(a)
+  let nc = Array.length p.consts in
+  for i = 0 to nc - 1 do
+    regs.(i) <- p.consts.(i)
   done;
+  for i = 0 to p.vars - 1 do
+    regs.(nc + i) <- x.(i)
+  done;
+  for j = 0 to p.inputs - 1 do
+    regs.(nc + p.vars + j) <- u.(j)
+  done;
+  exec p regs;
   for k = 0 to Array.length p.outputs - 1 do
     out.(k) <- regs.(p.outputs.(k))
   done

@@ -107,13 +107,17 @@ val ieval_vec :
 
 (** {1 Compiled evaluation} *)
 
-(** A vector of expressions flattened into a straight-line register
-    program: one slot per distinct interned node, children before
-    parents, so subtrees shared in the DAG are computed once. Immutable,
-    so one program may be run from several domains at once. *)
+(** A vector of expressions flattened into a register program: one slot
+    per distinct interned node, so subtrees shared in the DAG are
+    computed once. The register file is laid out as the constants, then
+    the state slots [x_0 .. x_(vars-1)], then the input slots
+    [u_0 .. u_(inputs-1)], then one slot per operation node, written by
+    one closure per operation, children before parents. Immutable, so
+    one program may be run from several domains at once. *)
 type program
 
-(** Compile [f] once; run it with {!run}. *)
+(** Compile [f] once; run it with {!run}. Raises [Invalid_argument] on a
+    negative variable or input index. *)
 val compile : t array -> program
 
 (** Register-file length {!run} needs. *)
@@ -131,6 +135,40 @@ val outputs : program -> int
     or input index (as {!eval} does). *)
 val run :
   program -> regs:float array -> x:float array -> u:float array -> float array -> unit
+
+(** {2 Register-level access}
+
+    For an integrator that keeps its state in the register file: load
+    the constants once ({!registers}), write the state and input slots
+    directly, {!exec}, and read the outputs from their slots. An output
+    slot may be a constant, state or input slot ([x1' = x2], a
+    parameter's [0] derivative), so copy every output out before
+    writing the state slots again. *)
+
+(** State slots: 1 + the largest state index [f] reads (0 if none). *)
+val vars : program -> int
+
+(** Input slots: 1 + the largest input index [f] reads (0 if none). *)
+val inputs : program -> int
+
+(** Slot of [x_i]; the state slots are contiguous, so it is
+    [var_slot p 0 + i]. *)
+val var_slot : program -> int -> int
+
+(** Slot of [u_j], [input_slot p 0 + j]. *)
+val input_slot : program -> int -> int
+
+(** Slot holding output [k] after {!exec}. *)
+val output_slot : program -> int -> int
+
+(** A fresh register file of length [slots p] with the constants
+    loaded. *)
+val registers : program -> float array
+
+(** Run the operations over [regs], whose constant, state and input
+    slots the caller has loaded; allocates nothing. Raises
+    [Invalid_argument] when [regs] is shorter than [slots p]. *)
+val exec : program -> float array -> unit
 
 (** Structural equality — O(1): hash-consing makes it a physical
     identity check. Float constants keep [Float.equal] semantics (NaN is

@@ -36,11 +36,17 @@ let is_finite b =
 
 let volume b = Array.fold_left (fun acc iv -> acc *. Interval.width iv) 1.0 b
 
-let contains b x =
-  dim b = Array.length x
-  && (let ok = ref true in
-      Array.iteri (fun i iv -> if not (Interval.contains iv x.(i)) then ok := false) b;
-      !ok)
+(* A plain loop over the bounds: the rollout monitors call this on every
+   dense state, so it allocates nothing. *)
+let contains (b : t) x =
+  let n = Array.length b in
+  n = Array.length x
+  &&
+  let i = ref 0 in
+  while !i < n && b.(!i).Interval.lo <= x.(!i) && x.(!i) <= b.(!i).Interval.hi do
+    incr i
+  done;
+  !i = n
 
 let subset a b =
   dim a = dim b

@@ -161,6 +161,9 @@ let write path history =
   output_string oc (Buffer.contents b);
   close_out oc
 
+(* A regressed snapshot is reported and NOT appended: appending it
+   would make it the baseline, and a rerun in the same checkout would
+   pass against it. *)
 let record ~path ~section workloads =
   let history = load path in
   let msgs = ref [] in
@@ -170,12 +173,15 @@ let record ~path ~section workloads =
         let counters = List.sort compare counters in
         match last history ~section ~workload with
         | Some prev when prev = counters -> None
-        | Some prev ->
-          List.iter
-            (fun m ->
-              msgs := Printf.sprintf "[%s/%s] %s" section workload m :: !msgs)
-            (regressions ~prev counters);
-          Some { section; workload; counters }
+        | Some prev -> (
+          match regressions ~prev counters with
+          | [] -> Some { section; workload; counters }
+          | found ->
+            List.iter
+              (fun m ->
+                msgs := Printf.sprintf "[%s/%s] %s" section workload m :: !msgs)
+              found;
+            None)
         | None -> Some { section; workload; counters })
       workloads
   in

@@ -6,8 +6,10 @@
     shift, independent of wall clock. The history file accumulates one
     entry per (section, workload) change; the gate fails when work
     counters grow or the certificate-cache hit rate drops relative to
-    the last committed entry, and a legitimate cost increase is accepted
-    by committing the appended entry. *)
+    the last committed entry. A regressed snapshot is never appended, so
+    the gate keeps failing until the cost is mended; a legitimate cost
+    increase is accepted by appending its entry to the file by hand, in
+    a reviewed commit. *)
 
 type entry = {
   section : string;  (** bench section, e.g. "hotpath" *)
@@ -31,10 +33,12 @@ val last :
 val regressions : prev:(string * int) list -> (string * int) list -> string list
 
 (** Gate helper: for each [(workload, snapshot)], compare against the
-    last committed entry for [(section, workload)], append every
-    changed snapshot to the file at [path], and return the prefixed
-    regression messages (empty = ratchet passes). First-ever snapshots
-    seed the history and cannot regress. *)
+    last committed entry for [(section, workload)], append every changed
+    snapshot that shows no regression to the file at [path], and return
+    the prefixed regression messages of the others (empty = ratchet
+    passes). A regressed snapshot is not appended, so recording it again
+    fails again. First-ever snapshots seed the history and cannot
+    regress. *)
 val record :
   path:string ->
   section:string ->

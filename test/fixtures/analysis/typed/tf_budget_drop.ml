@@ -6,9 +6,9 @@
    - [verify] also calls [middle], which *does* accept ?budget and
      consumes it, but the call omits the argument -> budget-drop error. *)
 
-let helper ~f x = Rk45.integrate ~f x
+let helper ~f x = Interval_reach.step ~f x
 
-let middle ?budget ~f x = Rk45.integrate ?budget ~f x
+let middle ?budget ~f x = Interval_reach.step ?budget ~f x
 
 let verify ?budget x =
   (match budget with

@@ -4,7 +4,7 @@
    nothing. *)
 
 let refine ?budget ~f x =
-  let x' = Rk45.integrate ?budget ~f x in
+  let x' = Interval_reach.step ?budget ~f x in
   x' +. 1.0
 
 let verify ?budget x =

@@ -429,6 +429,141 @@ let test_evaluate_rollout_fields () =
   Alcotest.(check bool) "safe" true r.Evaluate.safe;
   Alcotest.(check bool) "reached" true r.Evaluate.reached
 
+(* ---------------- streamed monitors = their trace definitions ---------------- *)
+
+(* A random 2-D closed loop: linear part, a cubic term and an [exp]
+   term that can blow the explicit RK4 up to infinity and NaN, an
+   affine controller, a goal box and 0-3 avoid boxes. *)
+type loop_case = {
+  coeffs : float array;  (* a00 a01 a10 a11 cubic expo *)
+  gain : float array;  (* k0 k1 bias *)
+  lc_x0 : float array;
+  goal_c : float array;  (* goal centre x, y, half-width *)
+  avoid_c : float array list;  (* box centre x, y, half-width *)
+  lc_steps : int;
+  lc_delta : float;
+}
+
+let gen_loop_case =
+  let open QCheck.Gen in
+  let coef = float_range (-2.0) 2.0 in
+  let* coeffs = array_repeat 6 coef in
+  let* gain = array_repeat 3 coef in
+  let* lc_x0 = array_repeat 2 (float_range (-1.5) 1.5) in
+  let centre = triple (float_range (-1.5) 1.5) (float_range (-1.5) 1.5) (float_range 0.05 0.8) in
+  let* gx, gy, gw = centre in
+  let* avoid = list_size (int_bound 3) centre in
+  let* lc_steps = int_range 1 8 in
+  let* lc_delta = float_range 0.05 0.8 in
+  return
+    {
+      coeffs;
+      gain;
+      lc_x0;
+      goal_c = [| gx; gy; gw |];
+      avoid_c = List.map (fun (x, y, w) -> [| x; y; w |]) avoid;
+      lc_steps;
+      lc_delta;
+    }
+
+let print_loop_case c =
+  let fl a = String.concat "," (Array.to_list (Array.map (Fmt.str "%h") a)) in
+  Fmt.str "coeffs=[%s] gain=[%s] x0=[%s] goal=[%s] avoid=[%s] steps=%d delta=%h" (fl c.coeffs)
+    (fl c.gain) (fl c.lc_x0) (fl c.goal_c)
+    (String.concat ";" (List.map fl c.avoid_c))
+    c.lc_steps c.lc_delta
+
+let centred_box c = box2 (c.(0) -. c.(2)) (c.(0) +. c.(2)) (c.(1) -. c.(2)) (c.(1) +. c.(2))
+
+let loop_of_case c =
+  let k = c.coeffs in
+  let f =
+    Expr.
+      [|
+        add (add (scale k.(0) (var 0)) (scale k.(1) (var 1))) (add (scale k.(4) (pow (var 0) 3)) (input 0));
+        add (add (scale k.(2) (var 0)) (scale k.(3) (var 1))) (scale k.(5) (exp_ (scale 2.0 (var 1))));
+      |]
+  in
+  let sys = Dwv_ode.Sampled_system.make ~f ~n:2 ~m:1 ~delta:c.lc_delta in
+  let g = c.gain in
+  let controller x = [| (g.(0) *. x.(0)) +. (g.(1) *. x.(1)) +. g.(2) |] in
+  let spec =
+    Spec.make ~name:"random loop" ~x0:(box2 (-1.5) 1.5 (-1.5) 1.5)
+      ~unsafe:(box2 5.0 6.0 5.0 6.0) ~goal:(centred_box c.goal_c) ~delta:c.lc_delta
+      ~steps:c.lc_steps
+  in
+  (sys, controller, spec, List.map centred_box c.avoid_c)
+
+(* The definitions, over the recorded dense trace, written from the
+   box bounds up so they share no code with the monitors. *)
+let ref_finite p = Array.for_all Float.is_finite p
+
+let ref_inside b p =
+  let ok = ref true in
+  Array.iteri (fun i iv -> if not (I.lo iv <= p.(i) && p.(i) <= I.hi iv) then ok := false) b;
+  !ok
+
+let ref_signed_distance b p =
+  if ref_inside b p then
+    -.Array.fold_left Float.min infinity
+        (Array.mapi (fun i iv -> Float.min (p.(i) -. I.lo iv) (I.hi iv -. p.(i))) b)
+  else
+    sqrt
+      (Array.fold_left ( +. ) 0.0
+         (Array.mapi
+            (fun i iv ->
+              let gap = Float.max 0.0 (Float.max (I.lo iv -. p.(i)) (p.(i) -. I.hi iv)) in
+              gap *. gap)
+            b))
+
+let same_float a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_streamed_monitors =
+  QCheck.Test.make ~name:"streamed rollout checks equal their dense-trace definitions" ~count:300
+    (QCheck.make ~print:print_loop_case gen_loop_case)
+    (fun c ->
+      let sys, controller, spec, avoid = loop_of_case c in
+      let dense =
+        (Dwv_ode.Sampled_system.simulate sys ~controller ~x0:c.lc_x0 ~steps:spec.Spec.steps)
+          .Dwv_ode.Sampled_system.dense
+      in
+      let safe =
+        Array.for_all (fun p -> ref_finite p && not (List.exists (fun b -> ref_inside b p) avoid)) dense
+      in
+      let reached = Array.exists (fun p -> ref_finite p && ref_inside spec.Spec.goal p) dense in
+      let min_over g = Array.fold_left (fun acc p -> Float.min acc (g p)) infinity dense in
+      let rob_safety =
+        min_over (fun p ->
+            List.fold_left (fun acc b -> Float.min acc (ref_signed_distance b p)) infinity avoid)
+      in
+      let rob_goal = -.min_over (ref_signed_distance spec.Spec.goal) in
+      let r = Evaluate.rollout ~avoid ~sys ~controller ~spec c.lc_x0 in
+      let robustness property =
+        Falsifier.robustness ~avoid ~sys ~controller ~spec ~property c.lc_x0
+      in
+      r.Evaluate.safe = safe && r.Evaluate.reached = reached
+      && same_float (robustness Falsifier.Safety) rob_safety
+      && same_float (robustness Falsifier.Goal_reaching) rob_goal)
+
+let test_streamed_monitors_see_nan () =
+  (* the property's generator must actually produce blown-up and
+     avoid-hitting trajectories, or it proves nothing about them *)
+  let rng = Random.State.make [| 7 |] in
+  let nan_seen = ref 0 and unsafe_seen = ref 0 and reached_seen = ref 0 in
+  for _ = 1 to 300 do
+    let c = gen_loop_case rng in
+    let sys, controller, spec, avoid = loop_of_case c in
+    let r = Evaluate.rollout ~avoid ~sys ~controller ~spec c.lc_x0 in
+    let tr = Dwv_ode.Sampled_system.simulate sys ~controller ~x0:c.lc_x0 ~steps:spec.Spec.steps in
+    if Array.exists (fun p -> not (ref_finite p)) tr.Dwv_ode.Sampled_system.dense then incr nan_seen;
+    if not r.Evaluate.safe then incr unsafe_seen;
+    if r.Evaluate.reached then incr reached_seen
+  done;
+  Alcotest.(check bool) "non-finite trajectories generated" true (!nan_seen >= 10);
+  Alcotest.(check bool) "unsafe rollouts generated" true (!unsafe_seen >= 30);
+  Alcotest.(check bool) "goal-reaching rollouts generated" true (!reached_seen >= 30)
+
 (* ---------------- spec serialization ---------------- *)
 
 let nasty_floats =
@@ -649,6 +784,8 @@ let suite =
     Alcotest.test_case "evaluate stabilizing" `Quick test_evaluate_stabilizing;
     Alcotest.test_case "evaluate unsafe" `Quick test_evaluate_unsafe_controller;
     Alcotest.test_case "evaluate rollout" `Quick test_evaluate_rollout_fields;
+    QCheck_alcotest.to_alcotest prop_streamed_monitors;
+    Alcotest.test_case "streamed monitors cover NaN" `Quick test_streamed_monitors_see_nan;
     Alcotest.test_case "spec round-trip nasty floats" `Quick test_spec_roundtrip_nasty;
     QCheck_alcotest.to_alcotest prop_spec_roundtrip;
     Alcotest.test_case "spec of_string garbage" `Quick test_spec_of_string_garbage;

@@ -12,7 +12,6 @@ module Activation = Dwv_nn.Activation
 module Rng = Dwv_util.Rng
 module Flowpipe = Dwv_reach.Flowpipe
 module Verifier = Dwv_reach.Verifier
-module Rk45 = Dwv_ode.Rk45
 module Spec = Dwv_core.Spec
 module Controller = Dwv_core.Controller
 module Learner = Dwv_core.Learner
@@ -52,13 +51,27 @@ let test_step_budget_is_a_value () =
   Alcotest.(check string) "overdraw refused" "budget" (kind_of (Budget.spend_steps ~n:2 b));
   Alcotest.(check bool) "exact fit ok" true (Result.is_ok (Budget.spend_steps ~n:1 b))
 
-let test_rk45_nonfinite_is_a_value () =
-  (* a NaN initial state must come back as a structured non-finite error,
-     not an exception or a silent NaN trajectory *)
-  let f = [| Expr.neg (Expr.var 0) |] in
-  match Rk45.integrate ~f ~u:[||] ~duration:1.0 [| Float.nan |] with
-  | Ok _ -> Alcotest.fail "NaN state integrated"
-  | Error e -> Alcotest.(check string) "non-finite kind" "non-finite" (Dwv_error.kind_name e)
+let test_nonfinite_box_is_a_value () =
+  (* a period whose interval arithmetic overflows to infinity must come
+     back as a structured non-finite error on a truncated pipe, not an
+     exception or a silent infinite box *)
+  let x0 = Box.make ~lo:[| 1e308 |] ~hi:[| 1e308 |] in
+  let o =
+    Dwv_reach.Closed_loop.run ~delta:0.1 ~steps:3 ~x0
+      {
+        Dwv_reach.Closed_loop.backend = "test";
+        where = "test";
+        init = x0;
+        bound = Fun.id;
+        step = (fun _ x -> let y = Array.map (fun i -> I.add i i) x in Ok (y, Box.hull x y));
+      }
+  in
+  Alcotest.(check bool) "pipe marked diverged" true (Flowpipe.diverged o.Flowpipe.pipe);
+  match o.Flowpipe.error with
+  | None -> Alcotest.fail "no structured error attached"
+  | Some e ->
+    Alcotest.(check string) "non-finite kind" "non-finite" (Dwv_error.kind_name e);
+    Alcotest.(check (option int)) "at the first period" (Some 1) e.Dwv_error.step
 
 (* ---------------- the generic fallback ladder ---------------- *)
 
@@ -478,7 +491,7 @@ let suite =
     Alcotest.test_case "deadline is a value" `Quick test_deadline_is_a_value;
     Alcotest.test_case "call budget is a value" `Quick test_call_budget_is_a_value;
     Alcotest.test_case "step budget is a value" `Quick test_step_budget_is_a_value;
-    Alcotest.test_case "rk45 non-finite is a value" `Quick test_rk45_nonfinite_is_a_value;
+    Alcotest.test_case "non-finite box is a value" `Quick test_nonfinite_box_is_a_value;
     Alcotest.test_case "ladder falls through in order" `Quick test_ladder_falls_through_in_order;
     Alcotest.test_case "ladder spends call budget" `Quick test_ladder_spends_call_budget;
     Alcotest.test_case "fault plan scoped + deterministic" `Quick

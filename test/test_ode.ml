@@ -36,8 +36,13 @@ let test_rk4_fourth_order_convergence () =
   Alcotest.(check bool) "order ~4" true (e_coarse /. Float.max e_fine 1e-18 > 8.0)
 
 let test_rk4_dense_endpoints () =
+  (* one streamed period: the start state, then every RK4 substep *)
   let f = [| Expr.neg (Expr.var 0) |] in
-  let states = Rk4.integrate_dense ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:10 [| 2.0 |] in
+  let sys = Sampled_system.make ~f ~n:1 ~m:0 ~delta:1.0 in
+  let states = ref [] in
+  Sampled_system.stream sys ~controller:(fun _ -> [||]) ~x0:[| 2.0 |] ~steps:1 (fun x ->
+      states := Array.copy x :: !states);
+  let states = Array.of_list (List.rev !states) in
   Alcotest.(check int) "count" 11 (Array.length states);
   Alcotest.(check (float 1e-12)) "initial" 2.0 states.(0).(0);
   let final = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:1.0 ~substeps:10 [| 2.0 |] in
@@ -114,52 +119,22 @@ let test_make_validation () =
   Alcotest.check_raises "arity" (Invalid_argument "Sampled_system.make: |f| must equal n")
     (fun () -> ignore (Sampled_system.make ~f:[| Expr.var 0 |] ~n:2 ~m:0 ~delta:0.1))
 
-module Rk45 = Dwv_ode.Rk45
-
-let rk45_ok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "rk45 failed: %s" (Dwv_robust.Dwv_error.to_string e)
-
-let test_rk45_exponential () =
-  let f = [| Expr.neg (Expr.var 0) |] in
-  let x, stats = rk45_ok (Rk45.integrate ~f ~u:[||] ~duration:2.0 [| 1.0 |]) in
-  Alcotest.(check (float 1e-8)) "e^-2" (exp (-2.0)) x.(0);
-  Alcotest.(check bool) "accepted steps" true (stats.Rk45.steps_accepted > 0)
-
-let test_rk45_harmonic_long () =
-  (* one full period of the harmonic oscillator: x returns to start *)
-  let f = [| Expr.var 1; Expr.neg (Expr.var 0) |] in
-  let x, _ =
-    rk45_ok (Rk45.integrate ~rtol:1e-10 ~f ~u:[||] ~duration:(2.0 *. Float.pi) [| 1.0; 0.0 |])
-  in
-  Alcotest.(check (float 1e-6)) "x1 returns" 1.0 x.(0);
-  Alcotest.(check (float 1e-6)) "x2 returns" 0.0 x.(1)
-
-let test_rk45_matches_rk4 () =
-  let f = Dwv_systems.Oscillator.dynamics in
-  let u = [| 0.4 |] in
-  let x0 = [| -0.5; 0.5 |] in
-  let reference = Rk4.integrate ~f:(Expr.compile f) ~u ~duration:1.0 ~substeps:2000 x0 in
-  let adaptive, _ = rk45_ok (Rk45.integrate ~rtol:1e-10 ~atol:1e-12 ~f ~u ~duration:1.0 x0) in
-  Alcotest.(check (float 1e-7)) "x1 agrees" reference.(0) adaptive.(0);
-  Alcotest.(check (float 1e-7)) "x2 agrees" reference.(1) adaptive.(1)
-
-let test_rk45_adapts_step () =
-  (* a loose tolerance must take far fewer steps than a tight one *)
-  let f = [| Expr.(mul (neg (var 0)) (cos_ (var 0))) |] in
-  let _, loose = rk45_ok (Rk45.integrate ~rtol:1e-4 ~f ~u:[||] ~duration:5.0 [| 1.0 |]) in
-  let _, tight = rk45_ok (Rk45.integrate ~rtol:1e-12 ~f ~u:[||] ~duration:5.0 [| 1.0 |]) in
-  Alcotest.(check bool) "fewer steps when loose" true
-    (loose.Rk45.steps_accepted < tight.Rk45.steps_accepted)
-
-let test_rk45_step_budget_is_a_value () =
-  (* an impossible budget must come back as a structured error, not kill
-     the caller with an exception *)
-  let f = [| Expr.neg (Expr.var 0) |] in
-  match Rk45.integrate ~max_steps:2 ~h0:1e-6 ~f ~u:[||] ~duration:10.0 [| 1.0 |] with
-  | Ok _ -> Alcotest.fail "expected budget exhaustion"
-  | Error e ->
-    Alcotest.(check string) "taxonomy" "budget" (Dwv_robust.Dwv_error.kind_name e)
+let test_rk4_matches_closed_form () =
+  (* forced harmonic oscillator x1' = x2, x2' = -x1 + u under a held
+     input: x1 = u + (x1(0) - u) cos t + x2(0) sin t,
+     x2 = -(x1(0) - u) sin t + x2(0) cos t *)
+  let f = [| Expr.var 1; Expr.(add (neg (var 0)) (input 0)) |] in
+  let u = 0.4 and a = -0.5 and b = 0.5 and t = 1.0 in
+  let x = Rk4.integrate ~f:(Expr.compile f) ~u:[| u |] ~duration:t ~substeps:200 [| a; b |] in
+  Alcotest.(check (float 1e-10)) "x1" (u +. ((a -. u) *. cos t) +. (b *. sin t)) x.(0);
+  Alcotest.(check (float 1e-10)) "x2" (-.((a -. u) *. sin t) +. (b *. cos t)) x.(1);
+  (* logistic x' = x - x^2: x = x0 e^t / (1 - x0 + x0 e^t) *)
+  let f = [| Expr.(sub (var 0) (pow (var 0) 2)) |] in
+  let x0 = 0.2 and t = 2.0 in
+  let x = Rk4.integrate ~f:(Expr.compile f) ~u:[||] ~duration:t ~substeps:200 [| x0 |] in
+  Alcotest.(check (float 1e-10)) "logistic"
+    (x0 *. exp t /. (1.0 -. x0 +. (x0 *. exp t)))
+    x.(0)
 
 let prop_linear_decay_matches_exact =
   QCheck.Test.make ~name:"rk4 matches exact linear solution" ~count:100
@@ -280,6 +255,37 @@ let test_golden_simulation () =
     (List.map (fun (name, expected, _) -> (name, expected)) golden_sim)
     got
 
+(* A controller that returns its own argument (u = x, m = n): the input
+   it holds for a period must be the state at the period start, not the
+   buffer the steps go on to overwrite. The digest was recorded on the
+   simulator that built every state as a fresh array. *)
+let test_controller_returns_argument () =
+  let sys =
+    Sampled_system.make
+      ~f:Expr.[| add (var 1) (scale 0.5 (input 0)); sub (neg (var 0)) (scale 0.3 (input 1)) |]
+      ~n:2 ~m:2 ~delta:0.1
+  in
+  let tr = Sampled_system.simulate ~substeps:5 sys ~controller:Fun.id ~x0:[| 0.3; -0.2 |] ~steps:12 in
+  Alcotest.(check string) "trace digest" "44b881b22ed029d6b1f965ff102ec07c" (trace_digest tr);
+  Array.iteri
+    (fun k u -> Alcotest.(check (array (float 0.0))) "input is the period start" tr.Sampled_system.states.(k) u)
+    tr.Sampled_system.inputs
+
+(* The streamed loop allocates its scratch once per call: with a
+   controller and a callback that allocate nothing, 400 periods cost
+   the same minor words as 4. *)
+let test_stream_allocation_per_call () =
+  let sys = make_decay () in
+  let u = [| 0.5 |] in
+  let controller _ = u and emit (_ : float array) = () in
+  let words steps =
+    let w0 = Gc.minor_words () in
+    Sampled_system.stream sys ~controller ~x0:[| 2.0 |] ~steps emit;
+    Gc.minor_words () -. w0
+  in
+  ignore (words 1);
+  Alcotest.(check (float 0.0)) "independent of the horizon" (words 4) (words 400)
+
 let suite =
   [
     Alcotest.test_case "rk4 exponential" `Quick test_rk4_exponential_decay;
@@ -293,13 +299,11 @@ let suite =
     Alcotest.test_case "sampled inputs recorded" `Quick test_sampled_trace_inputs_recorded;
     Alcotest.test_case "sampled zero steps" `Quick test_sampled_zero_steps;
     Alcotest.test_case "sampled dense layout" `Quick test_sampled_dense_layout;
+    Alcotest.test_case "stream allocates per call" `Quick test_stream_allocation_per_call;
     Alcotest.test_case "field bound" `Quick test_field_bound;
     Alcotest.test_case "make validation" `Quick test_make_validation;
     QCheck_alcotest.to_alcotest prop_linear_decay_matches_exact;
-    Alcotest.test_case "rk45 exponential" `Quick test_rk45_exponential;
-    Alcotest.test_case "rk45 harmonic period" `Quick test_rk45_harmonic_long;
-    Alcotest.test_case "rk45 matches rk4" `Quick test_rk45_matches_rk4;
-    Alcotest.test_case "rk45 adapts step" `Quick test_rk45_adapts_step;
-    Alcotest.test_case "rk45 step budget" `Quick test_rk45_step_budget_is_a_value;
+    Alcotest.test_case "rk4 matches closed form" `Quick test_rk4_matches_closed_form;
     Alcotest.test_case "golden simulation digests" `Quick test_golden_simulation;
+    Alcotest.test_case "controller returns its argument" `Quick test_controller_returns_argument;
   ]

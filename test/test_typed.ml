@@ -31,7 +31,7 @@ let test_index_units () =
   Alcotest.(check (list string))
     "fixture units, canonical names, sorted"
     [
-      "Budget"; "Expr"; "Interval"; "Pool"; "Rk45"; "Sf_cache"; "Sf_ival";
+      "Budget"; "Expr"; "Interval"; "Interval_reach"; "Pool"; "Sf_cache"; "Sf_ival";
       "Tf_boxed_loop"; "Tf_budget_drop"; "Tf_budget_ok";
     ]
     (List.map (fun u -> u.CI.u_name) (CI.units idx));
@@ -40,8 +40,8 @@ let test_index_units () =
 
 let test_index_budget_param () =
   let idx = Lazy.force idx in
-  match CI.find_fn idx "Rk45.integrate" with
-  | None -> Alcotest.fail "Rk45.integrate not indexed"
+  match CI.find_fn idx "Interval_reach.step" with
+  | None -> Alcotest.fail "Interval_reach.step not indexed"
   | Some (_, fn) -> (
     match fn.CI.t_params with
     | { CI.p_label = "?budget"; p_budget = true } :: _ -> ()
@@ -134,7 +134,7 @@ let test_budget_violations () =
     (contains ~sub:"Tf_budget_drop.middle" messages
     && contains ~sub:"omits it" messages);
   Alcotest.(check bool) "helper reaches the kernel unbudgeted" true
-    (contains ~sub:"Rk45.integrate" messages
+    (contains ~sub:"Interval_reach.step" messages
     && contains ~sub:"no Budget.t in scope" messages)
 
 let test_budget_entry_without_param () =

@@ -235,7 +235,8 @@ let test_trend_record_roundtrip () =
         "other section independent" []
         (Trend.record ~path ~section:"certs"
            [ ("learn", [ ("verifier_calls", 99) ]) ]);
-      (* growth against the last committed entry flags and appends *)
+      (* growth against the last committed entry flags, and is not
+         appended *)
       let msgs =
         Trend.record ~path ~section:"hotpath"
           [ ("learn", [ ("cache_hits", 4); ("verifier_calls", 8) ]) ]
@@ -243,18 +244,48 @@ let test_trend_record_roundtrip () =
       Alcotest.(check (list string))
         "regression message" [ "[hotpath/learn] verifier_calls increased 7 -> 8" ]
         msgs;
-      (* the appended entry re-baselines: the same snapshot now passes *)
+      (* a clean change (less work) re-baselines: appended, and the
+         same snapshot then passes *)
+      let cheaper = [ ("cache_hits", 4); ("verifier_calls", 6) ] in
       Alcotest.(check (list string))
-        "accepted after append" []
-        (Trend.record ~path ~section:"hotpath"
-           [ ("learn", [ ("cache_hits", 4); ("verifier_calls", 8) ]) ]);
+        "improvement clean" []
+        (Trend.record ~path ~section:"hotpath" [ ("learn", cheaper) ]);
+      Alcotest.(check (list string))
+        "steady after improvement" []
+        (Trend.record ~path ~section:"hotpath" [ ("learn", cheaper) ]);
       let history = Trend.load path in
       Alcotest.(check int) "three entries total" 3 (List.length history);
       Alcotest.(check
                   (option (list (pair string int))))
         "last wins"
-        (Some [ ("cache_hits", 4); ("verifier_calls", 8) ])
+        (Some cheaper)
         (Trend.last history ~section:"hotpath" ~workload:"learn"))
+
+let test_trend_regression_not_ratcheted () =
+  let path = Filename.temp_file "dwv_trend" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let base = [ ("minor_words", 100); ("verifier_calls", 7) ] in
+      let worse = [ ("minor_words", 120); ("verifier_calls", 7) ] in
+      ignore (Trend.record ~path ~section:"hotpath" [ ("rates", base) ]);
+      let expected = [ "[hotpath/rates] minor_words increased 100 -> 120" ] in
+      (* recorded twice in the same checkout, the regression fails both
+         times: the first run must not have made it the baseline *)
+      Alcotest.(check (list string)) "first run fails" expected
+        (Trend.record ~path ~section:"hotpath" [ ("rates", worse) ]);
+      Alcotest.(check (list string)) "second run fails too" expected
+        (Trend.record ~path ~section:"hotpath" [ ("rates", worse) ]);
+      Alcotest.(check int) "regressed snapshot not appended" 1
+        (List.length (Trend.load path));
+      (* in the same call, a clean workload is still appended *)
+      let clean = [ ("minor_words", 90); ("verifier_calls", 7) ] in
+      Alcotest.(check (list string)) "only the regressed workload reported" expected
+        (Trend.record ~path ~section:"hotpath" [ ("rates", worse); ("learn", clean) ]);
+      let history = Trend.load path in
+      Alcotest.(check int) "clean snapshot appended" 2 (List.length history);
+      Alcotest.(check (option (list (pair string int)))) "baseline unchanged" (Some base)
+        (Trend.last history ~section:"hotpath" ~workload:"rates"))
 
 module Mono = Dwv_util.Mono
 
@@ -331,6 +362,7 @@ let suite =
     Alcotest.test_case "floatx kahan" `Quick test_floatx_kahan;
     Alcotest.test_case "trend regressions" `Quick test_trend_regressions;
     Alcotest.test_case "trend record roundtrip" `Quick test_trend_record_roundtrip;
+    Alcotest.test_case "trend regression not ratcheted" `Quick test_trend_regression_not_ratcheted;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
     Alcotest.test_case "svg scene renders" `Quick test_svg_scene_renders;
