@@ -45,6 +45,11 @@ let eval t x =
   | Net { net; output_scale } ->
     Array.map (fun v -> output_scale *. v) (Mlp.forward net x)
 
+let eval_affine t x =
+  match t with
+  | Linear { gain } -> Mat.matvec_affine gain x
+  | Net _ -> eval t x
+
 let n_outputs = function
   | Linear { gain } -> fst (Mat.dims gain)
   | Net { net; _ } -> Mlp.n_out net

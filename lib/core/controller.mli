@@ -18,6 +18,12 @@ val with_params : t -> float array -> t
 (** Concrete control law for simulation. *)
 val eval : t -> float array -> float array
 
+(** The control law of a rollout whose linear gains carry a bias: a
+    [Linear] gain acts on the homogeneous state [[x; 1]] (its last
+    column is the bias), bit for bit as [eval] on the extended state,
+    without building it; a [Net] takes [x] as it is. *)
+val eval_affine : t -> float array -> float array
+
 val n_outputs : t -> int
 val pp : Format.formatter -> t -> unit
 

@@ -85,6 +85,22 @@ let matvec m v =
       done;
       !acc)
 
+(* [matvec] on [v; 1]: the same sums in the same order, from 0.0 and
+   column by column, the last column added as it is (times 1.0 is
+   exact). A loop over a result made once, so a call allocates the
+   result and nothing else. *)
+let matvec_affine m v =
+  if m.cols <> Array.length v + 1 then invalid_arg "Mat.matvec_affine: dimension mismatch";
+  let u = Array.make m.rows 0.0 in
+  for i = 0 to m.rows - 1 do
+    let acc = ref 0.0 in
+    for j = 0 to m.cols - 2 do
+      acc := !acc +. (m.data.((i * m.cols) + j) *. v.(j))
+    done;
+    u.(i) <- !acc +. m.data.((i * m.cols) + m.cols - 1)
+  done;
+  u
+
 let vecmat v m =
   if m.rows <> Array.length v then invalid_arg "Mat.vecmat: dimension mismatch";
   Array.init m.cols (fun j ->

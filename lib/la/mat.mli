@@ -39,6 +39,11 @@ val matmul : t -> t -> t
 (** Matrix-vector product. *)
 val matvec : t -> float array -> float array
 
+(** [matvec_affine m v] is [matvec m (Array.append v [| 1.0 |])], bit
+    for bit, without the extended vector: the last column is a bias.
+    Raises unless [m] has one more column than [v] has entries. *)
+val matvec_affine : t -> float array -> float array
+
 (** Row-vector-matrix product (vᵀM). *)
 val vecmat : float array -> t -> float array
 

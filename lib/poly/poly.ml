@@ -541,60 +541,54 @@ let ieval p (box : Dwv_interval.Box.t) =
   done;
   !acc
 
-(* Range enclosure of a dropped tail over the canonical Taylor-model
-   domain [-1,1]^n, accumulated term by term in the caller's order: a
-   monomial with all exponents even ranges over [0, c] (or [c, 0]), any
-   other monomial over [-|c|, |c|]. Pure float arithmetic; [bound_unit]
-   and [mul_trunc] share it, so both sum the same terms in the same
-   (ascending-key) order. Taking the term as (array, index) keeps the
-   coefficient unboxed across the call. *)
-type tail = { mutable lo : float; mutable hi : float }
-
-let tail_add acc mask keys coeffs i =
-  let key = Array.unsafe_get keys i and c = Array.unsafe_get coeffs i in
-  if key = 0 then begin
-    (* constant monomial: exact *)
-    acc.lo <- acc.lo +. c;
-    acc.hi <- acc.hi +. c
-  end
-  else if key land mask = 0 then begin
-    (* all exponents even (some positive): monomial value in [0, 1] *)
-    if c >= 0.0 then acc.hi <- acc.hi +. c else acc.lo <- acc.lo +. c
-  end
-  else begin
-    let a = Float.abs c in
-    acc.lo <- acc.lo -. a;
-    acc.hi <- acc.hi +. a
-  end
-
+(* Range enclosure over the canonical Taylor-model domain [-1,1]^n,
+   accumulated term by term in ascending key order: the constant
+   monomial is exact, a monomial with all exponents even (some positive)
+   ranges over [0, c] (or [c, 0]), any other monomial over [-|c|, |c|].
+   [mul_trunc]'s sweep adds its dropped terms by the same rules in the
+   same order, starting from the same 0.0 bounds. *)
 let bound_unit p =
   match p.bcache with
   | Some b -> b
   | None ->
     let mask = parity_mask p.nvars in
-    let acc = { lo = 0.0; hi = 0.0 } in
+    let lo = ref 0.0 and hi = ref 0.0 in
     for i = 0 to Array.length p.keys - 1 do
-      tail_add acc mask p.keys p.coeffs i
+      let key = Array.unsafe_get p.keys i and c = Array.unsafe_get p.coeffs i in
+      if key = 0 then begin
+        lo := !lo +. c;
+        hi := !hi +. c
+      end
+      else if key land mask = 0 then begin
+        if c >= 0.0 then hi := !hi +. c else lo := !lo +. c
+      end
+      else begin
+        let a = Float.abs c in
+        lo := !lo -. a;
+        hi := !hi +. a
+      end
     done;
-    let b = I.make acc.lo acc.hi in
+    let b = I.make !lo !hi in
     p.bcache <- Some b;
     b
 
 (* ---- Truncating product on dense plans ----
 
    A plan for (nvars, order) lists every monomial of degree <= 2 order
-   in ascending packed-key order (its rank is its index), marks the
-   ranks of degree <= order, and tabulates, for each pair of input
-   monomials of degree <= order, the rank of their product:
+   in ascending packed-key order (its rank is its index), gives each
+   rank a class byte (kept: degree <= order; dropped with every exponent
+   even; dropped otherwise), and tabulates, for each pair of input
+   monomials of degree <= order, the rank of their product as a 16-bit
+   entry of a byte table:
 
-     prod.(ra * n_in + rb) = rank (key_ra + key_rb)
+     prod[2 (ra * n_in + rb)] = rank (key_ra + key_rb)
 
    With it, [mul_trunc] needs no hashing and no sorting: each product
    adds into a per-domain dense slot array at its rank, and one sweep
    over the touched rank range (contiguous, because key addition is
-   monotone) emits the kept terms already sorted and feeds the dropped
-   ones to [tail_add] in ascending key order. The result is the same
-   polynomial and the same remainder bound, bit for bit, as
+   monotone) emits the kept terms already sorted and adds the dropped
+   ones into the tail bounds in ascending key order. The result is the
+   same polynomial and the same remainder bound, bit for bit, as
    [truncate ~order (mul a b)] followed by [bound_unit] of the dropped
    part: the products are formed in [mul]'s order (outer over [a],
    inner over [b]) and follow [mul]'s exact-zero eviction rule (the
@@ -602,13 +596,14 @@ let bound_unit p =
    to the exact kernel).
 
    Plans are a pure function of (nvars, order), built once per process
-   and shared by every domain through a publish-once registry. One whose
-   table would exceed [max_plan_words] words is never built (the pair
-   records [None]) and its products take the generic path, so plan
-   memory stays below that constant per (nvars, order) pair. *)
+   and shared by every domain through a publish-once registry. One with
+   more than [max_plan_words] pairs and output ranks is never built
+   (the pair records [None]) and its products take the generic path, so
+   a plan's product table stays below 2 MiB. *)
 
-(* 2^20 words = 8 MiB per plan. Covers every arity up to order 3, and
-   up to 10 / 7 / 6 / 5 variables at orders 4 / 5 / 6 / 7. *)
+(* Covers every arity up to order 3, and up to 10 / 7 / 6 / 5 variables
+   at orders 4 / 5 / 6 / 7. Every such plan has n_out <= 54,264, so its
+   ranks fit 16 bits. *)
 let max_plan_words = 1 lsl 20
 
 (* A sweep over the touched ranks pays for the whole span; when that
@@ -623,6 +618,14 @@ let binomial n k =
     c := !c * (n - i) / (i + 1)
   done;
   !c
+
+let plan_shape ~nvars ~order =
+  if nvars < 1 || nvars > max_vars || order < 0 || 2 * order > max_exponent then None
+  else begin
+    let n_in = binomial (order + nvars) nvars in
+    let n_out = binomial ((2 * order) + nvars) nvars in
+    if (n_in * n_in) + n_out > max_plan_words then None else Some (n_in, n_out)
+  end
 
 (* Monomials of total degree <= d in ascending key order: the key
    compares exponent vectors lexicographically from the highest variable
@@ -681,33 +684,48 @@ let rank rk key =
   done;
   if !d < 0 then -1 else !r
 
+(* Output rank classes. *)
+let cls_kept = '\000'
+let cls_even = '\001' (* dropped, every exponent even: value in [0, 1] *)
+let cls_odd = '\002'  (* dropped, some exponent odd: value in [-1, 1] *)
+
 type plan = {
   n_in : int;
-  in_ranker : ranker;   (* degree <= order *)
+  in_keys : int array;  (* degree <= order, ascending *)
+  in_ranker : ranker;
   out_keys : int array; (* degree <= 2 order, ascending *)
-  out_kept : Bytes.t;   (* '\001' at the ranks of degree <= order *)
-  prod : int array;     (* n_in * n_in product ranks *)
+  out_class : Bytes.t;  (* one class byte per rank *)
+  prod : Bytes.t;       (* n_in * n_in product ranks, 16 bits each *)
 }
 
+(* An entry of the product table, in native byte order (the table is
+   written by [Bytes.set_uint16_ne] and never leaves the process),
+   without a bounds check: every offset is an input rank pair scaled by
+   2 n_in and 2. *)
+external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+
 let build_plan nvars order =
-  let n_in = binomial (order + nvars) nvars in
-  let n_out = binomial ((2 * order) + nvars) nvars in
-  if order < 0 || 2 * order > max_exponent || (n_in * n_in) + n_out > max_plan_words then None
-  else begin
+  match plan_shape ~nvars ~order with
+  | None -> None
+  | Some (n_in, n_out) ->
+    assert (n_out < 1 lsl 16);
     let in_keys = monomials nvars order and out_keys = monomials nvars (2 * order) in
     let out_ranker = ranker nvars (2 * order) in
-    let out_kept = Bytes.make n_out '\000' in
-    for r = 0 to n_out - 1 do
-      if key_degree nvars out_keys.(r) <= order then Bytes.set out_kept r '\001'
-    done;
-    let prod = Array.make (n_in * n_in) 0 in
+    let mask = parity_mask nvars in
+    let out_class =
+      Bytes.init n_out (fun r ->
+          let key = out_keys.(r) in
+          if key_degree nvars key <= order then cls_kept
+          else if key land mask = 0 then cls_even
+          else cls_odd)
+    in
+    let prod = Bytes.create (2 * n_in * n_in) in
     for i = 0 to n_in - 1 do
       for j = 0 to n_in - 1 do
-        prod.((i * n_in) + j) <- rank out_ranker (in_keys.(i) + in_keys.(j))
+        Bytes.set_uint16_ne prod (2 * ((i * n_in) + j)) (rank out_ranker (in_keys.(i) + in_keys.(j)))
       done
     done;
-    Some { n_in; in_ranker = ranker nvars order; out_keys; out_kept; prod }
-  end
+    Some { n_in; in_keys; in_ranker = ranker nvars order; out_keys; out_class; prod }
 
 let plans : (int, plan option) Dwv_util.Publish_once.t = Dwv_util.Publish_once.create ()
 
@@ -717,12 +735,12 @@ let plan_for nvars order =
 
 (* Per-domain dense accumulator, grown to the largest plan seen. Between
    calls every [vals] slot holds -0.0 and every [state] byte is '\000'
-   (the sweeps restore both). *)
+   (the sweep restores both). *)
 type dense_scratch = {
   mutable vals : float array;
   mutable state : Bytes.t; (* exact kernel only: '\001' = a live sum *)
-  mutable ra : int array;  (* a's term ranks, pre-scaled by n_in *)
-  mutable rb : int array;  (* b's term ranks *)
+  mutable ra : int array;  (* a's term ranks, as byte offsets of product-table rows *)
+  mutable rb : int array;  (* b's term ranks, as byte offsets within a row *)
   mutable kk : int array;  (* kept terms, before the exact-size copy *)
   mutable kc : float array;
 }
@@ -747,21 +765,40 @@ let dense_scratch pl =
   s
 
 (* Ranks of [keys] in the plan's input monomials, times [scale], into
-   [dst]; false when some key has degree > order (not in the plan). *)
+   [dst]; false when some key has degree > order (not in the plan). A
+   step-table [rank] costs nvars lookups per key; a merge of the sorted
+   keys against the plan's sorted input monomials costs n_in steps in
+   all, so it runs once the factor is dense enough to pay for them. *)
 let rank_terms pl keys scale dst =
+  let n = Array.length keys in
   let ok = ref true and t = ref 0 in
-  while !ok && !t < Array.length keys do
-    let r = rank pl.in_ranker keys.(!t) in
-    if r < 0 then ok := false else dst.(!t) <- r * scale;
-    incr t
-  done;
+  if n * pl.in_ranker.nvars_r >= pl.n_in then begin
+    let in_keys = pl.in_keys and p = ref 0 in
+    while !ok && !t < n do
+      let key = Array.unsafe_get keys !t in
+      while !p < pl.n_in && Array.unsafe_get in_keys !p < key do
+        incr p
+      done;
+      if !p < pl.n_in && Array.unsafe_get in_keys !p = key then begin
+        Array.unsafe_set dst !t (!p * scale);
+        incr t
+      end
+      else ok := false
+    done
+  end
+  else
+    while !ok && !t < n do
+      let r = rank pl.in_ranker (Array.unsafe_get keys !t) in
+      if r < 0 then ok := false else Array.unsafe_set dst !t (r * scale);
+      incr t
+    done;
   !ok
 
 let generic_mul_trunc ~order a b =
   let keep, drop = truncate ~order (mul a b) in
   (keep, bound_unit drop)
 
-(* The fast kernel, one row: vals.(prod.(row + rb.(j))) +.= ac.(i) *. bc.(j)
+(* The fast kernel, one row: vals.(prod[ra_i + rb_j]) +.= ac.(i) *. bc.(j)
    for every j < nb, in ascending j. Every slot starts at -0.0 and
    -0.0 +. c is c bit for bit (±0, NaN and ±inf included), so a first
    contribution and a later one are the same update, with no presence
@@ -769,35 +806,32 @@ let generic_mul_trunc ~order a b =
    Map's eviction rule (and its keeping a lone 0.0 contribution) decides
    the result, and the caller reruns the product on the exact kernel.
    Within a row the ranks are distinct (key addition is injective), so
-   the four updates of an unrolled step are independent. Every float
-   stays in an array slot (stored, then reloaded for the test), so no
-   boxed float is ever let-bound. *)
+   an unrolled step loads its four slots before storing any of them. *)
 let accumulate_row prod vals rb bc ac i row nb =
+  let ai = Array.unsafe_get ac i in
   let hit = ref false and j = ref 0 in
   while !j + 3 < nb do
     let j0 = !j in
-    let r0 = Array.unsafe_get prod (row + Array.unsafe_get rb j0) in
-    let r1 = Array.unsafe_get prod (row + Array.unsafe_get rb (j0 + 1)) in
-    let r2 = Array.unsafe_get prod (row + Array.unsafe_get rb (j0 + 2)) in
-    let r3 = Array.unsafe_get prod (row + Array.unsafe_get rb (j0 + 3)) in
-    Array.unsafe_set vals r0
-      (Array.unsafe_get vals r0 +. (Array.unsafe_get ac i *. Array.unsafe_get bc j0));
-    Array.unsafe_set vals r1
-      (Array.unsafe_get vals r1 +. (Array.unsafe_get ac i *. Array.unsafe_get bc (j0 + 1)));
-    Array.unsafe_set vals r2
-      (Array.unsafe_get vals r2 +. (Array.unsafe_get ac i *. Array.unsafe_get bc (j0 + 2)));
-    Array.unsafe_set vals r3
-      (Array.unsafe_get vals r3 +. (Array.unsafe_get ac i *. Array.unsafe_get bc (j0 + 3)));
-    if Array.unsafe_get vals r0 = 0.0 || Array.unsafe_get vals r1 = 0.0
-       || Array.unsafe_get vals r2 = 0.0 || Array.unsafe_get vals r3 = 0.0
-    then hit := true;
+    let r0 = get16 prod (row + Array.unsafe_get rb j0) in
+    let r1 = get16 prod (row + Array.unsafe_get rb (j0 + 1)) in
+    let r2 = get16 prod (row + Array.unsafe_get rb (j0 + 2)) in
+    let r3 = get16 prod (row + Array.unsafe_get rb (j0 + 3)) in
+    let s0 = Array.unsafe_get vals r0 +. (ai *. Array.unsafe_get bc j0) in
+    let s1 = Array.unsafe_get vals r1 +. (ai *. Array.unsafe_get bc (j0 + 1)) in
+    let s2 = Array.unsafe_get vals r2 +. (ai *. Array.unsafe_get bc (j0 + 2)) in
+    let s3 = Array.unsafe_get vals r3 +. (ai *. Array.unsafe_get bc (j0 + 3)) in
+    Array.unsafe_set vals r0 s0;
+    Array.unsafe_set vals r1 s1;
+    Array.unsafe_set vals r2 s2;
+    Array.unsafe_set vals r3 s3;
+    if s0 = 0.0 || s1 = 0.0 || s2 = 0.0 || s3 = 0.0 then hit := true;
     j := j0 + 4
   done;
   while !j < nb do
-    let r = Array.unsafe_get prod (row + Array.unsafe_get rb !j) in
-    Array.unsafe_set vals r
-      (Array.unsafe_get vals r +. (Array.unsafe_get ac i *. Array.unsafe_get bc !j));
-    if Array.unsafe_get vals r = 0.0 then hit := true;
+    let r = get16 prod (row + Array.unsafe_get rb !j) in
+    let s = Array.unsafe_get vals r +. (ai *. Array.unsafe_get bc !j) in
+    Array.unsafe_set vals r s;
+    if s = 0.0 then hit := true;
     incr j
   done;
   !hit
@@ -812,7 +846,7 @@ let accumulate_exact pl s a b =
   for i = 0 to Array.length a.keys - 1 do
     let row = Array.unsafe_get ra i in
     for j = 0 to Array.length b.keys - 1 do
-      let r = Array.unsafe_get prod (row + Array.unsafe_get rb j) in
+      let r = get16 prod (row + Array.unsafe_get rb j) in
       if Bytes.unsafe_get state r = '\000' then begin
         Bytes.unsafe_set state r '\001';
         Array.unsafe_set vals r (Array.unsafe_get ac i *. Array.unsafe_get bc j)
@@ -826,11 +860,17 @@ let accumulate_exact pl s a b =
   done
 
 (* [r_lo], [r_hi]: ranks of the smallest and largest product key. One
-   ascending sweep over them emits the live ranks: kept terms in order,
-   dropped ones into the tail. A live rank is a non-zero slot after the
-   fast kernel and a '\001' byte after the exact one. Every slot is back
-   to -0.0 (and every byte to '\000') before anything below can raise,
-   such as [I.make] on a non-finite tail. *)
+   ascending sweep over them emits the live kept ranks in order and adds
+   every dropped rank into the tail bounds, live or not: a slot nobody
+   live holds is ±0 (-0.0 untouched, or an evicted sum), and a ±0 term
+   leaves both bounds' bits unchanged. An even-class ±0 goes to [hi]
+   (c >= 0.0 holds for -0.0) and x +. ±0.0 is x for every x but -0.0,
+   which [hi] never is (it starts at +0.0 and only gains terms >= 0);
+   an odd-class ±0 subtracts +0.0 from [lo], which is exact for every
+   [lo], and adds +0.0 to [hi]. So only kept ranks test liveness: a
+   non-zero slot after the fast kernel, a '\001' byte after the exact
+   one. Every slot is back to -0.0 (and every byte to '\000') before
+   anything below can raise, such as [I.make] on a non-finite tail. *)
 let dense_mul_trunc pl s a b ~r_lo ~r_hi =
   let vals = s.vals and state = s.state in
   let nb = Array.length b.keys in
@@ -843,28 +883,29 @@ let dense_mul_trunc pl s a b ~r_lo ~r_hi =
   (* the exact kernel overwrites each rank it touches first, and the
      fast pass touched the same ranks *)
   if exact then accumulate_exact pl s a b;
-  let out_keys = pl.out_keys and kept = pl.out_kept and kk = s.kk and kc = s.kc in
-  let mask = parity_mask a.nvars in
-  let acc = { lo = 0.0; hi = 0.0 } in
-  let m = ref 0 in
+  let out_keys = pl.out_keys and cls = pl.out_class and kk = s.kk and kc = s.kc in
+  let lo = ref 0.0 and hi = ref 0.0 and m = ref 0 in
   for r = r_lo to r_hi do
-    if (if exact then Bytes.unsafe_get state r <> '\000' else Array.unsafe_get vals r <> 0.0)
-    then begin
-      if Bytes.unsafe_get kept r <> '\000' then begin
+    let c = Array.unsafe_get vals r and k = Bytes.unsafe_get cls r in
+    if k = cls_kept then begin
+      if (if exact then Bytes.unsafe_get state r <> '\000' else c <> 0.0) then begin
         Array.unsafe_set kk !m (Array.unsafe_get out_keys r);
-        Array.unsafe_set kc !m (Array.unsafe_get vals r);
+        Array.unsafe_set kc !m c;
         incr m
       end
-      else tail_add acc mask out_keys vals r;
-      Array.unsafe_set vals r (-0.0)
     end
+    else if k = cls_even then begin
+      if c >= 0.0 then hi := !hi +. c else lo := !lo +. c
+    end
+    else begin
+      let a = Float.abs c in
+      lo := !lo -. a;
+      hi := !hi +. a
+    end;
+    Array.unsafe_set vals r (-0.0)
   done;
-  if exact then begin
-    (* evicted ranks hold a ±0 sum but no live byte *)
-    Array.fill vals r_lo (r_hi - r_lo + 1) (-0.0);
-    Bytes.fill state r_lo (r_hi - r_lo + 1) '\000'
-  end;
-  (mk a.nvars (Array.sub kk 0 !m) (Array.sub kc 0 !m), I.make acc.lo acc.hi)
+  if exact then Bytes.fill state r_lo (r_hi - r_lo + 1) '\000';
+  (mk a.nvars (Array.sub kk 0 !m) (Array.sub kc 0 !m), I.make !lo !hi)
 
 let mul_trunc ~order a b =
   if a.nvars <> b.nvars then invalid_arg "Poly.mul_trunc: arity mismatch";
@@ -877,12 +918,14 @@ let mul_trunc ~order a b =
     let lo_b = rank rk b.keys.(0) and hi_b = rank rk b.keys.(nb - 1) in
     if lo_a < 0 || hi_a < 0 || lo_b < 0 || hi_b < 0 then generic_mul_trunc ~order a b
     else begin
-      let r_lo = pl.prod.((lo_a * pl.n_in) + lo_b) in
-      let r_hi = pl.prod.((hi_a * pl.n_in) + hi_b) in
+      (* byte offsets: a row of the product table is 2 n_in bytes *)
+      let row = 2 * pl.n_in in
+      let r_lo = get16 pl.prod ((lo_a * row) + (2 * lo_b)) in
+      let r_hi = get16 pl.prod ((hi_a * row) + (2 * hi_b)) in
       let s = dense_scratch pl in
       if r_hi - r_lo < max_span_per_product * na * nb
-         && rank_terms pl b.keys 1 s.rb
-         && rank_terms pl a.keys pl.n_in s.ra
+         && rank_terms pl b.keys 2 s.rb
+         && rank_terms pl a.keys row s.ra
       then dense_mul_trunc pl s a b ~r_lo ~r_hi
       else generic_mul_trunc ~order a b
     end

@@ -62,6 +62,12 @@ val truncate : order:int -> t -> t * t
     product). *)
 val mul_trunc : order:int -> t -> t -> t * Dwv_interval.Interval.t
 
+(** [plan_shape ~nvars ~order] = [Some (n_in, n_out)] when [mul_trunc]
+    builds a dense product plan for the pair: [n_in] monomials of degree
+    <= order, [n_out] of degree <= 2 order. [None] when the pair has no
+    plan and its products take the generic path. *)
+val plan_shape : nvars:int -> order:int -> (int * int) option
+
 (** [split_var p i] = (terms without zᵢ, terms with zᵢ). *)
 val split_var : t -> int -> t * t
 

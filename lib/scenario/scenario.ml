@@ -242,14 +242,10 @@ let make_controller t rng =
   | Net { sizes; acts; scale } ->
     Controller.net ~output_scale:scale (Mlp.create ~sizes ~acts rng)
 
-(* Control law on the augmented simulation state: linear gains expect the
-   homogeneous [x; 1] vector (bias in the last column, as everywhere in
-   lib/systems); nets take the state directly. *)
-let sim _t controller x =
-  match controller with
-  | Controller.Linear _ ->
-    Controller.eval controller (Array.append x [| 1.0 |])
-  | Controller.Net _ -> Controller.eval controller x
+(* Control law on the augmented simulation state: linear gains act on
+   the homogeneous [x; 1] vector (bias in the last column, as everywhere
+   in lib/systems); nets take the state directly. *)
+let sim _t controller x = Controller.eval_affine controller x
 
 (* u_j as expressions of the state, for closing the loop symbolically. *)
 let affine_input_exprs t rows =

@@ -47,17 +47,29 @@ module Cert_check = Dwv_cert.Cert_check
 let deltas = [| 0.02; 0.05; 0.1 |]
 
 (* Nominal closed-loop rollout used to seed the goal box and to place
-   avoid boxes relative to where trajectories actually go. *)
+   avoid boxes relative to where trajectories actually go: the states at
+   the sample instants (each period's start, then the last period's end;
+   [Sampled_system.simulate]'s [states]), copied out of the stream. The
+   controller writes one reused input cell. *)
 let nominal_trace scn_f ~nt ~delta ~steps ~row x0 =
+  let substeps = 10 in
   let sys = Sampled_system.make ~f:scn_f ~n:nt ~m:1 ~delta in
+  let u = [| 0.0 |] in
   let controller x =
     let acc = ref row.(nt) in
     for k = 0 to nt - 1 do
       acc := !acc +. (row.(k) *. x.(k))
     done;
-    [| !acc |]
+    u.(0) <- !acc;
+    u
   in
-  (Sampled_system.simulate sys ~controller ~x0 ~steps).Sampled_system.states
+  let states = Array.make (steps + 1) x0 in
+  let last = (steps * (substeps + 1)) - 1 and j = ref 0 in
+  Sampled_system.stream ~substeps sys ~controller ~x0 ~steps (fun x ->
+      if !j mod (substeps + 1) = 0 then states.(!j / (substeps + 1)) <- Array.copy x
+      else if !j = last then states.(steps) <- Array.copy x;
+      incr j);
+  states
 
 (* Rounding_flow allow: all raw float arithmetic below builds fuzz
    *inputs* (initial/goal/avoid boxes), not claimed enclosures — any box

@@ -139,9 +139,9 @@ let verify_robust_from ?budget ?cache x0 controller =
 let verify_robust ?budget ?cache controller =
   verify_robust_from ?budget ?cache spec.Spec.x0 controller
 
-(* Control law on the 2-D simulation state (appends the constant 1). *)
-let sim_controller controller x =
-  Controller.eval controller [| x.(0); x.(1); 1.0 |]
+(* Control law on the 2-D simulation state: the gain's last column is
+   the bias, the constant third coordinate of the verifier's state. *)
+let sim_controller = Controller.eval_affine
 
 (* The same study expressed in the scenario DSL; the scenario-farm tests
    cross-check this text against the constants above, so the two

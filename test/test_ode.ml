@@ -149,7 +149,8 @@ let prop_linear_decay_matches_exact =
 (* Pins the numeric simulator and everything that runs on it across
    refactors: each digest hashes the [%h] text of every float of a
    trace (states, inputs, dense substeps), of a falsifier counterexample,
-   or the determinism keys of a seeded fuzz campaign. The constants were
+   the determinism keys of a seeded fuzz campaign, or the text of the
+   scenarios the fuzzer generates. The constants were
    recorded against the tree-walking [Expr.eval] simulator. *)
 
 module Acc = Dwv_systems.Acc
@@ -246,6 +247,15 @@ let golden_sim =
              (String.concat "\n"
                 (Array.to_list (Array.map Scn_fuzz.determinism_key r.Scn_fuzz.records))))
     );
+    (* the generator's goal and avoid boxes follow its nominal rollout *)
+    ( "fuzz scenarios seed 42",
+      "dd97b70513f810272abbf2ab7f83c25e",
+      fun () ->
+        let rng = Rng.create 42 in
+        Digest.to_hex
+          (Digest.string
+             (String.concat "\n"
+                (List.init 50 (fun i -> Scenario.to_string (Scn_fuzz.generate rng i))))) );
   ]
 
 let test_golden_simulation () =

@@ -340,6 +340,95 @@ let test_mul_trunc_domains () =
   List.iteri (fun d r -> Alcotest.(check bool) (Fmt.str "domain %d" d) true (r = expected)) par;
   Alcotest.(check bool) "1 domain" true (run () = expected)
 
+(* The sweep adds every dropped rank of the span into the tail, live or
+   not, relying on an untouched -0.0 slot to leave both bounds' bits
+   unchanged. Here the only live dropped monomials have all exponents
+   even and negative coefficients, and the span between them holds
+   untouched ranks of every class, so nothing but ±0 ever reaches the
+   upper bound: it must stay +0.0, as [bound_unit] of the dropped part
+   has it. *)
+let test_mul_trunc_even_negative_tail () =
+  let x0 = Poly.var 2 0 and x1 = Poly.var 2 1 in
+  let cases =
+    [ ("-x0 * x0", 1, Poly.neg x0, x0);
+      ("-x0^2 * (x0^2 + x1^2)", 2, Poly.neg (Poly.mul x0 x0),
+       Poly.add (Poly.mul x0 x0) (Poly.mul x1 x1));
+      ("-(x0 x1) * 3 x0 x1", 2, Poly.neg (Poly.mul x0 x1), Poly.scale 3.0 (Poly.mul x0 x1)) ]
+  in
+  List.iter
+    (fun (name, order, a, b) ->
+      Alcotest.(check bool) (name ^ ": as reference") true (same_as_reference ~order a b);
+      let keep, tail = Poly.mul_trunc ~order a b in
+      Alcotest.(check bool) (name ^ ": nothing kept") true (Poly.is_zero keep);
+      Alcotest.(check bool) (name ^ ": lower bound < 0") true (I.lo tail < 0.0);
+      Alcotest.(check int64) (name ^ ": upper bound is +0.0") (Int64.bits_of_float 0.0)
+        (Int64.bits_of_float (I.hi tail)))
+    cases
+
+(* NaN in a dropped all-even monomial goes to the lower bound (NaN >= 0
+   is false), as in [bound_unit]; the next product on the same domain
+   and plan is clean again. *)
+let test_mul_trunc_nan_even_tail () =
+  let x0 = Poly.var 2 0 and x1 = Poly.var 2 1 in
+  let nan_sq = Poly.add (Poly.scale Float.nan x0) x1 in
+  let s = Poly.add x0 x1 in
+  List.iteri
+    (fun k (name, a, b) ->
+      Alcotest.(check bool) (Fmt.str "%d: %s" k name) true (same_as_reference ~order:1 a b))
+    [ ("NaN x0 * x0", Poly.scale Float.nan x0, x0);
+      ("NaN x0^2 beside x1^2", nan_sq, Poly.add x0 x1);
+      ("clean", s, s) ];
+  Alcotest.(check bool) "NaN tail raises" true
+    (Result.is_error (outcome (fun () -> Poly.mul_trunc ~order:1 (Poly.scale Float.nan x0) x0)))
+
+(* One plan (8 variables, order 3: 165 input monomials) reached by a
+   sparse factor, whose terms are ranked one by one with the step table,
+   and by a dense one, whose sorted keys are merged against the plan's
+   input monomials. Each path must also reject a factor with a term of
+   degree > order in the middle of its key range (the extreme terms are
+   ranked before either path runs). *)
+let test_mul_trunc_rank_and_merge () =
+  let st = Random.State.make [| 41 |] in
+  let full = Poly.pow (Poly.add (Poly.const 8 1.0)
+    (List.fold_left Poly.add (Poly.zero 8) (List.init 8 (Poly.var 8)))) 3 in
+  let dense = Poly.add full (gen_poly 8 ~deg:3 ~terms:165 gen_wide_coeff st) in
+  let sparse = gen_poly 8 ~deg:3 ~terms:3 gen_wide_coeff st in
+  let x0_4 = Poly.pow (Poly.var 8 0) 4 in
+  let dense_over = Poly.add dense x0_4 in
+  let sparse_over = Poly.add (Poly.add (Poly.const 8 0.5) x0_4) (Poly.pow (Poly.var 8 7) 3) in
+  Alcotest.(check bool) "dense factor is dense" true (Poly.num_terms dense * 8 >= 165);
+  Alcotest.(check bool) "sparse factor is sparse" true (Poly.num_terms sparse * 8 < 165);
+  List.iter
+    (fun (name, a, b) -> Alcotest.(check bool) name true (same_as_reference ~order:3 a b))
+    [ ("sparse * dense", sparse, dense);
+      ("dense * sparse", dense, sparse);
+      ("dense * dense", dense, full);
+      ("dense with x0^4 * sparse", dense_over, sparse);
+      ("sparse * dense with x0^4", sparse, dense_over);
+      ("sparse with x0^4 * dense", sparse_over, dense);
+      ("dense * sparse with x0^4", dense, sparse_over) ]
+
+(* The product table stores ranks in 16 bits: every plan that is built
+   must have fewer than 2^16 output monomials. *)
+let test_plan_ranks_fit_16_bits () =
+  let built = ref 0 and largest = ref 0 in
+  for nvars = 1 to 15 do
+    for order = 0 to 7 do
+      match Poly.plan_shape ~nvars ~order with
+      | None -> ()
+      | Some (_, n_out) ->
+        incr built;
+        largest := max !largest n_out;
+        if n_out >= 1 lsl 16 then
+          Alcotest.failf "plan (%d vars, order %d): %d output ranks" nvars order n_out
+    done
+  done;
+  (* every arity up to order 3, and 10 / 7 / 6 / 5 variables at orders
+     4 / 5 / 6 / 7 *)
+  Alcotest.(check int) "plans built" ((4 * 15) + 10 + 7 + 6 + 5) !built;
+  Alcotest.(check int) "largest n_out" 54_264 !largest;
+  Alcotest.(check bool) "order 8 has no plan" true (Poly.plan_shape ~nvars:1 ~order:8 = None)
+
 (* ---------------- Bernstein ---------------- *)
 
 let test_binomial () =
@@ -440,6 +529,10 @@ let suite =
     Alcotest.test_case "mul_trunc dense 165-term" `Quick test_mul_trunc_dense_full;
     Alcotest.test_case "mul_trunc 1 vs 4 domains" `Quick test_mul_trunc_domains;
     Alcotest.test_case "mul_trunc fallback then fast" `Quick test_mul_trunc_fallback_then_fast;
+    Alcotest.test_case "mul_trunc even negative tail" `Quick test_mul_trunc_even_negative_tail;
+    Alcotest.test_case "mul_trunc NaN even tail" `Quick test_mul_trunc_nan_even_tail;
+    Alcotest.test_case "mul_trunc rank and merge" `Quick test_mul_trunc_rank_and_merge;
+    Alcotest.test_case "plan ranks fit 16 bits" `Quick test_plan_ranks_fit_16_bits;
     QCheck_alcotest.to_alcotest prop_mul_trunc_bit_identical;
     QCheck_alcotest.to_alcotest prop_bound_unit_sound;
     QCheck_alcotest.to_alcotest prop_mul_eval_homomorphism;
