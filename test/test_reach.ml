@@ -458,6 +458,40 @@ let golden_nn =
              ~x0:Oscillator.spec.Dwv_core.Spec.x0 ()) );
   ]
 
+(* The 3-D and pendulum studies through both doors, on the seed-1 warm
+   start: the module's robust verifier, and the scenario ladder on the
+   study's DSL text. *)
+let robust_digest (r : Verifier.fallback_report) =
+  pipe_digest r.Verifier.pipe (List.map snd r.Verifier.failures)
+
+let golden_builtins =
+  let cases name pretrained verify_robust dsl (module_digest, scenario_digest) =
+    let c = lazy (pretrained (Rng.create 1)) in
+    [
+      ( name ^ " verify_robust",
+        module_digest,
+        fun () -> robust_digest (verify_robust (Lazy.force c)) );
+      ( name ^ " scenario",
+        scenario_digest,
+        fun () ->
+          robust_digest
+            (Scn_verify.verify_robust (Scenario.of_string dsl) (Lazy.force c))
+              .Scn_verify.fallback );
+    ]
+  in
+  let module Threed = Dwv_systems.Threed in
+  let module Pendulum = Dwv_systems.Pendulum in
+  cases "threed"
+    (fun rng -> Threed.pretrained_controller rng)
+    (fun c -> Threed.verify_robust c)
+    Threed.dsl
+    ("936402f6a985997371c4297d5ed6b497", "936402f6a985997371c4297d5ed6b497")
+  @ cases "pendulum"
+      (fun rng -> Pendulum.pretrained_controller rng)
+      (fun c -> Pendulum.verify_robust c)
+      Pendulum.dsl
+      ("26cd4bfec86b872a5bf2887d9a6757c3", "26cd4bfec86b872a5bf2887d9a6757c3")
+
 (* A scenario's affine ladder with the chosen first rung: [`Taylor] runs
    Taylor then interval, [`Interval] the interval rung alone. *)
 let scenario_digest path kernel =
@@ -508,7 +542,7 @@ let golden_scenarios =
     ]
 
 let test_golden_digests () =
-  let cases = golden_nn @ golden_scenarios in
+  let cases = golden_nn @ golden_builtins @ golden_scenarios in
   let got = List.map (fun (name, _, digest) -> (name, digest ())) cases in
   Alcotest.(check (list (pair string string)))
     "flowpipe digests"
