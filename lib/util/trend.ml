@@ -8,8 +8,13 @@
 type entry = {
   section : string;
   workload : string;
+  profile : string;
   counters : (string * int) list;
 }
+
+(* Entries written before profiles were recorded all came from the
+   default build. *)
+let default_profile = "dev"
 
 (* ---------- scanning ---------- *)
 
@@ -67,6 +72,7 @@ let parse_line line =
       {
         section;
         workload;
+        profile = Option.value ~default:default_profile (quoted_field line "profile");
         counters = Option.value ~default:[] (counters_field line);
       }
   | _ -> None
@@ -77,10 +83,11 @@ let load path =
     List.filter_map parse_line (String.split_on_char '\n' content)
   | exception Sys_error _ -> []
 
-let last history ~section ~workload =
+let last history ~section ~workload ~profile =
   List.fold_left
     (fun acc e ->
-      if e.section = section && e.workload = workload then Some e.counters
+      if e.section = section && e.workload = workload && e.profile = profile then
+        Some e.counters
       else acc)
     None history
 
@@ -138,8 +145,9 @@ let regressions ~prev cur =
 
 let entry_to_json e =
   let b = Buffer.create 128 in
-  Printf.bprintf b "{\"section\":\"%s\",\"workload\":\"%s\",\"counters\":{"
-    e.section e.workload;
+  Printf.bprintf b
+    "{\"section\":\"%s\",\"workload\":\"%s\",\"profile\":\"%s\",\"counters\":{"
+    e.section e.workload e.profile;
   List.iteri
     (fun i (k, v) ->
       Printf.bprintf b "%s\"%s\":%d" (if i = 0 then "" else ",") k v)
@@ -164,25 +172,25 @@ let write path history =
 (* A regressed snapshot is reported and NOT appended: appending it
    would make it the baseline, and a rerun in the same checkout would
    pass against it. *)
-let record ~path ~section workloads =
+let record ?(profile = Build_profile.name) ~path ~section workloads =
   let history = load path in
   let msgs = ref [] in
   let additions =
     List.filter_map
       (fun (workload, counters) ->
         let counters = List.sort compare counters in
-        match last history ~section ~workload with
+        match last history ~section ~workload ~profile with
         | Some prev when prev = counters -> None
         | Some prev -> (
           match regressions ~prev counters with
-          | [] -> Some { section; workload; counters }
+          | [] -> Some { section; workload; profile; counters }
           | found ->
             List.iter
               (fun m ->
                 msgs := Printf.sprintf "[%s/%s] %s" section workload m :: !msgs)
               found;
             None)
-        | None -> Some { section; workload; counters })
+        | None -> Some { section; workload; profile; counters })
       workloads
   in
   if additions <> [] then write path (history @ additions);

@@ -259,7 +259,8 @@ let test_trend_record_roundtrip () =
                   (option (list (pair string int))))
         "last wins"
         (Some cheaper)
-        (Trend.last history ~section:"hotpath" ~workload:"learn"))
+        (Trend.last history ~section:"hotpath" ~workload:"learn"
+           ~profile:Dwv_util.Build_profile.name))
 
 let test_trend_regression_not_ratcheted () =
   let path = Filename.temp_file "dwv_trend" ".json" in
@@ -285,7 +286,40 @@ let test_trend_regression_not_ratcheted () =
       let history = Trend.load path in
       Alcotest.(check int) "clean snapshot appended" 2 (List.length history);
       Alcotest.(check (option (list (pair string int)))) "baseline unchanged" (Some base)
-        (Trend.last history ~section:"hotpath" ~workload:"rates"))
+        (Trend.last history ~section:"hotpath" ~workload:"rates"
+           ~profile:Dwv_util.Build_profile.name))
+
+(* A release build allocates fewer minor words than the default one, so
+   a release run's entry must not become the bar a default-profile run
+   is held to; entries that predate the profile field are dev entries. *)
+let test_trend_profiles_independent () =
+  let path = Filename.temp_file "dwv_trend" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc
+            "{\"version\":1,\"entries\":[\n\
+             {\"section\":\"hotpath\",\"workload\":\"rates\",\"counters\":{\"minor_words\":100}}\n\
+             ]}\n");
+      let dev = [ ("minor_words", 100) ] and release = [ ("minor_words", 80) ] in
+      Alcotest.(check (option (list (pair string int))))
+        "an entry without a profile reads as dev" (Some dev)
+        (Trend.last (Trend.load path) ~section:"hotpath" ~workload:"rates"
+           ~profile:Trend.default_profile);
+      Alcotest.(check (list string)) "release run seeds its own bar" []
+        (Trend.record ~profile:"release" ~path ~section:"hotpath" [ ("rates", release) ]);
+      Alcotest.(check (list string)) "dev run still held to the dev bar" []
+        (Trend.record ~profile:"dev" ~path ~section:"hotpath" [ ("rates", dev) ]);
+      Alcotest.(check (list string)) "a dev regression is still caught"
+        [ "[hotpath/rates] minor_words increased 100 -> 120" ]
+        (Trend.record ~profile:"dev" ~path ~section:"hotpath"
+           [ ("rates", [ ("minor_words", 120) ]) ]);
+      let history = Trend.load path in
+      Alcotest.(check int) "release entry appended beside the dev one" 2
+        (List.length history);
+      Alcotest.(check (option (list (pair string int)))) "release bar" (Some release)
+        (Trend.last history ~section:"hotpath" ~workload:"rates" ~profile:"release"))
 
 module Mono = Dwv_util.Mono
 
@@ -363,6 +397,7 @@ let suite =
     Alcotest.test_case "trend regressions" `Quick test_trend_regressions;
     Alcotest.test_case "trend record roundtrip" `Quick test_trend_record_roundtrip;
     Alcotest.test_case "trend regression not ratcheted" `Quick test_trend_regression_not_ratcheted;
+    Alcotest.test_case "trend profiles independent" `Quick test_trend_profiles_independent;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
     Alcotest.test_case "svg scene renders" `Quick test_svg_scene_renders;
