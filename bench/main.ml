@@ -1063,7 +1063,7 @@ let print_certs () =
    soundness bugs) must examine clean. Any oracle violation, verdict
    drift, or determinism mismatch fails the gate. *)
 
-module Scenario = Dwv_scenario.Scenario
+module Scenario = Dwv_systems.Scenario
 module Scn_registry = Dwv_scenario.Scn_registry
 module Scn_fuzz = Dwv_scenario.Scn_fuzz
 module Scn_verify = Dwv_scenario.Scn_verify

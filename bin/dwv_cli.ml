@@ -7,7 +7,10 @@
      dwv initset  -s acc                    run Algorithm 2
      dwv cert emit -s acc --cert-dir D      verify + deposit a certificate
      dwv cert check FILE -s acc             independently re-check a certificate
-     dwv cert gc --cert-dir D --keep N      bound the on-disk store *)
+     dwv cert gc --cert-dir D --keep N      bound the on-disk store
+
+   SYSTEM is any built-in of the scenario registry (`dwv scenario list`
+   prints them with their dimensions); the -s doc lists their names. *)
 
 module Box = Dwv_interval.Box
 module Verifier = Dwv_reach.Verifier
@@ -25,106 +28,34 @@ module Fault = Dwv_robust.Fault
 module Pool = Dwv_parallel.Pool
 module Cert_cache = Dwv_cert.Cert_cache
 module Cert_check = Dwv_cert.Cert_check
+module Scenario = Dwv_systems.Scenario
+module Scn_registry = Dwv_scenario.Scn_registry
+module Scn_verify = Dwv_scenario.Scn_verify
+module Scn_fuzz = Dwv_scenario.Scn_fuzz
 
-(* Uniform handle over the three benchmark systems. *)
-type system = {
-  spec : Spec.t;
-  sampled : Dwv_ode.Sampled_system.t;
-  dynamics : Dwv_expr.Expr.t array;
-  init : Rng.t -> Controller.t;
-  verify : Verifier.nn_method option -> Controller.t -> Flowpipe.t;
-  verify_from : Verifier.nn_method option -> Box.t -> Controller.t -> Flowpipe.t;
-  verify_robust :
-    Verifier.nn_method option -> Budget.t option -> Cert_cache.t option ->
-    Controller.t -> Verifier.fallback_report;
-  verify_robust_from :
-    Verifier.nn_method option -> Budget.t option -> Cert_cache.t option ->
-    Box.t -> Controller.t -> Verifier.fallback_report;
-  sim : Controller.t -> float array -> float array;
-  default_cfg : Learner.config;
-}
+(* The built-in systems are the registry's handles; what the CLI adds is
+   the learner's defaults, by controller shape. *)
+let builtin_names = String.concat ", " (Scn_registry.names ())
 
-let acc_system =
-  let module A = Dwv_systems.Acc in
-  {
-    spec = A.spec;
-    sampled = A.sampled;
-    dynamics = A.dynamics;
-    init = (fun _ -> A.initial_controller);
-    verify = (fun _ c -> A.verify c);
-    verify_from = (fun _ cell c -> A.verify_from cell c);
-    verify_robust = (fun _ budget cache c -> A.verify_robust ?budget ?cache c);
-    verify_robust_from =
-      (fun _ budget cache cell c -> A.verify_robust_from ?budget ?cache cell c);
-    sim = A.sim_controller;
-    default_cfg = { Learner.default_config with max_iters = 150; alpha = 0.2; beta = 0.2 };
-  }
+let builtin name =
+  match Scn_registry.find name with
+  | Some e -> Ok e
+  | None ->
+    Error (`Msg (Fmt.str "unknown system: %s (expected one of %s)" name builtin_names))
 
-let nn_cfg =
-  { Learner.default_config with
-    max_iters = 20; alpha = 0.05; beta = 0.05; perturbation = 0.02;
-    gradient_mode = Learner.Spsa 2 }
+let learner_defaults (sys : Scn_registry.entry) =
+  match sys.scenario.Scenario.controller with
+  | Scenario.Affine _ ->
+    { Learner.default_config with max_iters = 150; alpha = 0.2; beta = 0.2 }
+  | Scenario.Net _ ->
+    { Learner.default_config with
+      max_iters = 20; alpha = 0.05; beta = 0.05; perturbation = 0.02;
+      gradient_mode = Learner.Spsa 2 }
 
-let oscillator_system =
-  let module O = Dwv_systems.Oscillator in
-  {
-    spec = O.spec;
-    sampled = O.sampled;
-    dynamics = O.dynamics;
-    init = (fun rng -> O.pretrained_controller rng);
-    verify = (fun m c -> O.verify ?method_:m c);
-    verify_from = (fun m cell c -> O.verify_from ?method_:m cell c);
-    verify_robust = (fun m budget cache c -> O.verify_robust ?method_:m ?budget ?cache c);
-    verify_robust_from =
-      (fun m budget cache cell c -> O.verify_robust_from ?method_:m ?budget ?cache cell c);
-    sim = O.sim_controller;
-    default_cfg = nn_cfg;
-  }
-
-let threed_system =
-  let module T = Dwv_systems.Threed in
-  {
-    spec = T.spec;
-    sampled = T.sampled;
-    dynamics = T.dynamics;
-    init = (fun rng -> T.pretrained_controller rng);
-    verify = (fun m c -> T.verify ?method_:m c);
-    verify_from = (fun m cell c -> T.verify_from ?method_:m cell c);
-    verify_robust = (fun m budget cache c -> T.verify_robust ?method_:m ?budget ?cache c);
-    verify_robust_from =
-      (fun m budget cache cell c -> T.verify_robust_from ?method_:m ?budget ?cache cell c);
-    sim = T.sim_controller;
-    default_cfg = nn_cfg;
-  }
-
-let pendulum_system =
-  let module P = Dwv_systems.Pendulum in
-  {
-    spec = P.spec;
-    sampled = P.sampled;
-    dynamics = P.dynamics;
-    init = (fun rng -> P.pretrained_controller rng);
-    verify = (fun m c -> P.verify ?method_:m c);
-    verify_from = (fun m cell c -> P.verify_from ?method_:m cell c);
-    verify_robust = (fun m budget cache c -> P.verify_robust ?method_:m ?budget ?cache c);
-    verify_robust_from =
-      (fun m budget cache cell c -> P.verify_robust_from ?method_:m ?budget ?cache cell c);
-    sim = P.sim_controller;
-    default_cfg = nn_cfg;
-  }
-
-let system_of_name = function
-  | "acc" -> Ok acc_system
-  | "oscillator" | "osc" -> Ok oscillator_system
-  | "threed" | "3d" -> Ok threed_system
-  | "pendulum" -> Ok pendulum_system
-  | s ->
-    Error (`Msg ("unknown system: " ^ s ^ " (expected acc | oscillator | threed | pendulum)"))
-
-let method_of_name system_name = function
+let method_of_name (sys : Scn_registry.entry) = function
   | "polar" -> Ok (Some Verifier.Polar)
   | "reachnn" ->
-    let n = if system_name = "threed" || system_name = "3d" then 3 else 2 in
+    let n = Scenario.n_total sys.scenario in
     Ok (Some (Verifier.Bernstein (Dwv_reach.Nn_reach_bernstein.default_config ~n)))
   | "default" -> Ok None
   | s -> Error (`Msg ("unknown tool: " ^ s ^ " (expected polar | reachnn)"))
@@ -137,7 +68,7 @@ let metric_of_name = function
 open Cmdliner
 
 let system_arg =
-  let doc = "Benchmark system: acc, oscillator or threed." in
+  let doc = "Benchmark system: " ^ builtin_names ^ "." in
   Arg.(required & opt (some string) None & info [ "s"; "system" ] ~docv:"SYSTEM" ~doc)
 
 let tool_arg =
@@ -166,10 +97,13 @@ let controller_arg =
   let doc = "Load a saved controller instead of the warm-start design." in
   Arg.(value & opt (some file) None & info [ "c"; "controller" ] ~docv:"FILE" ~doc)
 
-let initial_controller sys ~controller_file ~seed =
-  match controller_file with
-  | Some path -> Controller.load path
-  | None -> sys.init (Rng.create seed)
+(* The NN studies start from their warm start, the others from the
+   controller their DSL text declares. *)
+let initial_controller (sys : Scn_registry.entry) ~controller_file ~seed =
+  match (controller_file, sys.warm_start) with
+  | Some path, _ -> Controller.load path
+  | None, Some w -> w.Scn_registry.pretrained (Rng.create seed)
+  | None, None -> sys.init (Rng.create seed)
 
 (* ---- fault-tolerance options shared by verify and learn ---- *)
 
@@ -253,26 +187,27 @@ let report_robustness ~rungs ~failures ~injected () =
 
 let info_cmd =
   let run name =
-    let sys = or_die (system_of_name name) in
-    Fmt.pr "%a@." Spec.pp sys.spec
+    let sys = or_die (builtin name) in
+    Fmt.pr "%a@." Spec.pp (Scenario.spec sys.scenario)
   in
   Cmd.v (Cmd.info "info" ~doc:"Print a benchmark system's reach-avoid specification")
     Term.(const run $ system_arg)
 
 let verify_cmd =
   let run name tool seed controller_file deadline fault_specs plain cert_dir =
-    let sys = or_die (system_of_name name) in
-    let method_ = or_die (method_of_name name tool) in
+    let sys = or_die (builtin name) in
+    let method_ = or_die (method_of_name sys tool) in
     let faults = parse_faults fault_specs in
     let c = initial_controller sys ~controller_file ~seed in
     let cache = cache_of_dir cert_dir in
     let t0 = Sys.time () in
     let pipe, injected =
-      if plain then (sys.verify method_ c, [])
+      if plain then (sys.verify ?method_ c, [])
       else begin
         let budget = budget_of ~deadline ~max_calls:None in
         let report, injected =
-          with_fault_plan ~seed faults (fun () -> sys.verify_robust method_ budget cache c)
+          with_fault_plan ~seed faults (fun () ->
+              (sys.verify_robust ?method_ ?budget ?cache c).Scn_verify.fallback)
         in
         (match report.Verifier.rung with
         | Some rung when report.Verifier.rung_index <> Some 0 ->
@@ -285,7 +220,7 @@ let verify_cmd =
         (report.Verifier.pipe, injected)
       end
     in
-    let verdict = Verifier.check ~unsafe:sys.spec.Spec.unsafe ~goal:sys.spec.Spec.goal pipe in
+    let verdict = Scn_verify.check sys.scenario pipe in
     List.iter
       (fun (i, k) -> Fmt.pr "injected fault at call %d: %s@." i (Fault.kind_to_string k))
       injected;
@@ -314,23 +249,24 @@ let learn_cmd =
   in
   let run name tool metric_name iters seed controller_file save deadline max_calls
       fault_specs plain domains cert_dir =
-    let sys = or_die (system_of_name name) in
-    let method_ = or_die (method_of_name name tool) in
+    let sys = or_die (builtin name) in
+    let method_ = or_die (method_of_name sys tool) in
     let metric = or_die (metric_of_name metric_name) in
     let faults = parse_faults fault_specs in
+    let cfg = learner_defaults sys in
     let cfg =
       match iters with
-      | Some n -> { sys.default_cfg with Learner.max_iters = n; seed }
-      | None -> { sys.default_cfg with seed }
+      | Some n -> { cfg with Learner.max_iters = n; seed }
+      | None -> { cfg with seed }
     in
     let budget = budget_of ~deadline ~max_calls in
     let cache = cache_of_dir cert_dir in
     let rungs = Hashtbl.create 8 and failures = Hashtbl.create 8 in
     let tally_mu = Mutex.create () in
     let verify c =
-      if plain then sys.verify method_ c
+      if plain then sys.verify ?method_ c
       else begin
-        let report = sys.verify_robust method_ budget cache c in
+        let report = (sys.verify_robust ?method_ ?budget ?cache c).Scn_verify.fallback in
         Mutex.lock tally_mu;
         bump rungs (Option.value ~default:"none" report.Verifier.rung);
         List.iter
@@ -343,7 +279,8 @@ let learn_cmd =
     let r, injected =
       with_fault_plan ~seed faults (fun () ->
           with_domain_pool domains (fun pool ->
-              Learner.learn ?budget ~pool cfg ~metric ~spec:sys.spec ~verify
+              Learner.learn ?budget ~pool cfg ~metric ~spec:(Scenario.spec sys.scenario)
+                ~verify
                 ~init:(initial_controller sys ~controller_file ~seed)))
     in
     Fmt.pr "CI = %d (%d verifier calls), verdict: %a@." r.Learner.iterations
@@ -377,13 +314,13 @@ let learn_cmd =
 let simulate_cmd =
   let n_arg = Arg.(value & opt int 500 & info [ "n" ] ~docv:"N" ~doc:"Number of rollouts.") in
   let run name n seed controller_file domains =
-    let sys = or_die (system_of_name name) in
+    let sys = or_die (builtin name) in
     let c = initial_controller sys ~controller_file ~seed in
     let rng = Rng.create (seed + 1) in
     let rates =
       with_domain_pool domains (fun pool ->
-          Evaluate.rates ~n ~pool ~rng ~sys:sys.sampled ~controller:(sys.sim c)
-            ~spec:sys.spec ())
+          Evaluate.rates ~n ~pool ~rng ~sys:(Scenario.sampled sys.scenario)
+            ~controller:(sys.sim c) ~spec:(Scenario.spec sys.scenario) ())
     in
     Fmt.pr "%a@." Evaluate.pp_rates rates
   in
@@ -395,22 +332,23 @@ let initset_cmd =
     Arg.(value & opt int 3 & info [ "depth" ] ~docv:"D" ~doc:"Max bisection depth.")
   in
   let run name tool depth seed controller_file domains cert_dir =
-    let sys = or_die (system_of_name name) in
-    let method_ = or_die (method_of_name name tool) in
+    let sys = or_die (builtin name) in
+    let method_ = or_die (method_of_name sys tool) in
     let c = initial_controller sys ~controller_file ~seed in
     let cache = cache_of_dir cert_dir in
     (* with a cache the per-cell verifier is the robust one (certificate
        hits replay bit-exactly); without one we keep the plain verifier *)
     let verify cell =
       match cache with
-      | None -> sys.verify_from method_ cell c
+      | None -> sys.verify ?method_ ~x0:cell c
       | Some _ ->
-        (sys.verify_robust_from method_ None cache cell c).Verifier.pipe
+        (sys.verify_robust ?method_ ?cache ~x0:cell c).Scn_verify.fallback.Verifier.pipe
     in
+    let spec = Scenario.spec sys.scenario in
     let r =
       with_domain_pool domains (fun pool ->
-          Initset.search ~max_depth:depth ~pool ~verify
-            ~goal:sys.spec.Spec.goal ~x0:sys.spec.Spec.x0 ())
+          Initset.search ~max_depth:depth ~pool ~verify ~goal:spec.Spec.goal
+            ~x0:spec.Spec.x0 ())
     in
     report_cache_stats cache;
     Fmt.pr "%a@." Initset.pp_result r
@@ -428,15 +366,11 @@ let cert_emit_cmd =
     Arg.(required & opt (some string) None & info [ "cert-dir" ] ~docv:"DIR" ~doc)
   in
   let run name tool seed controller_file dir =
-    let sys = or_die (system_of_name name) in
-    let method_ = or_die (method_of_name name tool) in
+    let sys = or_die (builtin name) in
+    let method_ = or_die (method_of_name sys tool) in
     let c = initial_controller sys ~controller_file ~seed in
     let cache = Cert_cache.create ~dir () in
-    let report = sys.verify_robust method_ None (Some cache) c in
-    let verdict =
-      Verifier.check ~unsafe:sys.spec.Spec.unsafe ~goal:sys.spec.Spec.goal
-        report.Verifier.pipe
-    in
+    let { Scn_verify.verdict; fallback = report } = sys.verify_robust ?method_ ~cache c in
     Fmt.pr "verdict: %a@." Verifier.pp_verdict verdict;
     report_cache_stats (Some cache);
     match Cert_cache.last_store_path cache with
@@ -482,8 +416,8 @@ let cert_check_cmd =
       match sys_name with
       | None -> (Cert_check.Quick, None)
       | Some name ->
-        let sys = or_die (system_of_name name) in
-        (Cert_check.Full, Some sys.dynamics)
+        let sys = or_die (builtin name) in
+        (Cert_check.Full, Some (Scenario.f_total sys.scenario))
     in
     let verdict, report = Cert_check.validate ~level ?f bytes in
     Fmt.pr "%s (%d steps checked, %d unchecked)@."
@@ -523,10 +457,6 @@ let cert_cmd =
 
 (* ---- scenario farm ---- *)
 
-module Scenario = Dwv_scenario.Scenario
-module Scn_registry = Dwv_scenario.Scn_registry
-module Scn_fuzz = Dwv_scenario.Scn_fuzz
-
 let scenario_entry name file =
   match (name, file) with
   | Some n, None -> (
@@ -536,8 +466,7 @@ let scenario_entry name file =
       (* not a built-in: treat the name as a DSL file path *)
       if Sys.file_exists n then Scn_registry.of_file n
       else begin
-        Fmt.epr "dwv: unknown scenario %s (built-ins: %s)@." n
-          (String.concat ", " (Scn_registry.names ()));
+        Fmt.epr "dwv: unknown scenario %s (built-ins: %s)@." n builtin_names;
         exit 2
       end)
   | None, Some path -> Scn_registry.of_file path
@@ -546,7 +475,7 @@ let scenario_entry name file =
     exit 2
 
 let scenario_name_arg =
-  let doc = "Built-in scenario name (acc, pendulum, oscillator, threed) or a DSL file." in
+  let doc = "Built-in scenario name (" ^ builtin_names ^ ") or a DSL file." in
   Arg.(value & opt (some string) None & info [ "s"; "scenario" ] ~docv:"NAME" ~doc)
 
 let scenario_file_arg =
@@ -579,9 +508,9 @@ let scenario_run_cmd =
     let t0 = Unix.gettimeofday () in
     let report = entry.Scn_registry.verify_robust ?budget ?cache c in
     let dt = Unix.gettimeofday () -. t0 in
-    let fb = report.Dwv_scenario.Scn_verify.fallback in
+    let fb = report.Scn_verify.fallback in
     Fmt.pr "verdict: %a (rung %s, %.3f s)@." Verifier.pp_verdict
-      report.Dwv_scenario.Scn_verify.verdict
+      report.Scn_verify.verdict
       (Option.value fb.Verifier.rung ~default:"-")
       dt;
     (match fb.Verifier.error with

@@ -31,8 +31,9 @@ module Typed_lint = Dwv_analysis.Typed_lint
 module Sound_lint = Dwv_analysis.Sound_lint
 module Registry = Dwv_analysis.Registry
 module Box = Dwv_interval.Box
-module Spec = Dwv_core.Spec
 module Rng = Dwv_util.Rng
+module Scenario = Dwv_systems.Scenario
+module Scn_registry = Dwv_scenario.Scn_registry
 
 type format = Text | Json | Sarif
 
@@ -55,20 +56,14 @@ let usage_die msg =
 
 let builtin_inputs () =
   let rng = Rng.create 7 in
-  let module A = Dwv_systems.Acc in
-  let module O = Dwv_systems.Oscillator in
-  let module T = Dwv_systems.Threed in
-  let module P = Dwv_systems.Pendulum in
-  [
-    Model_check.make_input ~name:"acc" ~sys:A.sampled ~spec:A.spec
-      ~controller:A.initial_controller ();
-    Model_check.make_input ~name:"oscillator" ~sys:O.sampled ~spec:O.spec
-      ~controller:(O.initial_controller rng) ~domain:O.pretrain_region ();
-    Model_check.make_input ~name:"threed" ~sys:T.sampled ~spec:T.spec
-      ~controller:(T.initial_controller rng) ~domain:T.pretrain_region ();
-    Model_check.make_input ~name:"pendulum" ~sys:P.sampled ~spec:P.spec
-      ~controller:(P.initial_controller rng) ~domain:P.pretrain_region ();
-  ]
+  List.map
+    (fun (name, (e : Scn_registry.entry)) ->
+      let scn = e.Scn_registry.scenario in
+      Model_check.make_input ~name ~sys:(Scenario.sampled scn) ~spec:(Scenario.spec scn)
+        ~controller:(e.Scn_registry.init rng)
+        ?domain:(Option.map (fun w -> w.Scn_registry.region) e.Scn_registry.warm_start)
+        ())
+    Scn_registry.builtins
 
 let check_models names =
   let inputs = builtin_inputs () in

@@ -27,6 +27,7 @@
 
 module I = Dwv_interval.Interval
 module Box = Dwv_interval.Box
+module Scenario = Dwv_systems.Scenario
 module Expr = Dwv_expr.Expr
 module Rng = Dwv_util.Rng
 module Pool = Dwv_parallel.Pool

@@ -12,7 +12,7 @@
 (** Deterministically sample one well-formed scenario (small polynomial /
     trigonometric dynamics, affine controller, goal seeded from the
     nominal rollout, 0-2 avoid boxes, 0-1 uncertain parameters). *)
-val generate : Dwv_util.Rng.t -> int -> Scenario.t
+val generate : Dwv_util.Rng.t -> int -> Dwv_systems.Scenario.t
 
 type check_result = {
   verdict : Dwv_reach.Verifier.verdict;
@@ -28,7 +28,7 @@ val examine :
   ?budget:Dwv_robust.Budget.t ->
   ?rollouts:int ->
   rng:Dwv_util.Rng.t ->
-  Scenario.t ->
+  Dwv_systems.Scenario.t ->
   check_result
 
 (** Greedily simplify a disagreeing scenario (halve steps, drop avoid
@@ -38,8 +38,8 @@ val shrink :
   ?budget:Dwv_robust.Budget.t ->
   ?rollouts:int ->
   probe_seed:int ->
-  Scenario.t ->
-  Scenario.t
+  Dwv_systems.Scenario.t ->
+  Dwv_systems.Scenario.t
 
 type record = {
   index : int;

@@ -8,6 +8,7 @@
    downstream. *)
 
 module Box = Dwv_interval.Box
+module Scenario = Dwv_systems.Scenario
 module Expr = Dwv_expr.Expr
 module Controller = Dwv_core.Controller
 module Flowpipe = Dwv_reach.Flowpipe
@@ -153,7 +154,28 @@ let affine_report ?budget ?cache scn controller =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let flowpipe_robust ?budget ?cache scn controller =
+let slots scn =
+  match scn.Scenario.method_ with
+  | Scenario.M_polar { slots; _ } -> Some slots
+  | _ -> None
+
+(* Single-method verifier, no ladder: the first rung of the robust one. *)
+let flowpipe ?(method_ = Verifier.Polar) scn controller =
+  match (controller : Controller.t) with
+  | Controller.Linear _ ->
+    (match scn.Scenario.method_ with
+    | Scenario.M_zonotope ->
+      invalid_arg
+        "Scn_verify.flowpipe: the zonotope method is reserved for built-in LTI systems"
+    | Scenario.M_interval _ -> (interval_pipe scn controller).Flowpipe.pipe
+    | _ -> (taylor_pipe scn controller).Flowpipe.pipe)
+  | Controller.Net { net; output_scale } ->
+    Verifier.nn_flowpipe ~order:(method_order scn.Scenario.method_)
+      ?disturbance_slots:(slots scn) ~f:(Scenario.f_total scn) ~delta:scn.Scenario.delta
+      ~steps:scn.Scenario.steps ~net ~output_scale ~method_ ~x0:(Scenario.init_total scn)
+      ()
+
+let flowpipe_robust ?(method_ = Verifier.Polar) ?budget ?cache scn controller =
   match (controller : Controller.t) with
   | Controller.Linear _ ->
     (match scn.Scenario.method_ with
@@ -173,16 +195,11 @@ let flowpipe_robust ?budget ?cache scn controller =
            ~delta:scn.Scenario.delta
     | _ -> affine_report ?budget ?cache scn controller)
   | Controller.Net { net; output_scale } ->
-    let order = method_order scn.Scenario.method_ in
-    let slots =
-      match scn.Scenario.method_ with
-      | Scenario.M_polar { slots; _ } -> Some slots
-      | _ -> None
-    in
-    Verifier.nn_flowpipe_robust ~order ?disturbance_slots:slots ?budget
+    Verifier.nn_flowpipe_robust ~order:(method_order scn.Scenario.method_)
+      ?disturbance_slots:(slots scn) ?budget
       ?cert:(Option.map (cert_site scn) cache)
       ~f:(Scenario.f_total scn) ~delta:scn.Scenario.delta
-      ~steps:scn.Scenario.steps ~net ~output_scale ~method_:Verifier.Polar
+      ~steps:scn.Scenario.steps ~net ~output_scale ~method_
       ~x0:(Scenario.init_total scn) ()
 
 type report = {
@@ -190,6 +207,6 @@ type report = {
   fallback : Verifier.fallback_report;
 }
 
-let verify_robust ?budget ?cache scn controller =
-  let fallback = flowpipe_robust ?budget ?cache scn controller in
+let verify_robust ?method_ ?budget ?cache scn controller =
+  let fallback = flowpipe_robust ?method_ ?budget ?cache scn controller in
   { verdict = check scn fallback.Verifier.pipe; fallback }

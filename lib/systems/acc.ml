@@ -19,7 +19,6 @@
    half-space { s <= 120 } is represented by a box reaching far below the
    operating range (substitution documented in DESIGN.md). *)
 
-module Expr = Dwv_expr.Expr
 module Mat = Dwv_la.Mat
 module Box = Dwv_interval.Box
 module Spec = Dwv_core.Spec
@@ -27,27 +26,33 @@ module Controller = Dwv_core.Controller
 module Linear_reach = Dwv_reach.Linear_reach
 module Flowpipe = Dwv_reach.Flowpipe
 
+(* The study in the scenario DSL: its only description. Dynamics, sets,
+   delta, steps (T = 12 s) and the starting design below are read off
+   it. *)
+let dsl =
+  {|(scenario
+  (name acc)
+  (dim 2) (inputs 1)
+  (delta 0.1) (steps 120)
+  (dynamics "40 - x1" "-0.2 * x1 + u0")
+  (init (122 124) (48 52))
+  (goal (145 155) (39.5 40.5))
+  (avoid ((0 120) (-100 200)))
+  (controller (affine (0.1 -0.5 0)))
+  (method zonotope))
+|}
+
+let scenario = Scenario.of_string dsl
+let dynamics = scenario.Scenario.f
+let delta = scenario.Scenario.delta
+let steps = scenario.Scenario.steps
+let spec = Scenario.spec scenario
+let sampled = Scenario.sampled scenario
+
+(* The plant's constants, as the augmented LTI model below restates them
+   (test_systems checks the two agree on the DSL dynamics). *)
 let v_front = 40.0
 let k_drag = -0.2
-let delta = 0.1
-let steps = 120 (* T = 12 s *)
-
-(* Plant in the 2-D specification coordinates (s, v); the constant v_f is
-   just a constant in the expression AST. *)
-let dynamics =
-  [|
-    Expr.(sub (const v_front) (var 1));                (* s' = v_f - v *)
-    Expr.(add (scale k_drag (var 1)) (input 0));       (* v' = k v + u *)
-  |]
-
-let sampled = Dwv_ode.Sampled_system.make ~f:dynamics ~n:2 ~m:1 ~delta
-
-let spec =
-  Spec.make ~name:"acc"
-    ~x0:(Box.make ~lo:[| 122.0; 48.0 |] ~hi:[| 124.0; 52.0 |])
-    ~unsafe:(Box.make ~lo:[| 0.0; -100.0 |] ~hi:[| 120.0; 200.0 |])
-    ~goal:(Box.make ~lo:[| 145.0; 39.5 |] ~hi:[| 155.0; 40.5 |])
-    ~delta ~steps
 
 (* Constant-augmented LTI model for the Flow*-style verifier. *)
 let lti_augmented =
@@ -62,11 +67,12 @@ let controller_of_theta theta =
   if Array.length theta <> 3 then invalid_arg "Acc.controller_of_theta: need 3 parameters";
   Controller.linear (Mat.of_rows [ theta ])
 
-(* A mildly stabilising but far-from-goal starting design: the
-   closed-loop poles are stable yet the equilibrium gap sits at
-   s* = (8 - 40 theta_v - bias)/theta_s = 280, well past the goal band,
-   so learning has real work to do. *)
-let initial_controller = controller_of_theta [| 0.1; -0.5; 0.0 |]
+(* The DSL's starting design, theta = (0.1, -0.5, 0): mildly stabilising
+   but far from the goal — the closed-loop poles are stable yet the
+   equilibrium gap sits at s* = (8 - 40 theta_v - bias)/theta_s = 280,
+   well past the goal band, so learning has real work to do. An affine
+   shape draws nothing from the rng. *)
+let initial_controller = Scenario.make_controller scenario (Dwv_util.Rng.create 0)
 
 let augment_box box =
   Box.of_intervals
@@ -143,18 +149,3 @@ let verify_robust ?budget ?cache controller =
    the bias, the constant third coordinate of the verifier's state. *)
 let sim_controller = Controller.eval_affine
 
-(* The same study expressed in the scenario DSL; the scenario-farm tests
-   cross-check this text against the constants above, so the two
-   registrations can never drift apart. *)
-let dsl =
-  {|(scenario
-  (name acc)
-  (dim 2) (inputs 1)
-  (delta 0.1) (steps 120)
-  (dynamics "40 - x1" "-0.2 * x1 + u0")
-  (init (122 124) (48 52))
-  (goal (145 155) (39.5 40.5))
-  (avoid ((0 120) (-100 200)))
-  (controller (affine (0.1 -0.5 0)))
-  (method zonotope))
-|}

@@ -3,19 +3,28 @@
     verified by the Flow*-style zonotope engine on a constant-augmented
     LTI model. *)
 
-val v_front : float
-val k_drag : float
-val delta : float
-val steps : int
+(** The study in the scenario DSL: its only description. *)
+val dsl : string
+
+val scenario : Scenario.t
 
 (** 2-D plant in specification coordinates (constant v_f folded in). *)
 val dynamics : Dwv_expr.Expr.t array
 
-val sampled : Dwv_ode.Sampled_system.t
+val delta : float
+val steps : int
 
 (** X₀ = [122,124]×[48,52], X_u = {s ≤ 120} (as a deep box),
     X_g = [145,155]×[39.5,40.5]. *)
 val spec : Dwv_core.Spec.t
+
+val sampled : Dwv_ode.Sampled_system.t
+
+(** Front-vehicle speed and drag coefficient, as {!lti_augmented}
+    restates them. *)
+val v_front : float
+
+val k_drag : float
 
 (** Constant-augmented 3-D LTI model used by the verifier. *)
 val lti_augmented : Dwv_reach.Linear_reach.lti
@@ -23,7 +32,7 @@ val lti_augmented : Dwv_reach.Linear_reach.lti
 (** θ = [θ_s; θ_v; bias] ↦ the linear controller u = θ_s s + θ_v v + b. *)
 val controller_of_theta : float array -> Dwv_core.Controller.t
 
-(** Stable but far-from-goal starting design. *)
+(** The DSL's stable but far-from-goal starting design. *)
 val initial_controller : Dwv_core.Controller.t
 
 (** Append the constant coordinate c = 1 to a 2-D box. *)
@@ -57,7 +66,3 @@ val verify_robust :
 
 (** Control law on the 2-D simulation state. *)
 val sim_controller : Dwv_core.Controller.t -> float array -> float array
-
-(** The same study expressed in the scenario DSL (the scenario farm
-    cross-checks this text against the module constants). *)
-val dsl : string

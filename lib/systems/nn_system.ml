@@ -1,12 +1,26 @@
-(* The verifier set shared by the neural-network studies (oscillator,
-   3-D, pendulum): Ψ from a cell or from X₀, plain or behind the
-   degradation ladder, all with the same Taylor-model settings. Each
-   system module binds these to its own dynamics and specification. *)
+(* What the neural-network studies (oscillator, 3-D, pendulum) share:
+   the controller shape their DSL text declares, the behaviour-cloned
+   warm start, and the verifier set — Ψ from a cell or from X₀, plain or
+   behind the degradation ladder, all with the same Taylor-model
+   settings. Each system module binds these to its own scenario. *)
 
 module Box = Dwv_interval.Box
 module Spec = Dwv_core.Spec
 module Controller = Dwv_core.Controller
 module Verifier = Dwv_reach.Verifier
+
+let net_shape (scn : Scenario.t) =
+  match scn.Scenario.controller with
+  | Scenario.Net { sizes; acts; scale } -> (sizes, acts, scale)
+  | Scenario.Affine _ ->
+    invalid_arg
+      (Fmt.str "Nn_system.net_shape: %s declares an affine controller" scn.Scenario.name)
+
+let pretrained scn ~region ~prior ?config rng =
+  let sizes, acts, output_scale = net_shape scn in
+  let net0 = Dwv_nn.Mlp.create ~sizes ~acts rng in
+  Controller.net ~output_scale
+    (Dwv_nn.Pretrain.behavior_clone ?config ~rng ~region ~target:prior ~output_scale net0)
 
 (* Taylor-model order of the flowpipe kernel and the symbolic-remainder
    budget. [slots] trades tightness for speed (the paper's "verification

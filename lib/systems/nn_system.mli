@@ -1,6 +1,20 @@
-(** The verifier set shared by the neural-network studies ({!Oscillator},
-    {!Threed}, {!Pendulum}): each module binds these functions to its own
-    dynamics and specification and exports them as {!S}. *)
+(** What the neural-network studies ({!Oscillator}, {!Threed},
+    {!Pendulum}) share: each module binds these functions to its own
+    scenario and exports the verifiers as {!S}. *)
+
+(** [(sizes, acts, output_scale)] of the net controller the scenario
+    declares. Raises [Invalid_argument] on an affine controller. *)
+val net_shape : Scenario.t -> int list * Dwv_nn.Activation.t list * float
+
+(** Warm start: a net of the scenario's shape, behaviour-cloned from
+    [prior] on [region]. *)
+val pretrained :
+  Scenario.t ->
+  region:Dwv_interval.Box.t ->
+  prior:(float array -> float array) ->
+  ?config:Dwv_nn.Pretrain.config ->
+  Dwv_util.Rng.t ->
+  Dwv_core.Controller.t
 
 (** Taylor-model order of the flowpipe kernel. *)
 val tm_order : int

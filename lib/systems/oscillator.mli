@@ -1,22 +1,34 @@
 (** Van der Pol oscillator (Section 4): 2-D nonlinear plant under a neural
-    controller (ReLU hidden, Tanh output), verified with the ReachNN- or
-    POLAR-style abstraction. *)
+    controller, verified with the ReachNN- or POLAR-style abstraction.
+    {!dsl} is the study's only description; the bindings down to
+    {!sim_controller} are derived from it. *)
 
-val gamma : float
+(** The study in the scenario DSL. *)
+val dsl : string
+
+val scenario : Scenario.t
+val dynamics : Dwv_expr.Expr.t array
 val delta : float
 val steps : int
-val dynamics : Dwv_expr.Expr.t array
-val sampled : Dwv_ode.Sampled_system.t
 val spec : Dwv_core.Spec.t
+val sampled : Dwv_ode.Sampled_system.t
 
-(** Saturation scale of the Tanh output layer (control authority). *)
-val output_scale : float
-
+(** Net shape: layer sizes, activations and the saturation scale of the
+    Tanh output layer (control authority). *)
 val network_sizes : int list
+
 val network_acts : Dwv_nn.Activation.t list
+val output_scale : float
 
 (** Fresh randomly-initialized neural controller. *)
 val initial_controller : Dwv_util.Rng.t -> Dwv_core.Controller.t
+
+(** Flowpipe settings and verifiers Ψ of this study, bound to
+    {!dynamics} and {!spec} (see {!Nn_system}). *)
+include Nn_system.S
+
+(** Control law on the simulation state. *)
+val sim_controller : Dwv_core.Controller.t -> float array -> float array
 
 (** Feedback-linearizing warm-start prior (grazes the unsafe corner, so
     the verification loop still has to learn the evasion). *)
@@ -28,14 +40,3 @@ val pretrain_region : Dwv_interval.Box.t
 (** Neural controller behavior-cloned from {!prior_law}. *)
 val pretrained_controller :
   ?config:Dwv_nn.Pretrain.config -> Dwv_util.Rng.t -> Dwv_core.Controller.t
-
-(** Flowpipe settings and verifiers Ψ of this study, bound to
-    {!dynamics} and {!spec} (see {!Nn_system}). *)
-include Nn_system.S
-
-(** Control law on the simulation state. *)
-val sim_controller : Dwv_core.Controller.t -> float array -> float array
-
-(** The same study expressed in the scenario DSL (the scenario farm
-    cross-checks this text against the module constants). *)
-val dsl : string

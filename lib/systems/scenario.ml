@@ -273,7 +273,7 @@ let closed_loop t =
          (f_total t))
 
 (* ------------------------------------------------------------------ *)
-(* Structural equality (used by the built-in re-registration tests). *)
+(* Structural equality (used by the DSL round-trip properties). *)
 
 let box_eq a b =
   Box.dim a = Box.dim b

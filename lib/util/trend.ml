@@ -172,7 +172,8 @@ let write path history =
 (* A regressed snapshot is reported and NOT appended: appending it
    would make it the baseline, and a rerun in the same checkout would
    pass against it. *)
-let record ?(profile = Build_profile.name) ~path ~section workloads =
+let record ~path ~section workloads =
+  let profile = Build_profile.name in
   let history = load path in
   let msgs = ref [] in
   let additions =

@@ -49,16 +49,15 @@ val last :
 val regressions : prev:(string * int) list -> (string * int) list -> string list
 
 (** Gate helper: for each [(workload, snapshot)], compare against the
-    last committed entry for [(section, workload, profile)] ([profile]
-    defaults to the profile this library was built with, see
-    {!Build_profile}), append every changed
+    last committed entry for [(section, workload)] measured under the
+    profile this library was built with ({!Build_profile}), append every
+    changed
     snapshot that shows no regression to the file at [path], and return
     the prefixed regression messages of the others (empty = ratchet
     passes). A regressed snapshot is not appended, so recording it again
     fails again. First-ever snapshots seed the history and cannot
     regress. *)
 val record :
-  ?profile:string ->
   path:string ->
   section:string ->
   (string * (string * int) list) list ->

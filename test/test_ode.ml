@@ -155,7 +155,7 @@ let prop_linear_decay_matches_exact =
 
 module Acc = Dwv_systems.Acc
 module Oscillator = Dwv_systems.Oscillator
-module Scenario = Dwv_scenario.Scenario
+module Scenario = Dwv_systems.Scenario
 module Scn_fuzz = Dwv_scenario.Scn_fuzz
 module Falsifier = Dwv_core.Falsifier
 module Spec = Dwv_core.Spec

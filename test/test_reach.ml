@@ -403,7 +403,7 @@ let test_nn_flowpipe_sound_vs_simulation () =
    hand-written closed-loop copies were folded into [Closed_loop]. *)
 
 module Dwv_error = Dwv_robust.Dwv_error
-module Scenario = Dwv_scenario.Scenario
+module Scenario = Dwv_systems.Scenario
 module Scn_verify = Dwv_scenario.Scn_verify
 
 let pipe_digest pipe errors =
@@ -492,6 +492,65 @@ let golden_builtins =
       Pendulum.dsl
       ("26cd4bfec86b872a5bf2887d9a6757c3", "26cd4bfec86b872a5bf2887d9a6757c3")
 
+(* Every NN built-in's registry handle verifies through the scenario
+   verifiers; its robust flowpipe, failed rungs and winning rung, and its
+   plain flowpipe, must equal the study module's own verifiers' bit for
+   bit. *)
+let test_registry_matches_modules () =
+  let module Registry = Dwv_scenario.Scn_registry in
+  let module Oscillator = Dwv_systems.Oscillator in
+  let module Threed = Dwv_systems.Threed in
+  let module Pendulum = Dwv_systems.Pendulum in
+  List.iter
+    (fun (name, pretrained, verify_robust, verify) ->
+      let entry =
+        match Registry.find name with
+        | Some e -> e
+        | None -> Alcotest.failf "%s is not registered" name
+      in
+      let c = pretrained (Rng.create 1) in
+      let m : Verifier.fallback_report = verify_robust c in
+      let r = (entry.Registry.verify_robust c).Scn_verify.fallback in
+      Alcotest.(check string) (name ^ " robust pipe") (robust_digest m) (robust_digest r);
+      Alcotest.(check (option string)) (name ^ " rung") m.Verifier.rung r.Verifier.rung;
+      Alcotest.(check string) (name ^ " plain pipe")
+        (pipe_digest (verify c) [])
+        (pipe_digest (entry.Registry.verify c) []))
+    [
+      ( "oscillator",
+        (fun rng -> Oscillator.pretrained_controller rng),
+        (fun c -> Oscillator.verify_robust c),
+        fun c -> Oscillator.verify c );
+      ( "threed",
+        (fun rng -> Threed.pretrained_controller rng),
+        (fun c -> Threed.verify_robust c),
+        fun c -> Threed.verify c );
+      ( "pendulum",
+        (fun rng -> Pendulum.pretrained_controller rng),
+        (fun c -> Pendulum.verify_robust c),
+        fun c -> Pendulum.verify c );
+    ]
+
+(* The handle's optional arguments reach the verifier: a ReachNN method
+   sized from the scenario's dimension, and a cell of X₀, give the 3-D
+   study's own flowpipe (plain and robust) bit for bit. *)
+let test_registry_threads_method_and_cell () =
+  let module Registry = Dwv_scenario.Scn_registry in
+  let module Threed = Dwv_systems.Threed in
+  let entry = Option.get (Registry.find "threed") in
+  let c = Threed.pretrained_controller (Rng.create 1) in
+  let method_ =
+    Verifier.Bernstein
+      (Nn_reach_bernstein.default_config ~n:(Dwv_systems.Scenario.n_total Threed.scenario))
+  in
+  let cell, _ = Box.bisect Threed.spec.Dwv_core.Spec.x0 in
+  Alcotest.(check string) "plain"
+    (pipe_digest (Threed.verify_from ~method_ cell c) [])
+    (pipe_digest (entry.Registry.verify ~method_ ~x0:cell c) []);
+  Alcotest.(check string) "robust"
+    (robust_digest (Threed.verify_robust_from ~method_ cell c))
+    (robust_digest (entry.Registry.verify_robust ~method_ ~x0:cell c).Scn_verify.fallback)
+
 (* A scenario's affine ladder with the chosen first rung: [`Taylor] runs
    Taylor then interval, [`Interval] the interval rung alone. *)
 let scenario_digest path kernel =
@@ -576,4 +635,8 @@ let suite =
     Alcotest.test_case "initial box not goal" `Quick test_initial_set_does_not_count_as_goal;
     Alcotest.test_case "nn flowpipe sound" `Quick test_nn_flowpipe_sound_vs_simulation;
     Alcotest.test_case "golden flowpipe digests" `Quick test_golden_digests;
+    Alcotest.test_case "registry verifies like the study modules" `Quick
+      test_registry_matches_modules;
+    Alcotest.test_case "registry threads method and cell" `Quick
+      test_registry_threads_method_and_cell;
   ]

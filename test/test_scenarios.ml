@@ -1,19 +1,15 @@
 (* Scenario-farm suite (`dune build @scenarios`): DSL round-trip
-   properties over fuzzer-generated scenarios, the builtin DSL strings
-   cross-checked bit-for-bit against the module constants they mirror,
-   the committed benchmark scenarios verifying Reach_avoid, the
-   regression corpus examining clean, and a 200-case fuzz smoke with the
-   differential soundness oracle replayed at domains 1 vs 2. Spawns
-   domains and runs hundreds of end-to-end verifications, so it rides
-   its own alias like @faults / @certs / @parallel. *)
+   properties over fuzzer-generated scenarios, the committed benchmark
+   scenarios verifying Reach_avoid, the regression corpus examining
+   clean, and a 200-case fuzz smoke with the differential soundness
+   oracle replayed at domains 1 vs 2. Spawns domains and runs hundreds of
+   end-to-end verifications, so it rides its own alias like @faults /
+   @certs / @parallel. *)
 
-module Box = Dwv_interval.Box
-module Expr = Dwv_expr.Expr
 module Rng = Dwv_util.Rng
 module Pool = Dwv_parallel.Pool
-module Spec = Dwv_core.Spec
 module Verifier = Dwv_reach.Verifier
-module Scenario = Dwv_scenario.Scenario
+module Scenario = Dwv_systems.Scenario
 module Scn_verify = Dwv_scenario.Scn_verify
 module Scn_registry = Dwv_scenario.Scn_registry
 module Scn_fuzz = Dwv_scenario.Scn_fuzz
@@ -52,57 +48,6 @@ let test_dsl_rejects_malformed () =
        (dynamics \"u0\") (init (0 1)) (goal (0 1)) \
        (controller (affine (0 0))) (method zonotope))";
     ]
-
-(* ---------------- builtin DSL strings vs module constants ------------ *)
-
-let box_bits b = (Array.map Int64.bits_of_float (Box.lo b),
-                  Array.map Int64.bits_of_float (Box.hi b))
-
-let check_builtin name (spec : Spec.t) (dynamics : Expr.t array) =
-  let entry =
-    match Scn_registry.find name with
-    | Some e -> e
-    | None -> Alcotest.fail ("builtin not registered: " ^ name)
-  in
-  let scn = entry.Scn_registry.scenario in
-  Alcotest.(check string) "name" name scn.Scenario.name;
-  Alcotest.(check int) "dim" (Spec.dim spec) scn.Scenario.dim;
-  Alcotest.(check int) "steps" spec.Spec.steps scn.Scenario.steps;
-  Alcotest.(check bool) "delta bit-equal" true
-    (Int64.bits_of_float spec.Spec.delta
-    = Int64.bits_of_float scn.Scenario.delta);
-  Alcotest.(check bool) "init bit-equal" true
-    (box_bits spec.Spec.x0 = box_bits scn.Scenario.init);
-  Alcotest.(check bool) "goal bit-equal" true
-    (box_bits spec.Spec.goal = box_bits scn.Scenario.goal);
-  (match scn.Scenario.avoid with
-  | [ unsafe ] ->
-    Alcotest.(check bool) "unsafe bit-equal" true
-      (box_bits spec.Spec.unsafe = box_bits unsafe)
-  | l -> Alcotest.failf "expected one avoid box, got %d" (List.length l));
-  Alcotest.(check int) "dynamics arity" (Array.length dynamics)
-    (Array.length scn.Scenario.f);
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool)
-        (Fmt.str "f.(%d) structurally equal" i)
-        true
-        (Expr.equal e scn.Scenario.f.(i)))
-    dynamics
-
-let test_builtin_acc () =
-  check_builtin "acc" Dwv_systems.Acc.spec Dwv_systems.Acc.dynamics
-
-let test_builtin_pendulum () =
-  check_builtin "pendulum" Dwv_systems.Pendulum.spec
-    Dwv_systems.Pendulum.dynamics
-
-let test_builtin_oscillator () =
-  check_builtin "oscillator" Dwv_systems.Oscillator.spec
-    Dwv_systems.Oscillator.dynamics
-
-let test_builtin_threed () =
-  check_builtin "threed" Dwv_systems.Threed.spec Dwv_systems.Threed.dynamics
 
 (* ---------------- committed benchmark scenarios ---------------- *)
 
@@ -210,10 +155,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_dsl_roundtrip;
           QCheck_alcotest.to_alcotest prop_dsl_stable;
           Alcotest.test_case "DSL rejects malformed" `Quick test_dsl_rejects_malformed;
-          Alcotest.test_case "builtin acc matches module" `Quick test_builtin_acc;
-          Alcotest.test_case "builtin pendulum matches module" `Quick test_builtin_pendulum;
-          Alcotest.test_case "builtin oscillator matches module" `Quick test_builtin_oscillator;
-          Alcotest.test_case "builtin threed matches module" `Quick test_builtin_threed;
           Alcotest.test_case "benchmarks verify" `Quick test_benchmarks_verify;
           Alcotest.test_case "benchmark files round-trip" `Quick test_benchmark_files_roundtrip;
           Alcotest.test_case "corpus examines clean" `Quick test_corpus_examines_clean;

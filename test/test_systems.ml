@@ -1,6 +1,8 @@
-(* Tests for dwv_systems: the three benchmark systems match the paper's
-   stated dynamics and sets; the augmented ACC LTI model agrees with the
-   2-D expression dynamics; warm-start priors actually stabilize. *)
+(* Tests for dwv_systems: the built-in systems match the paper's stated
+   dynamics, sets, delta and horizon (each study's DSL text is its only
+   other description, so these literals are what pins it); the augmented
+   ACC LTI model agrees with the 2-D expression dynamics; warm-start
+   priors actually stabilize. *)
 
 module Expr = Dwv_expr.Expr
 module Box = Dwv_interval.Box
@@ -32,7 +34,8 @@ let test_acc_spec_sets () =
     (Box.equal s.Spec.x0 (Box.make ~lo:[| 122.0; 48.0 |] ~hi:[| 124.0; 52.0 |]));
   check_float "goal s low" 145.0 (I.lo (Box.get s.Spec.goal 0));
   check_float "unsafe s high" 120.0 (I.hi (Box.get s.Spec.unsafe 0));
-  check_float "delta" 0.1 s.Spec.delta
+  check_float "delta" 0.1 s.Spec.delta;
+  Alcotest.(check int) "steps" 120 s.Spec.steps
 
 let test_acc_augmented_consistency () =
   (* the 3-D augmented LTI model must reproduce the 2-D dynamics on the
@@ -102,7 +105,9 @@ let test_oscillator_spec_sets () =
   Alcotest.(check bool) "goal" true
     (Box.equal s.Spec.goal (Box.make ~lo:[| -0.05; -0.05 |] ~hi:[| 0.05; 0.05 |]));
   Alcotest.(check bool) "unsafe" true
-    (Box.equal s.Spec.unsafe (Box.make ~lo:[| -0.3; 0.2 |] ~hi:[| -0.25; 0.35 |]))
+    (Box.equal s.Spec.unsafe (Box.make ~lo:[| -0.3; 0.2 |] ~hi:[| -0.25; 0.35 |]));
+  check_float "delta" 0.1 s.Spec.delta;
+  Alcotest.(check int) "steps" 36 s.Spec.steps
 
 let test_oscillator_prior_stabilizes () =
   (* nominal trajectory under the analytic prior reaches the goal *)
@@ -143,11 +148,16 @@ let test_threed_spec_sets () =
   let s = Threed.spec in
   Alcotest.(check bool) "X0" true
     (Box.equal s.Spec.x0 (Box.make ~lo:[| 0.38; 0.45; 0.25 |] ~hi:[| 0.4; 0.47; 0.27 |]));
-  check_float "goal x1 lo" (-0.5) (I.lo (Box.get s.Spec.goal 0));
-  check_float "goal x2 hi" 0.28 (I.hi (Box.get s.Spec.goal 1));
-  check_float "unsafe x2 lo" 0.55 (I.lo (Box.get s.Spec.unsafe 1));
+  Alcotest.(check bool) "goal" true
+    (Box.equal s.Spec.goal
+       (Box.make ~lo:[| -0.5; 0.0; -5.0 |] ~hi:[| -0.28; 0.28; 5.0 |]));
+  Alcotest.(check bool) "unsafe" true
+    (Box.equal s.Spec.unsafe
+       (Box.make ~lo:[| -0.1; 0.55; -5.0 |] ~hi:[| 0.2; 0.6; 5.0 |]));
   (* x3 axis is free *)
-  Alcotest.(check bool) "x3 free" true (I.width (Box.get s.Spec.goal 2) >= 10.0 -. 1e-9)
+  Alcotest.(check bool) "x3 free" true (I.width (Box.get s.Spec.goal 2) >= 10.0 -. 1e-9);
+  check_float "delta" 0.2 s.Spec.delta;
+  Alcotest.(check int) "steps" 15 s.Spec.steps
 
 let test_threed_prior_reaches_goal () =
   let trace =
@@ -170,6 +180,18 @@ let test_pendulum_dynamics_values () =
   let d = Expr.eval_vec Pendulum.dynamics ~x:[| 1.0; -0.4 |] ~u:[| 0.3 |] in
   check_float "x0'" (-0.4) d.(0);
   Alcotest.(check (float 1e-12)) "x1'" (-.sin 1.0 +. 0.2 +. 0.3) d.(1)
+
+let test_pendulum_spec_sets () =
+  let s = Pendulum.spec in
+  Alcotest.(check string) "name" "pendulum" s.Spec.name;
+  Alcotest.(check bool) "X0" true
+    (Box.equal s.Spec.x0 (Box.make ~lo:[| 0.9; -0.05 |] ~hi:[| 1.1; 0.05 |]));
+  Alcotest.(check bool) "goal" true
+    (Box.equal s.Spec.goal (Box.make ~lo:[| -0.1; -0.1 |] ~hi:[| 0.1; 0.1 |]));
+  Alcotest.(check bool) "unsafe" true
+    (Box.equal s.Spec.unsafe (Box.make ~lo:[| 0.25; -1.05 |] ~hi:[| 0.4; -0.85 |]));
+  check_float "delta" 0.1 s.Spec.delta;
+  Alcotest.(check int) "steps" 30 s.Spec.steps
 
 let test_pendulum_prior_reaches_goal_safely () =
   let trace =
@@ -212,6 +234,7 @@ let suite =
     Alcotest.test_case "threed prior" `Quick test_threed_prior_reaches_goal;
     Alcotest.test_case "threed polar flowpipe" `Slow test_threed_polar_flowpipe_completes;
     Alcotest.test_case "pendulum dynamics" `Quick test_pendulum_dynamics_values;
+    Alcotest.test_case "pendulum spec" `Quick test_pendulum_spec_sets;
     Alcotest.test_case "pendulum prior" `Quick test_pendulum_prior_reaches_goal_safely;
     Alcotest.test_case "pendulum polar flowpipe" `Slow test_pendulum_polar_flowpipe_completes;
   ]

@@ -290,36 +290,48 @@ let test_trend_regression_not_ratcheted () =
            ~profile:Dwv_util.Build_profile.name))
 
 (* A release build allocates fewer minor words than the default one, so
-   a release run's entry must not become the bar a default-profile run
-   is held to; entries that predate the profile field are dev entries. *)
+   an entry measured under another profile must not become the bar this
+   build is held to; entries that predate the profile field are dev
+   entries. *)
 let test_trend_profiles_independent () =
   let path = Filename.temp_file "dwv_trend" ".json" in
+  let here = Dwv_util.Build_profile.name in
+  let other = if here = "release" then Trend.default_profile else "release" in
+  let line profile words =
+    Printf.sprintf
+      "{\"section\":\"hotpath\",\"workload\":\"rates\"%s,\"counters\":{\"minor_words\":%d}}"
+      (match profile with Some p -> ",\"profile\":\"" ^ p ^ "\"" | None -> "")
+      words
+  in
+  let write lines =
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc
+          ("{\"version\":1,\"entries\":[\n" ^ String.concat ",\n" lines ^ "\n]}\n"))
+  in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            "{\"version\":1,\"entries\":[\n\
-             {\"section\":\"hotpath\",\"workload\":\"rates\",\"counters\":{\"minor_words\":100}}\n\
-             ]}\n");
-      let dev = [ ("minor_words", 100) ] and release = [ ("minor_words", 80) ] in
+      write [ line None 100 ];
       Alcotest.(check (option (list (pair string int))))
-        "an entry without a profile reads as dev" (Some dev)
+        "an entry without a profile reads as dev" (Some [ ("minor_words", 100) ])
         (Trend.last (Trend.load path) ~section:"hotpath" ~workload:"rates"
            ~profile:Trend.default_profile);
-      Alcotest.(check (list string)) "release run seeds its own bar" []
-        (Trend.record ~profile:"release" ~path ~section:"hotpath" [ ("rates", release) ]);
-      Alcotest.(check (list string)) "dev run still held to the dev bar" []
-        (Trend.record ~profile:"dev" ~path ~section:"hotpath" [ ("rates", dev) ]);
-      Alcotest.(check (list string)) "a dev regression is still caught"
+      (* the other profile's newer, lower count is not this build's bar *)
+      write [ line (Some here) 100; line (Some other) 80 ];
+      Alcotest.(check (list string)) "held to its own profile's bar" []
+        (Trend.record ~path ~section:"hotpath" [ ("rates", [ ("minor_words", 100) ]) ]);
+      Alcotest.(check (list string)) "a regression is still caught"
         [ "[hotpath/rates] minor_words increased 100 -> 120" ]
-        (Trend.record ~profile:"dev" ~path ~section:"hotpath"
-           [ ("rates", [ ("minor_words", 120) ]) ]);
+        (Trend.record ~path ~section:"hotpath" [ ("rates", [ ("minor_words", 120) ]) ]);
       let history = Trend.load path in
-      Alcotest.(check int) "release entry appended beside the dev one" 2
-        (List.length history);
-      Alcotest.(check (option (list (pair string int)))) "release bar" (Some release)
-        (Trend.last history ~section:"hotpath" ~workload:"rates" ~profile:"release"))
+      Alcotest.(check (option (list (pair string int)))) "other profile's bar untouched"
+        (Some [ ("minor_words", 80) ])
+        (Trend.last history ~section:"hotpath" ~workload:"rates" ~profile:other);
+      (* an improvement is appended under this build's profile *)
+      ignore (Trend.record ~path ~section:"hotpath" [ ("rates", [ ("minor_words", 90) ]) ]);
+      Alcotest.(check (option (list (pair string int)))) "appended with its profile"
+        (Some [ ("minor_words", 90) ])
+        (Trend.last (Trend.load path) ~section:"hotpath" ~workload:"rates" ~profile:here))
 
 module Mono = Dwv_util.Mono
 
