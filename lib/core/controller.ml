@@ -43,7 +43,7 @@ let eval t x =
   match t with
   | Linear { gain } -> Mat.matvec gain x
   | Net { net; output_scale } ->
-    Array.map (fun v -> output_scale *. v) (Mlp.forward net x)
+    Array.map (fun v -> output_scale *. v) (Mlp.forward_into net (Mlp.domain_buffers net) x)
 
 let eval_affine t x =
   match t with

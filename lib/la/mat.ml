@@ -85,6 +85,19 @@ let matvec m v =
       done;
       !acc)
 
+(* [matvec] into [dst], which must be [rows] long and distinct from
+   [v]: the same sums in the same order, with no allocation. *)
+let matvec_into m v dst =
+  if m.cols <> Array.length v || m.rows <> Array.length dst then
+    invalid_arg "Mat.matvec_into: dimension mismatch";
+  for i = 0 to m.rows - 1 do
+    let acc = ref 0.0 in
+    for j = 0 to m.cols - 1 do
+      acc := !acc +. (m.data.((i * m.cols) + j) *. v.(j))
+    done;
+    dst.(i) <- !acc
+  done
+
 (* [matvec] on [v; 1]: the same sums in the same order, from 0.0 and
    column by column, the last column added as it is (times 1.0 is
    exact). A loop over a result made once, so a call allocates the

@@ -39,6 +39,11 @@ val matmul : t -> t -> t
 (** Matrix-vector product. *)
 val matvec : t -> float array -> float array
 
+(** [matvec_into m v dst] writes [matvec m v] into [dst], bit for bit,
+    without allocating. Raises unless [v] has [cols] entries and [dst]
+    has [rows]; [dst] must not be [v]. *)
+val matvec_into : t -> float array -> float array -> unit
+
 (** [matvec_affine m v] is [matvec m (Array.append v [| 1.0 |])], bit
     for bit, without the extended vector: the last column is a bias.
     Raises unless [m] has one more column than [v] has entries. *)

@@ -33,6 +33,15 @@ let lipschitz = function
 
 let apply_vec t v = Array.map (apply t) v
 
+(* [apply_vec] in place: the same function on every entry, one match
+   per vector instead of one per entry. *)
+let apply_in_place t v =
+  match t with
+  | Relu -> for i = 0 to Array.length v - 1 do v.(i) <- Float.max v.(i) 0.0 done
+  | Tanh -> for i = 0 to Array.length v - 1 do v.(i) <- tanh v.(i) done
+  | Sigmoid -> for i = 0 to Array.length v - 1 do v.(i) <- Dwv_util.Floatx.sigmoid v.(i) done
+  | Linear -> ()
+
 let to_string = function
   | Relu -> "relu"
   | Tanh -> "tanh"

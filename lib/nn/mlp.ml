@@ -43,13 +43,49 @@ let create ~sizes ~acts rng =
 
 let layers t = t.layers
 
+(* The forward pass into caller-owned buffers, one per layer, each
+   exactly the layer's output width ([buffers] makes a set): per layer
+   the matvec sums, the bias additions and the activation. Returns the
+   last buffer, which the next call with the same buffers overwrites.
+   [forward] is this pass into fresh buffers, so the two agree bit for
+   bit, NaN payloads included (which of two NaN operands an addition
+   returns is up to the compiled instruction, so a second copy of the
+   loop could differ there). *)
+let buffers t = Array.map (fun l -> Array.make (Array.length l.bias) 0.0) t.layers
+
+let fits t bufs =
+  let n = Array.length t.layers in
+  let ok = ref (Array.length bufs = n) in
+  for l = 0 to n - 1 do
+    if !ok && Array.length bufs.(l) <> Array.length t.layers.(l).bias then ok := false
+  done;
+  !ok
+
+let forward_into t bufs x =
+  if not (fits t bufs) then invalid_arg "Mlp.forward_into: buffers do not fit the network";
+  let h = ref x in
+  for l = 0 to Array.length t.layers - 1 do
+    let layer = t.layers.(l) and out = bufs.(l) in
+    Mat.matvec_into layer.weights !h out;
+    for i = 0 to Array.length out - 1 do
+      out.(i) <- out.(i) +. layer.bias.(i)
+    done;
+    Activation.apply_in_place layer.act out;
+    h := out
+  done;
+  !h
+
 (* Plain forward pass. *)
-let forward t x =
-  Array.fold_left
-    (fun h layer ->
-      let pre = Array.mapi (fun i wi -> wi +. layer.bias.(i)) (Mat.matvec layer.weights h) in
-      Activation.apply_vec layer.act pre)
-    x t.layers
+let forward t x = forward_into t (buffers t) x
+
+(* One buffer set per domain, remade when a call brings a network of
+   another shape: pool tasks evaluating networks never share buffers. *)
+let scratch_key : float array array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+let domain_buffers t =
+  let r = Domain.DLS.get scratch_key in
+  if not (fits t !r) then r := buffers t;
+  !r
 
 type cache = { inputs : float array array; preacts : float array array }
 

@@ -22,6 +22,20 @@ val n_out : t -> int
 val layers : t -> layer array
 val forward : t -> float array -> float array
 
+(** One output buffer per layer, each of the layer's width. *)
+val buffers : t -> float array array
+
+(** [forward_into t bufs x] is [forward t x] bit for bit, computed in
+    [bufs] (made by {!buffers} for a network of [t]'s shape) with no
+    allocation. Returns the last buffer, which the next call with the
+    same buffers overwrites. *)
+val forward_into : t -> float array array -> float array -> float array
+
+(** The calling domain's buffers for [t]'s shape, remade when the
+    previous call on this domain used a network of another shape. Read
+    {!forward_into}'s result before the domain's next evaluation. *)
+val domain_buffers : t -> float array array
+
 type cache
 
 (** Forward pass retaining activations for {!backward}. *)

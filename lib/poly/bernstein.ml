@@ -157,13 +157,25 @@ let remainder_lipschitz ~lipschitz a =
    neighbouring sample points (both f and B are Lipschitz, B with constant
    <= L_B bounded by L via the convex-combination property up to grid
    effects; we conservatively use 2L). The result is a sound bound. *)
+let c_sample_sweeps = Dwv_util.Counters.counter "bernstein_sample_sweeps"
+
+let check_samples samples_per_dim =
+  if samples_per_dim < 2 then invalid_arg "Bernstein.remainder_sampled: need >= 2 samples"
+
+(* The pad L·sqrt(Σ (w_i / (s - 1))²) of the sampled remainder. *)
+let sample_pad ~lipschitz ~samples_per_dim a =
+  let h2 = ref 0.0 in
+  Array.iter
+    (fun wi -> h2 := !h2 +. Dwv_util.Floatx.sq (wi /. float_of_int (samples_per_dim - 1)))
+    (Box.widths a.box);
+  lipschitz *. sqrt !h2
+
 let remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a =
-  if samples_per_dim < 2 then invalid_arg "Bernstein.remainder_sampled: need >= 2 samples";
+  check_samples samples_per_dim;
+  Dwv_util.Counters.incr c_sample_sweeps;
   let w = Box.widths a.box in
   let n = Box.dim a.box in
-  let h2 = ref 0.0 in
-  Array.iter (fun wi -> h2 := !h2 +. Dwv_util.Floatx.sq (wi /. float_of_int (samples_per_dim - 1))) w;
-  let pad = lipschitz *. sqrt !h2 in
+  let pad = sample_pad ~lipschitz ~samples_per_dim a in
   let lo = Box.lo a.box in
   (* The sample grid is enumerated by flat index (mixed radix, base
      [samples_per_dim], last dimension fastest — the same point order as
@@ -227,12 +239,24 @@ let remainder_curvature ~hessian_diag a =
     a.degrees;
   !acc
 
-(* Best available sound remainder. *)
+(* Best available sound remainder: the least of the Lipschitz, sampled
+   and (given a Hessian bound) curvature remainders.
+
+   The sampled remainder is [worst +. pad] with [worst >= +0.0] (a
+   maximum of absolute errors, started at +0.0), so it is never below
+   [pad]. When the cheaper of the other two is already <= [pad], the
+   sweep cannot win the minimum, and that cheaper value is the result,
+   bit for bit: a tie between equal non-zero values picks the same bits,
+   and the sweep's value is never -0.0. A NaN in either operand makes
+   the comparison false, so such calls still run the sweep and return
+   what it returns. *)
 let remainder ?pool ?hessian_diag ~lipschitz ~f ~samples_per_dim a =
-  let base =
-    Float.min (remainder_lipschitz ~lipschitz a)
-      (remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a)
-  in
-  match hessian_diag with
-  | Some h -> Float.min base (remainder_curvature ~hessian_diag:h a)
-  | None -> base
+  check_samples samples_per_dim;
+  let lip = remainder_lipschitz ~lipschitz a in
+  let curvature = Option.map (fun h -> remainder_curvature ~hessian_diag:h a) hessian_diag in
+  let cheap = match curvature with Some c -> Float.min lip c | None -> lip in
+  if cheap <= sample_pad ~lipschitz ~samples_per_dim a then cheap
+  else begin
+    let base = Float.min lip (remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a) in
+    match curvature with Some c -> Float.min base c | None -> base
+  end

@@ -50,7 +50,11 @@ val remainder_sampled :
 val remainder_curvature : hessian_diag:float array -> approx -> float
 
 (** Minimum of the applicable bounds above (still sound); [pool] is
-    forwarded to {!remainder_sampled}. *)
+    forwarded to {!remainder_sampled}. The sampled bound is never below
+    its Lipschitz pad, so when the Lipschitz or curvature bound is
+    already within the pad the grid is not swept and that bound is
+    returned: the same bits as the full minimum. Each sweep counts one
+    [bernstein_sample_sweeps]. *)
 val remainder :
   ?pool:Dwv_parallel.Pool.t ->
   ?hessian_diag:float array ->

@@ -794,7 +794,53 @@ let rank_terms pl keys scale dst =
     done;
   !ok
 
+(* Work counters: per product, the monomial pairs multiplied out and
+   those of them whose product has degree <= order. *)
+let c_pairs = Dwv_util.Counters.counter "poly_pairs"
+let c_kept_pairs = Dwv_util.Counters.counter "poly_kept_pairs"
+
+(* Total degree of a packed key (nibble sum; stops at the highest
+   non-zero nibble). *)
+let rec degree_of_key key acc =
+  if key = 0 then acc else degree_of_key (key lsr bits_per_var) (acc + (key land max_exponent))
+
+(* Per-domain degree histograms, [a]'s in [0, order] and [b]'s in
+   [order + 1, 2 order + 1], grown to the largest order seen. *)
+let hist_key : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+let tally h base ~order p =
+  for t = 0 to Array.length p.keys - 1 do
+    let d = degree_of_key p.keys.(t) 0 in
+    if d <= order then h.(base + d) <- h.(base + d) + 1
+  done
+
+(* Pairs of terms of [a] and [b] whose degrees sum to <= order, from
+   the two degree histograms. *)
+let kept_pair_count ~order a b =
+  let w = order + 1 in
+  let r = Domain.DLS.get hist_key in
+  if Array.length !r < 2 * w then r := Array.make (2 * w) 0;
+  let h = !r in
+  Array.fill h 0 (2 * w) 0;
+  tally h 0 ~order a;
+  tally h w ~order b;
+  let n = ref 0 and below = ref 0 in
+  (* below = number of b terms of degree <= order - d *)
+  for e = 0 to order do
+    below := !below + h.(w + e)
+  done;
+  for d = 0 to order do
+    n := !n + (h.(d) * !below);
+    below := !below - h.(w + order - d)
+  done;
+  !n
+
+let count_pairs ~order a b =
+  Dwv_util.Counters.add c_pairs (Array.length a.keys * Array.length b.keys);
+  Dwv_util.Counters.add c_kept_pairs (kept_pair_count ~order a b)
+
 let generic_mul_trunc ~order a b =
+  count_pairs ~order a b;
   let keep, drop = truncate ~order (mul a b) in
   (keep, bound_unit drop)
 
@@ -926,7 +972,10 @@ let mul_trunc ~order a b =
       if r_hi - r_lo < max_span_per_product * na * nb
          && rank_terms pl b.keys 2 s.rb
          && rank_terms pl a.keys row s.ra
-      then dense_mul_trunc pl s a b ~r_lo ~r_hi
+      then begin
+        count_pairs ~order a b;
+        dense_mul_trunc pl s a b ~r_lo ~r_hi
+      end
       else generic_mul_trunc ~order a b
     end
   | _ -> generic_mul_trunc ~order a b

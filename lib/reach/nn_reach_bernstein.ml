@@ -80,7 +80,7 @@ let control_models ?pool ~net ~output_scale ~config (x : Tm_vec.t) : Tm_vec.t =
          approximated — the remainder is measured against the same
          floating-point evaluation, so its rounding is part of the
          modeled function, not an enclosure step *)
-      let f point = output_scale *. (Mlp.forward net point).(k) in
+      let f point = output_scale *. (Mlp.forward_into net (Mlp.domain_buffers net) point).(k) in
       let approx = Bernstein.approximate ?pool ~f ~degrees:config.degrees x_box in
       let poly = Bernstein.to_poly approx in
       let tm = poly_on_models ~poly ~box:x_box x in

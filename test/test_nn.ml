@@ -271,6 +271,46 @@ let prop_flatten_roundtrip_random =
       let x = [| 0.2; -0.1; 0.7 |] in
       Mlp.forward net x = Mlp.forward (Mlp.unflatten net (Mlp.flatten net)) x)
 
+(* [forward_into] = [forward] bit for bit: random shapes and
+   activations, weights and inputs with NaN, ±inf, ±0 and huge entries,
+   and buffers reused from an earlier call (own buffers and the domain's
+   shared ones). *)
+let prop_forward_into_bit_identical =
+  let special st =
+    match Random.State.int st 12 with
+    | 0 -> Float.nan
+    | 1 -> Float.infinity
+    | 2 -> Float.neg_infinity
+    | 3 -> -0.0
+    | 4 -> 0.0
+    | 5 -> 1e300
+    | _ -> Random.State.float st 4.0 -. 2.0
+  in
+  let acts = [| Activation.Relu; Activation.Tanh; Activation.Sigmoid; Activation.Linear |] in
+  QCheck.Test.make ~name:"forward_into = forward, bit for bit" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let depth = 1 + Random.State.int st 4 in
+      let sizes = List.init (depth + 1) (fun _ -> 1 + Random.State.int st 9) in
+      let acts = List.init depth (fun _ -> acts.(Random.State.int st 4)) in
+      let net = Mlp.create ~sizes ~acts (Rng.create seed) in
+      let theta = Mlp.flatten net in
+      if Random.State.bool st then
+        for _ = 1 to 3 do
+          theta.(Random.State.int st (Array.length theta)) <- special st
+        done;
+      let net = Mlp.unflatten net theta in
+      let bits v = Array.map Int64.bits_of_float v in
+      let bufs = Mlp.buffers net in
+      List.for_all
+        (fun _ ->
+          let x = Array.init (Mlp.n_in net) (fun _ -> special st) in
+          let expected = bits (Mlp.forward net x) in
+          bits (Mlp.forward_into net bufs x) = expected
+          && bits (Mlp.forward_into net (Mlp.domain_buffers net) x) = expected)
+        [ 1; 2; 3 ])
+
 let suite =
   [
     Alcotest.test_case "activation values" `Quick test_activation_values;
@@ -297,4 +337,5 @@ let suite =
     Alcotest.test_case "serialize file" `Quick test_serialize_file_roundtrip;
     Alcotest.test_case "serialize rejects garbage" `Quick test_serialize_rejects_garbage;
     QCheck_alcotest.to_alcotest prop_flatten_roundtrip_random;
+    QCheck_alcotest.to_alcotest prop_forward_into_bit_identical;
   ]

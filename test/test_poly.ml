@@ -510,6 +510,46 @@ let test_bernstein_remainder_decreases_with_samples () =
   let fine = Bernstein.remainder_sampled ~lipschitz:3.0 ~f ~samples_per_dim:30 a in
   Alcotest.(check bool) "finer grid tightens" true (fine < coarse)
 
+(* [remainder] skips the sample sweep only when the Lipschitz or
+   curvature bound is already within the sweep's pad; either way it
+   returns the bits of the full minimum, computed here from the three
+   bounds with the sweep always run. Boxes from narrow to wide move the
+   winner from the cheap bounds to the sweep. *)
+let test_bernstein_early_out_bit_identical () =
+  let f x = tanh (1.5 *. x.(0)) *. cos x.(1) in
+  let sweeps () = Dwv_util.Counters.get "bernstein_sample_sweeps" in
+  let fired = ref 0 and swept = ref 0 in
+  List.iter
+    (fun (w, lipschitz, hessian_diag) ->
+      let box = Box.make ~lo:[| -0.3; 0.1 |] ~hi:[| -0.3 +. w; 0.1 +. (0.5 *. w) |] in
+      let a = Bernstein.approximate ~f ~degrees:[| 2; 2 |] box in
+      let samples_per_dim = 12 in
+      let full =
+        let base =
+          Float.min (Bernstein.remainder_lipschitz ~lipschitz a)
+            (Bernstein.remainder_sampled ~lipschitz ~f ~samples_per_dim a)
+        in
+        match hessian_diag with
+        | Some h -> Float.min base (Bernstein.remainder_curvature ~hessian_diag:h a)
+        | None -> base
+      in
+      let before = sweeps () in
+      let r = Bernstein.remainder ?hessian_diag ~lipschitz ~f ~samples_per_dim a in
+      if sweeps () = before then incr fired else incr swept;
+      Alcotest.(check int64)
+        (Fmt.str "w=%g L=%g hessian=%b" w lipschitz (Option.is_some hessian_diag))
+        (Int64.bits_of_float full) (Int64.bits_of_float r))
+    [ (0.01, 1.5, Some [| 4.0; 2.0 |]); (0.2, 1.5, Some [| 4.0; 2.0 |]);
+      (1.0, 1.5, Some [| 4.0; 2.0 |]); (3.0, 1.5, Some [| 4.0; 2.0 |]);
+      (0.01, 1.5, None); (1.0, 1.5, None); (1.0, 0.0, None);
+      (1.0, Float.nan, None); (1.0, 1.5, Some [| Float.nan; 2.0 |]) ];
+  Alcotest.(check bool) "the early-out fired" true (!fired > 0);
+  Alcotest.(check bool) "the sweep ran" true (!swept > 0);
+  Alcotest.check_raises "samples_per_dim < 2"
+    (Invalid_argument "Bernstein.remainder_sampled: need >= 2 samples") (fun () ->
+      let a = Bernstein.approximate ~f ~degrees:[| 2; 2 |] (Box.make ~lo:[| 0.0; 0.0 |] ~hi:[| 1.0; 1.0 |]) in
+      ignore (Bernstein.remainder ~lipschitz:0.0 ~f ~samples_per_dim:1 a))
+
 let suite =
   [
     Alcotest.test_case "eval" `Quick test_eval;
@@ -546,4 +586,6 @@ let suite =
     Alcotest.test_case "bernstein remainder sound" `Quick test_bernstein_remainder_sound_1d;
     Alcotest.test_case "bernstein remainder tightens" `Quick
       test_bernstein_remainder_decreases_with_samples;
+    Alcotest.test_case "bernstein remainder early-out" `Quick
+      test_bernstein_early_out_bit_identical;
   ]
