@@ -15,6 +15,7 @@ val apply_vec : t -> float array -> float array
 
 (** [apply_vec] in place, bit for bit. *)
 val apply_in_place : t -> float array -> unit
+
 val to_string : t -> string
 
 (** Raises [Invalid_argument] on an unknown name. *)

@@ -74,22 +74,51 @@ let approximate ?pool ~f ~degrees box =
   in
   { box; degrees; coeffs }
 
-(* Evaluate the Bernstein polynomial at a point of the box. *)
-let eval a x =
-  let t = Array.mapi (fun i xi ->
-      let l = I.lo a.box.(i) and w = I.width a.box.(i) in
-      if w < 1e-300 then 0.0 else (xi -. l) /. w)
-      x
-  in
+(* Evaluate the Bernstein polynomial at a point of the box: for each
+   coefficient in flat order, the product over axes of its basis values
+   at the normalized point, times the coefficient, summed. Each axis's
+   d_i + 1 basis values are computed once per point into [bv] (axis i's
+   from offset sum_{j<i} (d_j + 1)), and the coefficient's multi-index
+   [idx] advances like an odometer, last axis fastest ([multi_index]'s
+   order), so a point costs no allocation and the same products and
+   sums in the same order as one [basis] call per factor. *)
+let eval_into a ~bv ~idx x =
+  let n = Array.length a.degrees in
+  let off = ref 0 in
+  for i = 0 to n - 1 do
+    let l = I.lo a.box.(i) and w = I.width a.box.(i) in
+    let t = if w < 1e-300 then 0.0 else (x.(i) -. l) /. w in
+    let d = a.degrees.(i) in
+    for k = 0 to d do
+      bv.(!off + k) <- basis ~degree:d ~k t
+    done;
+    off := !off + d + 1
+  done;
+  Array.fill idx 0 n 0;
   let acc = ref 0.0 in
-  Array.iteri
-    (fun flat c ->
-      let k = multi_index a.degrees flat in
-      let weight = ref 1.0 in
-      Array.iteri (fun i ki -> weight := !weight *. basis ~degree:a.degrees.(i) ~k:ki t.(i)) k;
-      acc := !acc +. (c *. !weight))
-    a.coeffs;
+  for flat = 0 to Array.length a.coeffs - 1 do
+    let weight = ref 1.0 and off = ref 0 in
+    for i = 0 to n - 1 do
+      weight := !weight *. bv.(!off + idx.(i));
+      off := !off + a.degrees.(i) + 1
+    done;
+    acc := !acc +. (a.coeffs.(flat) *. !weight);
+    let i = ref (n - 1) in
+    while !i >= 0 && idx.(!i) = a.degrees.(!i) do
+      idx.(!i) <- 0;
+      decr i
+    done;
+    if !i >= 0 then idx.(!i) <- idx.(!i) + 1
+  done;
   !acc
+
+let eval_scratch a =
+  (Array.make (Array.fold_left (fun acc d -> acc + d + 1) 0 a.degrees) 0.0,
+   Array.make (Array.length a.degrees) 0)
+
+let eval a x =
+  let bv, idx = eval_scratch a in
+  eval_into a ~bv ~idx x
 
 (* The Bernstein polynomial's range lies within the hull of its
    coefficients (convex-combination property). *)
@@ -198,10 +227,11 @@ let remainder_sampled ?pool ~lipschitz ~f ~samples_per_dim a =
   in
   let range_max (first, last) =
     let x = Array.make n 0.0 in
+    let bv, idx = eval_scratch a in
     let worst = ref 0.0 in
     for flat = first to last - 1 do
       decode flat x;
-      let err = Float.abs (f x -. eval a x) in
+      let err = Float.abs (f x -. eval_into a ~bv ~idx x) in
       if err > !worst then worst := err
     done;
     !worst

@@ -16,12 +16,13 @@
    [mul_trunc]: it multiplies two polynomials of degree <= order, keeps
    the terms of degree <= order and bounds the rest over [-1,1]^n. It
    runs on a dense product plan (one per (nvars, order), shared by every
-   domain) that maps each pair of input monomials straight to the rank
-   of their product among all monomials of degree <= 2 order, so the
-   products accumulate into a per-domain dense array and the kept terms
-   and the dropped tail come out of one ascending sweep over it. Inputs
-   outside a plan use the generic [mul] (hash accumulation plus radix
-   sort) followed by [truncate] and [bound_unit].
+   domain) that maps each pair of input monomials whose product is kept
+   straight to that product's rank, so only kept pairs are formed; they
+   accumulate into a per-domain dense array whose ascending sweep emits
+   the kept terms sorted. The dropped tail is bounded from the factors'
+   homogeneous parts, never from the dropped pairs. Inputs outside a
+   plan use the generic [mul] (hash accumulation plus radix sort) on
+   their terms of degree <= order.
 
    Bit-compatibility contract: every operation performs the SAME float
    additions in the SAME order as the historical Map implementation
@@ -30,11 +31,8 @@
    key), so flowpipes, certificates and counters are bit-identical
    whichever product path runs. The Map's one irregular rule — a running
    sum of exactly 0.0 evicts its key, and a lone first contribution of
-   0.0 is kept — only matters once some running sum is ±0. [mul_trunc]'s
-   dense kernel therefore starts every slot at -0.0 (x +. -0.0 is x bit
-   for bit, ±0, NaN and ±inf included) and adds every contribution the
-   same way, with no presence flag; a product in which any running sum
-   comes out ±0 is redone by the exact kernel that applies the rule. *)
+   0.0 is kept — only decides the sign of a ±0 coefficient, and
+   [mul_trunc] keeps no ±0 coefficient on either path. *)
 
 module I = Dwv_interval.Interval
 
@@ -47,9 +45,12 @@ type t = {
      store the same immutable value, so the field is safe to share across
      domains. *)
   mutable bcache : I.t option;
+  (* Lazily computed whole and per-degree bounds ([graded] below), [||]
+     until then; a memo of a deterministic value, like [bcache]. *)
+  mutable gcache : float array;
 }
 
-let mk nvars keys coeffs = { nvars; keys; coeffs; bcache = None }
+let mk nvars keys coeffs = { nvars; keys; coeffs; bcache = None; gcache = [||] }
 
 let max_vars = 15
 let max_exponent = 15
@@ -81,12 +82,17 @@ let decode nvars key =
 
 let exponent_of key i = (key lsr (i * bits_per_var)) land max_exponent
 
-let key_degree nvars key =
-  let d = ref 0 in
-  for i = 0 to nvars - 1 do
-    d := !d + exponent_of key i
-  done;
-  !d
+(* Total degree: the sum of the key's nibbles, added in parallel. The
+   first step leaves byte i holding nibbles 2i + 2i+1 (<= 30), and the
+   shifted adds fold all eight bytes into the low one (<= 15 * 15 = 225;
+   a carry only ever moves up, out of the low byte's way). *)
+let nibble_pairs = 0x0F0F0F0F0F0F0F0F
+
+let key_degree key =
+  let x = (key land nibble_pairs) + ((key lsr bits_per_var) land nibble_pairs) in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0xFF
 
 let zero nvars =
   check_nvars nvars;
@@ -109,7 +115,7 @@ let num_terms p = Array.length p.keys
 
 let degree p =
   let d = ref 0 in
-  Array.iter (fun k -> d := max !d (key_degree p.nvars k)) p.keys;
+  Array.iter (fun k -> d := max !d (key_degree k)) p.keys;
   !d
 
 let constant_term p =
@@ -471,7 +477,7 @@ let partition keep p =
 
 (* Split into (terms of degree <= order, terms of degree > order); the
    second component is what a Taylor model moves into its remainder. *)
-let truncate ~order p = partition (fun i -> key_degree p.nvars p.keys.(i) <= order) p
+let truncate ~order p = partition (fun i -> key_degree p.keys.(i) <= order) p
 
 (* Split into (terms not involving variable i, terms involving it); used
    to retire a disturbance symbol by bounding its contribution. *)
@@ -541,68 +547,195 @@ let ieval p (box : Dwv_interval.Box.t) =
   done;
   !acc
 
-(* Range enclosure over the canonical Taylor-model domain [-1,1]^n,
-   accumulated term by term in ascending key order: the constant
-   monomial is exact, a monomial with all exponents even (some positive)
-   ranges over [0, c] (or [c, 0]), any other monomial over [-|c|, |c|].
-   [mul_trunc]'s sweep adds its dropped terms by the same rules in the
-   same order, starting from the same 0.0 bounds. *)
+(* ---- Range bounds over [-1,1]^n ----
+
+   A term ranges exactly over [c, c] (the constant monomial), [0, c] or
+   [c, 0] (every exponent even, some positive) or [-|c|, |c|] (some
+   exponent odd), and a polynomial's bounds are the sums of its terms'
+   bounds, accumulated in ascending key order. Recursive summation of k
+   terms after the first loses at most gamma_k * sum |c| (gamma_k =
+   k u / (1 - k u), u = 2^-53; Higham, Accuracy and Stability of
+   Numerical Algorithms, 4.2), and 2 k u times the computed sum of |c|
+   dominates it while k u <= 1/4, so each summed bound moves out by that
+   much, plus one ulp for the rounding of the move itself. A polynomial
+   of one term needs no move: 0.0 +. c is exact.
+
+   One pass computes the whole polynomial's bounds and those of each
+   homogeneous part (its terms of one total degree): [graded] holds
+   [| lo; hi; lo_0; hi_0; n_0; lo_1; hi_1; n_1; ... |], n_d being the
+   part's number of terms. A part of positive degree adds every |c| into
+   its lower bound, its upper bound or both, so its sum of |c| is at most
+   |lo_d| + |hi_d| (over 1 - 2 gamma_k >= 2/3 once rounded, for
+   k u <= 1/8), and 2 k u times the sum is at most k eps (|lo_d| + |hi_d|)
+   with k the whole polynomial's count; the constant part is one term.
+   The truncating product bounds its dropped tail from the parts, and
+   [Taylor_model.mul] then reads the whole bounds of the same factors
+   from the cache. *)
+
+(* [scan ~parts:false] computes only the whole bounds, as [| lo; hi |];
+   [~parts:true] the whole array above. The whole bounds take the same
+   operations in the same order either way, so [bound_unit] has the same
+   bits whether or not a product graded the polynomial first. *)
+let scan ~parts p =
+  let n = Array.length p.keys in
+  let dmax = ref (-1) in
+  if parts then
+    for t = 0 to n - 1 do
+      let d = key_degree (Array.unsafe_get p.keys t) in
+      if d > !dmax then dmax := d
+    done;
+  let g = Array.make (2 + (3 * (!dmax + 1))) 0.0 in
+  let mask = parity_mask p.nvars in
+  let s = ref 0.0 in
+  for t = 0 to n - 1 do
+    let key = Array.unsafe_get p.keys t and c = Array.unsafe_get p.coeffs t in
+    let i = if parts then 2 + (3 * key_degree key) else 0 in
+    if key = 0 then begin
+      g.(0) <- g.(0) +. c;
+      g.(1) <- g.(1) +. c;
+      if parts then begin
+        g.(i) <- g.(i) +. c;
+        g.(i + 1) <- g.(i + 1) +. c
+      end
+    end
+    else if key land mask = 0 then begin
+      if c >= 0.0 then begin
+        g.(1) <- g.(1) +. c;
+        if parts then g.(i + 1) <- g.(i + 1) +. c
+      end
+      else begin
+        g.(0) <- g.(0) +. c;
+        if parts then g.(i) <- g.(i) +. c
+      end
+    end
+    else begin
+      let a = Float.abs c in
+      g.(0) <- g.(0) -. a;
+      g.(1) <- g.(1) +. a;
+      if parts then begin
+        g.(i) <- g.(i) -. a;
+        g.(i + 1) <- g.(i + 1) +. a
+      end
+    end;
+    if parts then g.(i + 2) <- g.(i + 2) +. 1.0;
+    s := !s +. Float.abs c
+  done;
+  if n > 1 then begin
+    let k = float_of_int (n - 1) *. epsilon_float in
+    let slack = Float.succ (k *. !s) in
+    g.(0) <- Float.pred (g.(0) -. slack);
+    g.(1) <- Float.succ (g.(1) +. slack);
+    for d = 1 to !dmax do
+      let i = 2 + (3 * d) in
+      if g.(i + 2) > 0.0 then begin
+        let slack = Float.succ (k *. (Float.abs g.(i) +. Float.abs g.(i + 1))) in
+        g.(i) <- Float.pred (g.(i) -. slack);
+        g.(i + 1) <- Float.succ (g.(i + 1) +. slack)
+      end
+    done
+  end;
+  g
+
+let graded p =
+  if Array.length p.gcache > 0 then p.gcache
+  else begin
+    let g = scan ~parts:true p in
+    p.gcache <- g;
+    g
+  end
+
+(* Enclosure over [-1,1]^n; raises [Invalid_argument] when a bound is
+   not finite. *)
 let bound_unit p =
   match p.bcache with
   | Some b -> b
   | None ->
-    let mask = parity_mask p.nvars in
-    let lo = ref 0.0 and hi = ref 0.0 in
-    for i = 0 to Array.length p.keys - 1 do
-      let key = Array.unsafe_get p.keys i and c = Array.unsafe_get p.coeffs i in
-      if key = 0 then begin
-        lo := !lo +. c;
-        hi := !hi +. c
-      end
-      else if key land mask = 0 then begin
-        if c >= 0.0 then hi := !hi +. c else lo := !lo +. c
-      end
-      else begin
-        let a = Float.abs c in
-        lo := !lo -. a;
-        hi := !hi +. a
-      end
-    done;
-    let b = I.make !lo !hi in
+    let g = if Array.length p.gcache > 0 then p.gcache else scan ~parts:false p in
+    let b = I.make g.(0) g.(1) in
     p.bcache <- Some b;
     b
 
+let part_degree g = ((Array.length g - 2) / 3) - 1
+
+(* Enclosure over [-1,1]^n of the terms of [mul a b] of degree > order,
+   from the homogeneous parts: the sum over d + e > order of a_d b_e,
+   which lies in sum_d B(a_d) * (sum_{e > order - d} B(b_e)). The inner
+   sums are suffix sums over b's parts, so the tail costs O(degree)
+   interval operations, whatever the number of terms. The interval sums
+   and products run on floats with every rounded result stepped one ulp
+   outward (round-to-nearest errs by at most half an ulp), so nothing is
+   allocated but the result. Raises [Invalid_argument] when a part that
+   enters the tail, or the tail itself, is not finite. *)
+let graded_tail ~order a b =
+  let ga = graded a and gb = graded b in
+  let tlo = ref 0.0 and thi = ref 0.0 and slo = ref 0.0 and shi = ref 0.0 in
+  let suffix = ref false and next = ref (part_degree gb) in
+  for d = 0 to part_degree ga do
+    (* b's parts of degree >= order + 1 - d pair with a_d into the tail *)
+    while !next >= 0 && !next >= order + 1 - d do
+      let j = 2 + (3 * !next) in
+      let lo = gb.(j) and hi = gb.(j + 1) in
+      if gb.(j + 2) > 0.0 then begin
+        if not (Float.is_finite lo && Float.is_finite hi) then
+          invalid_arg "Poly.mul_trunc: non-finite tail";
+        slo := Float.pred (!slo +. lo);
+        shi := Float.succ (!shi +. hi);
+        suffix := true
+      end;
+      decr next
+    done;
+    let i = 2 + (3 * d) in
+    let alo = ga.(i) and ahi = ga.(i + 1) in
+    if !suffix && ga.(i + 2) > 0.0 then begin
+      if not (Float.is_finite alo && Float.is_finite ahi) then
+        invalid_arg "Poly.mul_trunc: non-finite tail";
+      let p1 = alo *. !slo and p2 = alo *. !shi and p3 = ahi *. !slo and p4 = ahi *. !shi in
+      tlo := Float.pred (!tlo +. Float.pred (Float.min (Float.min p1 p2) (Float.min p3 p4)));
+      thi := Float.succ (!thi +. Float.succ (Float.max (Float.max p1 p2) (Float.max p3 p4)))
+    end
+  done;
+  if not (Float.is_finite !tlo && Float.is_finite !thi) then
+    invalid_arg "Poly.mul_trunc: non-finite tail";
+  I.make !tlo !thi
+
 (* ---- Truncating product on dense plans ----
 
-   A plan for (nvars, order) lists every monomial of degree <= 2 order
-   in ascending packed-key order (its rank is its index), gives each
-   rank a class byte (kept: degree <= order; dropped with every exponent
-   even; dropped otherwise), and tabulates, for each pair of input
-   monomials of degree <= order, the rank of their product as a 16-bit
-   entry of a byte table:
+   A plan for (nvars, order) lists the n_in monomials of degree <= order
+   in ascending packed-key order (a monomial's index is its rank), with
+   each one's degree, and tabulates, for each pair of them whose degrees
+   sum to <= order, the rank of their product as a 16-bit entry of a
+   byte table:
 
      prod[2 (ra * n_in + rb)] = rank (key_ra + key_rb)
 
-   With it, [mul_trunc] needs no hashing and no sorting: each product
-   adds into a per-domain dense slot array at its rank, and one sweep
-   over the touched rank range (contiguous, because key addition is
-   monotone) emits the kept terms already sorted and adds the dropped
-   ones into the tail bounds in ascending key order. The result is the
-   same polynomial and the same remainder bound, bit for bit, as
-   [truncate ~order (mul a b)] followed by [bound_unit] of the dropped
-   part: the products are formed in [mul]'s order (outer over [a],
-   inner over [b]) and follow [mul]'s exact-zero eviction rule (the
-   fast kernel never sees it fire; a ±0 running sum sends the product
-   to the exact kernel).
+   (the entries of the other pairs are never read). With it,
+   [mul_trunc] needs no hashing and no sorting: b's terms are sorted by
+   degree once, so row i (a's i-th term, of degree d) multiplies out
+   exactly b's terms of degree <= order - d, each into a per-domain
+   dense slot array at its kept rank, and one ascending sweep over the
+   touched ranks emits the kept terms already sorted. No dropped pair
+   is formed: [graded_tail] bounds them from the factors' parts.
+
+   The kept part is [truncate ~order (mul a b)]'s with its ±0
+   coefficients removed, bit for bit. A kept monomial's contributions
+   come only from pairs of degree <= order, rows run in ascending key
+   order of [a] as [mul]'s outer loop does, and within one row each
+   rank gets at most one contribution (key addition is injective), so
+   every slot sees [mul]'s sums in [mul]'s order. Every slot starts at
+   -0.0, and -0.0 +. c is c bit for bit; [mul]'s eviction of a running
+   sum of exactly 0.0 then only differs in the sign of a ±0 result,
+   which neither side keeps.
 
    Plans are a pure function of (nvars, order), built once per process
    and shared by every domain through a publish-once registry. One with
-   more than [max_plan_words] pairs and output ranks is never built
-   (the pair records [None]) and its products take the generic path, so
-   a plan's product table stays below 2 MiB. *)
+   more than [max_plan_words] pairs is never built (the pair records
+   [None]) and its products take the generic path, so a plan's product
+   table stays below 2 MiB. Nor is one with 2 order > 15: the sum of two
+   keys of degree <= order then always stays within its nibbles, which
+   the sweep's key-range bounds rely on. *)
 
 (* Covers every arity up to order 3, and up to 10 / 7 / 6 / 5 variables
-   at orders 4 / 5 / 6 / 7. Every such plan has n_out <= 54,264, so its
+   at orders 4 / 5 / 6 / 7. Every such plan has n_in <= 1,024, so its
    ranks fit 16 bits. *)
 let max_plan_words = 1 lsl 20
 
@@ -623,8 +756,7 @@ let plan_shape ~nvars ~order =
   if nvars < 1 || nvars > max_vars || order < 0 || 2 * order > max_exponent then None
   else begin
     let n_in = binomial (order + nvars) nvars in
-    let n_out = binomial ((2 * order) + nvars) nvars in
-    if (n_in * n_in) + n_out > max_plan_words then None else Some (n_in, n_out)
+    if n_in * n_in > max_plan_words then None else Some n_in
   end
 
 (* Monomials of total degree <= d in ascending key order: the key
@@ -684,17 +816,12 @@ let rank rk key =
   done;
   if !d < 0 then -1 else !r
 
-(* Output rank classes. *)
-let cls_kept = '\000'
-let cls_even = '\001' (* dropped, every exponent even: value in [0, 1] *)
-let cls_odd = '\002'  (* dropped, some exponent odd: value in [-1, 1] *)
-
 type plan = {
+  order_p : int;
   n_in : int;
   in_keys : int array;  (* degree <= order, ascending *)
+  in_deg : Bytes.t;     (* degree of each input monomial *)
   in_ranker : ranker;
-  out_keys : int array; (* degree <= 2 order, ascending *)
-  out_class : Bytes.t;  (* one class byte per rank *)
   prod : Bytes.t;       (* n_in * n_in product ranks, 16 bits each *)
 }
 
@@ -707,25 +834,19 @@ external get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
 let build_plan nvars order =
   match plan_shape ~nvars ~order with
   | None -> None
-  | Some (n_in, n_out) ->
-    assert (n_out < 1 lsl 16);
-    let in_keys = monomials nvars order and out_keys = monomials nvars (2 * order) in
-    let out_ranker = ranker nvars (2 * order) in
-    let mask = parity_mask nvars in
-    let out_class =
-      Bytes.init n_out (fun r ->
-          let key = out_keys.(r) in
-          if key_degree nvars key <= order then cls_kept
-          else if key land mask = 0 then cls_even
-          else cls_odd)
-    in
-    let prod = Bytes.create (2 * n_in * n_in) in
+  | Some n_in ->
+    assert (n_in < 1 lsl 16);
+    let in_keys = monomials nvars order and in_ranker = ranker nvars order in
+    let in_deg = Bytes.init n_in (fun r -> Char.chr (key_degree in_keys.(r))) in
+    let deg r = Char.code (Bytes.get in_deg r) in
+    let prod = Bytes.make (2 * n_in * n_in) '\000' in
     for i = 0 to n_in - 1 do
       for j = 0 to n_in - 1 do
-        Bytes.set_uint16_ne prod (2 * ((i * n_in) + j)) (rank out_ranker (in_keys.(i) + in_keys.(j)))
+        if deg i + deg j <= order then
+          Bytes.set_uint16_ne prod (2 * ((i * n_in) + j)) (rank in_ranker (in_keys.(i) + in_keys.(j)))
       done
     done;
-    Some { n_in; in_keys; in_ranker = ranker nvars order; out_keys; out_class; prod }
+    Some { order_p = order; n_in; in_keys; in_deg; in_ranker; prod }
 
 let plans : (int, plan option) Dwv_util.Publish_once.t = Dwv_util.Publish_once.create ()
 
@@ -734,42 +855,45 @@ let plan_for nvars order =
       build_plan nvars order)
 
 (* Per-domain dense accumulator, grown to the largest plan seen. Between
-   calls every [vals] slot holds -0.0 and every [state] byte is '\000'
-   (the sweep restores both). *)
+   calls every [vals] slot holds -0.0 (the sweep restores it). *)
 type dense_scratch = {
   mutable vals : float array;
-  mutable state : Bytes.t; (* exact kernel only: '\001' = a live sum *)
-  mutable ra : int array;  (* a's term ranks, as byte offsets of product-table rows *)
-  mutable rb : int array;  (* b's term ranks, as byte offsets within a row *)
-  mutable kk : int array;  (* kept terms, before the exact-size copy *)
+  mutable ra : int array;   (* a's term ranks *)
+  mutable rb : int array;   (* b's term ranks *)
+  mutable sb : int array;   (* b's ranks as byte offsets within a row, by degree *)
+  mutable sc : float array; (* b's coefficients, in [sb]'s order *)
+  mutable upto : int array; (* upto.(e) = b's terms of degree <= e *)
+  mutable kk : int array;   (* kept terms, before the exact-size copy *)
   mutable kc : float array;
 }
 
 let dense_key : dense_scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { vals = [||]; state = Bytes.empty; ra = [||]; rb = [||]; kk = [||]; kc = [||] })
+      { vals = [||]; ra = [||]; rb = [||]; sb = [||]; sc = [||]; upto = [||]; kk = [||];
+        kc = [||] })
 
+(* Every array has n_in slots: a factor in the plan has at most n_in
+   terms, and n_in > order. *)
 let dense_scratch pl =
   let s = Domain.DLS.get dense_key in
-  let n_out = Array.length pl.out_keys in
-  if Array.length s.vals < n_out then begin
-    s.vals <- Array.make n_out (-0.0);
-    s.state <- Bytes.make n_out '\000'
-  end;
-  if Array.length s.ra < pl.n_in then begin
+  if Array.length s.vals < pl.n_in then begin
+    s.vals <- Array.make pl.n_in (-0.0);
     s.ra <- Array.make pl.n_in 0;
     s.rb <- Array.make pl.n_in 0;
+    s.sb <- Array.make pl.n_in 0;
+    s.sc <- Array.make pl.n_in 0.0;
+    s.upto <- Array.make pl.n_in 0;
     s.kk <- Array.make pl.n_in 0;
     s.kc <- Array.make pl.n_in 0.0
   end;
   s
 
-(* Ranks of [keys] in the plan's input monomials, times [scale], into
-   [dst]; false when some key has degree > order (not in the plan). A
-   step-table [rank] costs nvars lookups per key; a merge of the sorted
-   keys against the plan's sorted input monomials costs n_in steps in
-   all, so it runs once the factor is dense enough to pay for them. *)
-let rank_terms pl keys scale dst =
+(* Ranks of [keys] in the plan's input monomials into [dst]; false when
+   some key has degree > order (not in the plan). A step-table [rank]
+   costs nvars lookups per key; a merge of the sorted keys against the
+   plan's sorted input monomials costs n_in steps in all, so it runs once
+   the factor is dense enough to pay for them. *)
+let rank_terms pl keys dst =
   let n = Array.length keys in
   let ok = ref true and t = ref 0 in
   if n * pl.in_ranker.nvars_r >= pl.n_in then begin
@@ -780,7 +904,7 @@ let rank_terms pl keys scale dst =
         incr p
       done;
       if !p < pl.n_in && Array.unsafe_get in_keys !p = key then begin
-        Array.unsafe_set dst !t (!p * scale);
+        Array.unsafe_set dst !t !p;
         incr t
       end
       else ok := false
@@ -789,196 +913,162 @@ let rank_terms pl keys scale dst =
   else
     while !ok && !t < n do
       let r = rank pl.in_ranker (Array.unsafe_get keys !t) in
-      if r < 0 then ok := false else Array.unsafe_set dst !t (r * scale);
+      if r < 0 then ok := false else Array.unsafe_set dst !t r;
       incr t
     done;
   !ok
 
 (* Work counters: per product, the monomial pairs multiplied out and
-   those of them whose product has degree <= order. *)
+   those of them whose product has degree <= order (the same number on
+   the dense path, which forms no other pair). *)
 let c_pairs = Dwv_util.Counters.counter "poly_pairs"
 let c_kept_pairs = Dwv_util.Counters.counter "poly_kept_pairs"
 
-(* Total degree of a packed key (nibble sum; stops at the highest
-   non-zero nibble). *)
-let rec degree_of_key key acc =
-  if key = 0 then acc else degree_of_key (key lsr bits_per_var) (acc + (key land max_exponent))
+let part_count g d = int_of_float g.(4 + (3 * d))
 
-(* Per-domain degree histograms, [a]'s in [0, order] and [b]'s in
-   [order + 1, 2 order + 1], grown to the largest order seen. *)
-let hist_key : int array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
-
-let tally h base ~order p =
-  for t = 0 to Array.length p.keys - 1 do
-    let d = degree_of_key p.keys.(t) 0 in
-    if d <= order then h.(base + d) <- h.(base + d) + 1
-  done
-
-(* Pairs of terms of [a] and [b] whose degrees sum to <= order, from
-   the two degree histograms. *)
-let kept_pair_count ~order a b =
-  let w = order + 1 in
-  let r = Domain.DLS.get hist_key in
-  if Array.length !r < 2 * w then r := Array.make (2 * w) 0;
-  let h = !r in
-  Array.fill h 0 (2 * w) 0;
-  tally h 0 ~order a;
-  tally h w ~order b;
+(* Pairs of terms of [a] and [b] whose degrees sum to <= order, from the
+   term counts of their homogeneous parts ([graded]). *)
+let kept_pair_count ~order ga gb =
+  let db = part_degree gb in
   let n = ref 0 and below = ref 0 in
   (* below = number of b terms of degree <= order - d *)
-  for e = 0 to order do
-    below := !below + h.(w + e)
+  for e = 0 to min order db do
+    below := !below + part_count gb e
   done;
-  for d = 0 to order do
-    n := !n + (h.(d) * !below);
-    below := !below - h.(w + order - d)
+  for d = 0 to min order (part_degree ga) do
+    n := !n + (part_count ga d * !below);
+    if order - d <= db then below := !below - part_count gb (order - d)
   done;
   !n
 
-let count_pairs ~order a b =
-  Dwv_util.Counters.add c_pairs (Array.length a.keys * Array.length b.keys);
-  Dwv_util.Counters.add c_kept_pairs (kept_pair_count ~order a b)
-
+(* Factors outside a plan: [mul] of their terms of degree <= order (the
+   only ones a kept monomial can come from, in the same order), then the
+   kept terms without their ±0 coefficients. *)
 let generic_mul_trunc ~order a b =
-  count_pairs ~order a b;
-  let keep, drop = truncate ~order (mul a b) in
-  (keep, bound_unit drop)
+  let ga = graded a and gb = graded b in
+  let low p g =
+    if part_degree g <= order then p
+    else fst (partition (fun i -> key_degree p.keys.(i) <= order) p)
+  in
+  let la = low a ga and lb = low b gb in
+  Dwv_util.Counters.add c_pairs (Array.length la.keys * Array.length lb.keys);
+  Dwv_util.Counters.add c_kept_pairs (kept_pair_count ~order ga gb);
+  let p = mul la lb in
+  fst (partition (fun i -> p.coeffs.(i) <> 0.0 && key_degree p.keys.(i) <= order) p)
 
-(* The fast kernel, one row: vals.(prod[ra_i + rb_j]) +.= ac.(i) *. bc.(j)
-   for every j < nb, in ascending j. Every slot starts at -0.0 and
-   -0.0 +. c is c bit for bit (±0, NaN and ±inf included), so a first
-   contribution and a later one are the same update, with no presence
-   flag. Returns true when some running value came out ±0: then the
-   Map's eviction rule (and its keeping a lone 0.0 contribution) decides
-   the result, and the caller reruns the product on the exact kernel.
-   Within a row the ranks are distinct (key addition is injective), so
-   an unrolled step loads its four slots before storing any of them. *)
-let accumulate_row prod vals rb bc ac i row nb =
+(* One row: vals.(prod[row + sb_j]) +.= ac.(i) *. sc.(j) for every
+   j < nb. Within a row the ranks are distinct, so an unrolled step
+   loads its four slots before storing any of them. (The factor comes
+   as an array and an index: a float argument would be boxed.) *)
+let accumulate_row prod vals sb sc ac i row nb =
   let ai = Array.unsafe_get ac i in
-  let hit = ref false and j = ref 0 in
+  let j = ref 0 in
   while !j + 3 < nb do
     let j0 = !j in
-    let r0 = get16 prod (row + Array.unsafe_get rb j0) in
-    let r1 = get16 prod (row + Array.unsafe_get rb (j0 + 1)) in
-    let r2 = get16 prod (row + Array.unsafe_get rb (j0 + 2)) in
-    let r3 = get16 prod (row + Array.unsafe_get rb (j0 + 3)) in
-    let s0 = Array.unsafe_get vals r0 +. (ai *. Array.unsafe_get bc j0) in
-    let s1 = Array.unsafe_get vals r1 +. (ai *. Array.unsafe_get bc (j0 + 1)) in
-    let s2 = Array.unsafe_get vals r2 +. (ai *. Array.unsafe_get bc (j0 + 2)) in
-    let s3 = Array.unsafe_get vals r3 +. (ai *. Array.unsafe_get bc (j0 + 3)) in
+    let r0 = get16 prod (row + Array.unsafe_get sb j0) in
+    let r1 = get16 prod (row + Array.unsafe_get sb (j0 + 1)) in
+    let r2 = get16 prod (row + Array.unsafe_get sb (j0 + 2)) in
+    let r3 = get16 prod (row + Array.unsafe_get sb (j0 + 3)) in
+    let s0 = Array.unsafe_get vals r0 +. (ai *. Array.unsafe_get sc j0) in
+    let s1 = Array.unsafe_get vals r1 +. (ai *. Array.unsafe_get sc (j0 + 1)) in
+    let s2 = Array.unsafe_get vals r2 +. (ai *. Array.unsafe_get sc (j0 + 2)) in
+    let s3 = Array.unsafe_get vals r3 +. (ai *. Array.unsafe_get sc (j0 + 3)) in
     Array.unsafe_set vals r0 s0;
     Array.unsafe_set vals r1 s1;
     Array.unsafe_set vals r2 s2;
     Array.unsafe_set vals r3 s3;
-    if s0 = 0.0 || s1 = 0.0 || s2 = 0.0 || s3 = 0.0 then hit := true;
     j := j0 + 4
   done;
   while !j < nb do
-    let r = get16 prod (row + Array.unsafe_get rb !j) in
-    let s = Array.unsafe_get vals r +. (ai *. Array.unsafe_get bc !j) in
-    Array.unsafe_set vals r s;
-    if s = 0.0 then hit := true;
+    let r = get16 prod (row + Array.unsafe_get sb !j) in
+    Array.unsafe_set vals r (Array.unsafe_get vals r +. (ai *. Array.unsafe_get sc !j));
     incr j
-  done;
-  !hit
-
-(* The exact kernel: the Map's M.update semantics with a presence byte
-   per rank. A first contribution (or the first since an eviction) is
-   stored and kept even when it is 0.0; a running sum that hits exactly
-   0.0 evicts the key. Runs only when the fast kernel saw a ±0. *)
-let accumulate_exact pl s a b =
-  let prod = pl.prod and vals = s.vals and state = s.state in
-  let ra = s.ra and rb = s.rb and ac = a.coeffs and bc = b.coeffs in
-  for i = 0 to Array.length a.keys - 1 do
-    let row = Array.unsafe_get ra i in
-    for j = 0 to Array.length b.keys - 1 do
-      let r = get16 prod (row + Array.unsafe_get rb j) in
-      if Bytes.unsafe_get state r = '\000' then begin
-        Bytes.unsafe_set state r '\001';
-        Array.unsafe_set vals r (Array.unsafe_get ac i *. Array.unsafe_get bc j)
-      end
-      else begin
-        Array.unsafe_set vals r
-          (Array.unsafe_get vals r +. (Array.unsafe_get ac i *. Array.unsafe_get bc j));
-        if Array.unsafe_get vals r = 0.0 then Bytes.unsafe_set state r '\000'
-      end
-    done
   done
 
-(* [r_lo], [r_hi]: ranks of the smallest and largest product key. One
-   ascending sweep over them emits the live kept ranks in order and adds
-   every dropped rank into the tail bounds, live or not: a slot nobody
-   live holds is ±0 (-0.0 untouched, or an evicted sum), and a ±0 term
-   leaves both bounds' bits unchanged. An even-class ±0 goes to [hi]
-   (c >= 0.0 holds for -0.0) and x +. ±0.0 is x for every x but -0.0,
-   which [hi] never is (it starts at +0.0 and only gains terms >= 0);
-   an odd-class ±0 subtracts +0.0 from [lo], which is exact for every
-   [lo], and adds +0.0 to [hi]. So only kept ranks test liveness: a
-   non-zero slot after the fast kernel, a '\001' byte after the exact
-   one. Every slot is back to -0.0 (and every byte to '\000') before
-   anything below can raise, such as [I.make] on a non-finite tail. *)
+let deg_of pl r = Char.code (Bytes.unsafe_get pl.in_deg r)
+
+(* [ra], [rb] hold the factors' ranks; [r_lo], [r_hi] bound the kept
+   ranks any pair can reach. Sorts b by degree (counting sort, stable),
+   runs each row over b's terms of degree <= order - deg a_i, then sweeps
+   [r_lo, r_hi] once: a slot that is not ±0 is a kept term, and every
+   slot goes back to -0.0. *)
 let dense_mul_trunc pl s a b ~r_lo ~r_hi =
-  let vals = s.vals and state = s.state in
-  let nb = Array.length b.keys in
-  let hit = ref false in
-  for i = 0 to Array.length a.keys - 1 do
-    if accumulate_row pl.prod vals s.rb b.coeffs a.coeffs i (Array.unsafe_get s.ra i) nb then
-      hit := true
+  let order = pl.order_p and nb = Array.length b.keys in
+  let upto = s.upto and sb = s.sb and sc = s.sc in
+  Array.fill upto 0 (order + 1) 0;
+  for j = 0 to nb - 1 do
+    let d = deg_of pl (Array.unsafe_get s.rb j) in
+    upto.(d) <- upto.(d) + 1
   done;
-  let exact = !hit in
-  (* the exact kernel overwrites each rank it touches first, and the
-     fast pass touched the same ranks *)
-  if exact then accumulate_exact pl s a b;
-  let out_keys = pl.out_keys and cls = pl.out_class and kk = s.kk and kc = s.kc in
-  let lo = ref 0.0 and hi = ref 0.0 and m = ref 0 in
+  (* upto.(d) := first slot of degree d; after placement, one past its
+     last, i.e. the number of b's terms of degree <= d *)
+  let start = ref 0 in
+  for d = 0 to order do
+    let c = upto.(d) in
+    upto.(d) <- !start;
+    start := !start + c
+  done;
+  for j = 0 to nb - 1 do
+    let r = Array.unsafe_get s.rb j in
+    let d = deg_of pl r in
+    let p = upto.(d) in
+    Array.unsafe_set sb p (2 * r);
+    Array.unsafe_set sc p (Array.unsafe_get b.coeffs j);
+    upto.(d) <- p + 1
+  done;
+  let vals = s.vals and row_bytes = 2 * pl.n_in and kept = ref 0 in
+  for i = 0 to Array.length a.keys - 1 do
+    let r = Array.unsafe_get s.ra i in
+    let nbi = upto.(order - deg_of pl r) in
+    accumulate_row pl.prod vals sb sc a.coeffs i (r * row_bytes) nbi;
+    kept := !kept + nbi
+  done;
+  Dwv_util.Counters.add c_pairs !kept;
+  Dwv_util.Counters.add c_kept_pairs !kept;
+  let in_keys = pl.in_keys and kk = s.kk and kc = s.kc and m = ref 0 in
   for r = r_lo to r_hi do
-    let c = Array.unsafe_get vals r and k = Bytes.unsafe_get cls r in
-    if k = cls_kept then begin
-      if (if exact then Bytes.unsafe_get state r <> '\000' else c <> 0.0) then begin
-        Array.unsafe_set kk !m (Array.unsafe_get out_keys r);
-        Array.unsafe_set kc !m c;
-        incr m
-      end
-    end
-    else if k = cls_even then begin
-      if c >= 0.0 then hi := !hi +. c else lo := !lo +. c
-    end
-    else begin
-      let a = Float.abs c in
-      lo := !lo -. a;
-      hi := !hi +. a
+    let c = Array.unsafe_get vals r in
+    if c <> 0.0 then begin
+      Array.unsafe_set kk !m (Array.unsafe_get in_keys r);
+      Array.unsafe_set kc !m c;
+      incr m
     end;
     Array.unsafe_set vals r (-0.0)
   done;
-  if exact then Bytes.fill state r_lo (r_hi - r_lo + 1) '\000';
-  (mk a.nvars (Array.sub kk 0 !m) (Array.sub kc 0 !m), I.make !lo !hi)
+  mk a.nvars (Array.sub kk 0 !m) (Array.sub kc 0 !m)
+
+(* Index of the plan's first input monomial with key >= [k] (n_in when
+   there is none). *)
+let first_at_least pl k =
+  let lo = ref 0 and hi = ref pl.n_in in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Array.unsafe_get pl.in_keys mid < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let mul_trunc ~order a b =
   if a.nvars <> b.nvars then invalid_arg "Poly.mul_trunc: arity mismatch";
+  let tail = graded_tail ~order a b in
   let na = Array.length a.keys and nb = Array.length b.keys in
-  match plan_for a.nvars order with
-  | Some pl when na > 0 && nb > 0 ->
-    (* the span test needs only the extreme terms: rank those first *)
-    let rk = pl.in_ranker in
-    let lo_a = rank rk a.keys.(0) and hi_a = rank rk a.keys.(na - 1) in
-    let lo_b = rank rk b.keys.(0) and hi_b = rank rk b.keys.(nb - 1) in
-    if lo_a < 0 || hi_a < 0 || lo_b < 0 || hi_b < 0 then generic_mul_trunc ~order a b
-    else begin
-      (* byte offsets: a row of the product table is 2 n_in bytes *)
-      let row = 2 * pl.n_in in
-      let r_lo = get16 pl.prod ((lo_a * row) + (2 * lo_b)) in
-      let r_hi = get16 pl.prod ((hi_a * row) + (2 * hi_b)) in
+  let keep =
+    match plan_for a.nvars order with
+    | Some pl when na > 0 && nb > 0 ->
+      (* key addition is monotone (and carry-free for factors in the
+         plan), so every kept product key lies between the smallest and
+         the largest product key: the plan's input monomials in that key
+         range are the ranks the sweep visits *)
+      let r_lo = first_at_least pl (a.keys.(0) + b.keys.(0)) in
+      let r_hi = first_at_least pl (a.keys.(na - 1) + b.keys.(nb - 1) + 1) - 1 in
       let s = dense_scratch pl in
       if r_hi - r_lo < max_span_per_product * na * nb
-         && rank_terms pl b.keys 2 s.rb
-         && rank_terms pl a.keys row s.ra
-      then begin
-        count_pairs ~order a b;
-        dense_mul_trunc pl s a b ~r_lo ~r_hi
-      end
+         && rank_terms pl b.keys s.rb
+         && rank_terms pl a.keys s.ra
+      then dense_mul_trunc pl s a b ~r_lo ~r_hi
       else generic_mul_trunc ~order a b
-    end
-  | _ -> generic_mul_trunc ~order a b
+    | _ -> generic_mul_trunc ~order a b
+  in
+  (keep, tail)
 
 (* Partial derivative. Differentiating never merges distinct monomials
    (the key shift is injective on terms with a positive exponent), so the

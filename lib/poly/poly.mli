@@ -55,18 +55,22 @@ val pow : t -> int -> t
 val truncate : order:int -> t -> t * t
 
 (** [mul_trunc ~order a b] = (low, tail): the terms of [mul a b] of
-    total degree <= order, and the enclosure over [-1,1]ⁿ of the dropped
-    remainder. Bit-identical to [truncate ~order (mul a b)] followed by
-    [bound_unit] of the dropped part, without building either product
-    polynomial when both factors have degree <= order (the Taylor-model
-    product). *)
+    total degree <= order, and an enclosure over [-1,1]ⁿ of the dropped
+    remainder. [low] is [truncate ~order (mul a b)]'s kept part, bit for
+    bit, less its ±0 coefficients; no dropped pair is formed when both
+    factors have degree <= order (the Taylor-model product). [tail] is
+    Σ_d B(a_d)·Σ_{e > order − d} B(b_e) in interval arithmetic that
+    steps every rounded result one ulp outward, where B(p_d) is the
+    {!bound_unit} rule applied to the factor's terms of degree d.
+    Raises [Invalid_argument] when a factor part entering the tail, or
+    the tail, is not finite. *)
 val mul_trunc : order:int -> t -> t -> t * Dwv_interval.Interval.t
 
-(** [plan_shape ~nvars ~order] = [Some (n_in, n_out)] when [mul_trunc]
-    builds a dense product plan for the pair: [n_in] monomials of degree
-    <= order, [n_out] of degree <= 2 order. [None] when the pair has no
-    plan and its products take the generic path. *)
-val plan_shape : nvars:int -> order:int -> (int * int) option
+(** [plan_shape ~nvars ~order] = [Some n_in] when [mul_trunc] builds a
+    dense product plan for the pair: [n_in] monomials of degree
+    <= order, whose ranks index the product table. [None] when the pair
+    has no plan and its products take the generic path. *)
+val plan_shape : nvars:int -> order:int -> int option
 
 (** [split_var p i] = (terms without zᵢ, terms with zᵢ). *)
 val split_var : t -> int -> t * t
@@ -94,7 +98,10 @@ val eval_gen :
 (** Sound interval enclosure of the range over a box. *)
 val ieval : t -> Dwv_interval.Box.t -> Dwv_interval.Interval.t
 
-(** Enclosure over the canonical Taylor-model domain [-1,1]ⁿ. *)
+(** Enclosure over the canonical Taylor-model domain [-1,1]ⁿ: the
+    termwise bounds summed in key order, moved outward by the summation
+    error bound γ_{n−1}·Σ|c|. Raises [Invalid_argument] when a bound is
+    not finite. *)
 val bound_unit : t -> Dwv_interval.Interval.t
 
 (** Partial derivative with respect to variable [i]. *)

@@ -108,7 +108,9 @@ let symbolize_remainder ~slot tm =
 
 (* (p1 + r1)(p2 + r2) = p1 p2 + p1 r2 + p2 r1 + r1 r2; the product
    polynomial is truncated to the model order and the dropped tail is
-   bounded into the remainder, both by the fused [Poly.mul_trunc]. *)
+   bounded into the remainder, both by the fused [Poly.mul_trunc],
+   which bounds the tail from the factors' homogeneous parts and leaves
+   their whole bounds ([bp1], [bp2]) in the same cache. *)
 let mul a b =
   if nvars a <> nvars b then invalid_arg "Taylor_model.mul: arity mismatch";
   let order = join_order a b in

@@ -133,26 +133,64 @@ let test_mul_top_variable () =
   let x = Array.init 15 (fun i -> 0.1 *. float_of_int (i + 1)) in
   check_float "eval (a*b)" (Poly.eval a x *. Poly.eval b x) (Poly.eval (Poly.mul a b) x)
 
-(* ---- mul_trunc = truncate (mul a b) + bound_unit of the dropped part,
-   compared bit for bit ---- *)
+(* ---- mul_trunc: the kept part is [truncate ~order (mul a b)]'s, bit
+   for bit, less its ±0 coefficients; kept part plus tail contains the
+   full product at sampled points of [-1,1]^n ---- *)
 
-let reference_mul_trunc ~order a b =
-  let keep, drop = Poly.truncate ~order (Poly.mul a b) in
-  (keep, Poly.bound_unit drop)
-
-let result_bits (p, iv) =
+let nonzero_bits p =
   ( Poly.nvars p,
-    List.map (fun (e, c) -> (Array.to_list e, Int64.bits_of_float c)) (Poly.to_terms p),
-    Int64.bits_of_float (I.lo iv),
-    Int64.bits_of_float (I.hi iv) )
+    List.filter_map
+      (fun (e, c) -> if c = 0.0 then None else Some (Array.to_list e, Int64.bits_of_float c))
+      (Poly.to_terms p) )
 
-(* A non-finite dropped tail raises in [Interval.make] on both sides, so
-   the outcomes are compared, exception included. *)
+let result_bits (p, iv) = (nonzero_bits p, Int64.bits_of_float (I.lo iv), Int64.bits_of_float (I.hi iv))
+
 let outcome f =
-  match f () with r -> Ok (result_bits r) | exception Invalid_argument m -> Error m
+  match f () with r -> Ok r | exception Invalid_argument m -> Error m
 
-let same_as_reference ~order a b =
-  outcome (fun () -> Poly.mul_trunc ~order a b) = outcome (fun () -> reference_mul_trunc ~order a b)
+let all_finite p = List.for_all (fun (_, c) -> Float.is_finite c) (Poly.to_terms p)
+
+(* Sample points: the centre, the corners' pattern of ±1 in every
+   coordinate, points with a zero coordinate, and random interior
+   points, all drawn from a fixed stream. *)
+let sample_points nvars =
+  let st = Random.State.make [| nvars; 7 |] in
+  [ Array.make nvars 0.0; Array.make nvars 1.0; Array.make nvars (-1.0) ]
+  @ List.init 6 (fun k ->
+        Array.init nvars (fun i ->
+            if k < 2 then (if Random.State.bool st then 1.0 else -1.0)
+            else if k = 2 && i = 0 then 0.0
+            else Random.State.float st 2.0 -. 1.0))
+
+(* At each sample point z, with k = keep(z) and v = (mul a b)(z): a
+   non-finite k is matched by v (both NaN, or the same infinity); a
+   finite k needs a finite v whose point enclosure meets
+   [keep](z) + tail. *)
+let encloses_at ~keep ~tail full z =
+  let k = Poly.eval keep z and v = Poly.eval full z in
+  if not (Float.is_finite k) then (Float.is_nan k && Float.is_nan v) || k = v
+  else
+    Float.is_finite v
+    &&
+    let pt = Box.make ~lo:z ~hi:z in
+    I.intersects (I.add (Poly.ieval keep pt) tail) (Poly.ieval full pt)
+
+(* The two halves of the contract for one product. [mul_trunc] may only
+   raise when a coefficient of a factor or of the full product is not
+   finite. *)
+let kept_as_reference ~order a b =
+  let expected = nonzero_bits (fst (Poly.truncate ~order (Poly.mul a b))) in
+  match outcome (fun () -> Poly.mul_trunc ~order a b) with
+  | Ok (keep, _) -> Poly.to_terms keep |> List.for_all (fun (_, c) -> c <> 0.0) && nonzero_bits keep = expected
+  | Error _ -> not (all_finite a && all_finite b && all_finite (Poly.mul a b))
+
+let tail_encloses ~order a b =
+  let full = Poly.mul a b in
+  match outcome (fun () -> Poly.mul_trunc ~order a b) with
+  | Ok (keep, tail) -> List.for_all (encloses_at ~keep ~tail full) (sample_points (Poly.nvars a))
+  | Error _ -> not (all_finite a && all_finite b && all_finite full)
+
+let same_contract ~order a b = kept_as_reference ~order a b && tail_encloses ~order a b
 
 (* A random monomial of total degree <= d. *)
 let gen_monomial nvars d st =
@@ -271,9 +309,13 @@ let arb_mt_case =
   in
   QCheck.make ~print gen
 
-let prop_mul_trunc_bit_identical =
-  QCheck.Test.make ~name:"mul_trunc = truncate (mul a b) + bound_unit, bit for bit"
-    ~count:560 arb_mt_case (fun c -> same_as_reference ~order:c.order c.a c.b)
+let prop_mul_trunc_kept_bits =
+  QCheck.Test.make ~name:"mul_trunc kept part = truncate (mul a b), bit for bit" ~count:560
+    arb_mt_case (fun c -> kept_as_reference ~order:c.order c.a c.b)
+
+let prop_mul_trunc_tail_encloses =
+  QCheck.Test.make ~name:"mul_trunc kept part + tail contains mul a b" ~count:560 arb_mt_case
+    (fun c -> tail_encloses ~order:c.order c.a c.b)
 
 (* The flowpipe's own factor shape: every monomial of degree <= 3 in 8
    variables (the dense 165-term case), with a few exact cancellations. *)
@@ -284,16 +326,15 @@ let test_mul_trunc_dense_full () =
   Alcotest.(check int) "165 terms" 165 (Poly.num_terms full);
   let noisy = gen_poly 8 ~deg:3 ~terms:165 gen_wide_coeff st in
   let a = Poly.add full noisy and b = Poly.sub full noisy in
-  Alcotest.(check bool) "a*b" true (same_as_reference ~order:3 a b);
-  Alcotest.(check bool) "a*a" true (same_as_reference ~order:3 a a);
-  Alcotest.(check bool) "full*noisy" true (same_as_reference ~order:3 full noisy)
+  Alcotest.(check bool) "a*b" true (same_contract ~order:3 a b);
+  Alcotest.(check bool) "a*a" true (same_contract ~order:3 a a);
+  Alcotest.(check bool) "full*noisy" true (same_contract ~order:3 full noisy)
 
-(* A product that falls back to the exact kernel (on a running sum of
-   ±0) leaves the per-domain accumulator as it found it: the clean
-   products that follow on the same domain, plan and ranks still match
-   the reference. Fallbacks from an exact cancellation and from an
-   underflow, and a dropped tail that raises, each followed by a clean
-   product. *)
+(* Products whose slots come out ±0 (an exact cancellation, an
+   underflow) and one whose tail raises, each followed by a clean
+   product on the same domain, plan and ranks: the sweep returns every
+   slot to -0.0, and a raising tail is computed before the accumulator
+   is touched, so the clean products still meet the contract. *)
 let test_mul_trunc_fallback_then_fast () =
   let x = Poly.var 2 0 and y = Poly.var 2 1 in
   let s = Poly.add x y and d = Poly.sub x y in
@@ -301,19 +342,21 @@ let test_mul_trunc_fallback_then_fast () =
   let nan_x = Poly.scale Float.nan x in
   List.iteri
     (fun k (name, order, a, b) ->
-      Alcotest.(check bool) (Fmt.str "%d: %s" k name) true (same_as_reference ~order a b))
+      Alcotest.(check bool) (Fmt.str "%d: %s" k name) true (same_contract ~order a b))
     [ ("xy - xy cancels", 2, s, d);
       ("clean", 2, s, s);
       ("x^2 underflows to 0", 2, tiny, tiny);
       ("clean", 2, s, s);
       ("NaN tail raises", 1, nan_x, y);
-      ("clean", 1, s, s) ]
+      ("clean", 1, s, s) ];
+  Alcotest.(check bool) "NaN tail raised" true
+    (Result.is_error (outcome (fun () -> Poly.mul_trunc ~order:1 nan_x y)))
 
-(* One plan serves every domain: the same products computed in 1 domain
-   and concurrently in 4 (racing to build a plan no earlier test used)
-   are bit-identical to the reference. Every third product cancels
-   exactly, so each domain's accumulator goes fast -> fallback -> fast
-   again and again. *)
+(* One plan serves every domain: the same products computed
+   concurrently in 4 domains (racing to build a plan no earlier test
+   used) and then in 1 are bit-identical, kept parts and tails, and meet
+   the contract. Every third product cancels exactly, so each domain's
+   accumulator holds ±0 slots again and again. *)
 let test_mul_trunc_domains () =
   let st = Random.State.make [| 23 |] in
   let realistic () = gen_poly 9 ~deg:3 ~terms:(60 + Random.State.int st 100) gen_wide_coeff st in
@@ -333,53 +376,59 @@ let test_mul_trunc_domains () =
         if k mod 3 = 1 then (Poly.add (Poly.add z0 z1) (noise ()), Poly.add (Poly.sub z0 z1) (noise ()))
         else (realistic (), realistic ()))
   in
-  let expected = List.map (fun (a, b) -> result_bits (reference_mul_trunc ~order:3 a b)) cases in
   let run () = List.map (fun (a, b) -> result_bits (Poly.mul_trunc ~order:3 a b)) cases in
   let workers = List.init 4 (fun _ -> Domain.spawn run) in
   let par = List.map Domain.join workers in
-  List.iteri (fun d r -> Alcotest.(check bool) (Fmt.str "domain %d" d) true (r = expected)) par;
-  Alcotest.(check bool) "1 domain" true (run () = expected)
+  let seq = run () in
+  List.iteri (fun d r -> Alcotest.(check bool) (Fmt.str "domain %d" d) true (r = seq)) par;
+  List.iteri
+    (fun k (a, b) -> Alcotest.(check bool) (Fmt.str "case %d" k) true (same_contract ~order:3 a b))
+    cases
 
-(* The sweep adds every dropped rank of the span into the tail, live or
-   not, relying on an untouched -0.0 slot to leave both bounds' bits
-   unchanged. Here the only live dropped monomials have all exponents
-   even and negative coefficients, and the span between them holds
-   untouched ranks of every class, so nothing but ±0 ever reaches the
-   upper bound: it must stay +0.0, as [bound_unit] of the dropped part
-   has it. *)
+(* Dropped monomials with every exponent even and a negative
+   coefficient: nothing is kept, and the tail, which bounds each pair of
+   factor parts by its interval product, must contain the dropped values
+   [-1, 0] (of -x0^2, -x0^2 x1^2, -3 x0^2 x1^2) and stay within the
+   parts' product. *)
 let test_mul_trunc_even_negative_tail () =
   let x0 = Poly.var 2 0 and x1 = Poly.var 2 1 in
   let cases =
-    [ ("-x0 * x0", 1, Poly.neg x0, x0);
+    [ ("-x0 * x0", 1, Poly.neg x0, x0, 1.0);
       ("-x0^2 * (x0^2 + x1^2)", 2, Poly.neg (Poly.mul x0 x0),
-       Poly.add (Poly.mul x0 x0) (Poly.mul x1 x1));
-      ("-(x0 x1) * 3 x0 x1", 2, Poly.neg (Poly.mul x0 x1), Poly.scale 3.0 (Poly.mul x0 x1)) ]
+       Poly.add (Poly.mul x0 x0) (Poly.mul x1 x1), 2.0);
+      ("-(x0 x1) * 3 x0 x1", 2, Poly.neg (Poly.mul x0 x1), Poly.scale 3.0 (Poly.mul x0 x1), 3.0) ]
   in
   List.iter
-    (fun (name, order, a, b) ->
-      Alcotest.(check bool) (name ^ ": as reference") true (same_as_reference ~order a b);
+    (fun (name, order, a, b, m) ->
+      Alcotest.(check bool) (name ^ ": contract") true (same_contract ~order a b);
       let keep, tail = Poly.mul_trunc ~order a b in
       Alcotest.(check bool) (name ^ ": nothing kept") true (Poly.is_zero keep);
-      Alcotest.(check bool) (name ^ ": lower bound < 0") true (I.lo tail < 0.0);
-      Alcotest.(check int64) (name ^ ": upper bound is +0.0") (Int64.bits_of_float 0.0)
-        (Int64.bits_of_float (I.hi tail)))
+      Alcotest.(check bool) (name ^ ": contains [-m, 0]") true
+        (I.subset (I.make (-.m) 0.0) tail);
+      Alcotest.(check bool) (name ^ ": within the parts' product") true
+        (I.subset tail (I.make (-.m -. 1e-12) (m +. 1e-12))))
     cases
 
-(* NaN in a dropped all-even monomial goes to the lower bound (NaN >= 0
-   is false), as in [bound_unit]; the next product on the same domain
-   and plan is clean again. *)
+(* A NaN in a factor part that enters the tail raises; one in a part
+   that only meets kept degrees stays in the kept part, bit for bit,
+   beside a finite tail. The next product on the same domain and plan
+   is clean. *)
 let test_mul_trunc_nan_even_tail () =
   let x0 = Poly.var 2 0 and x1 = Poly.var 2 1 in
-  let nan_sq = Poly.add (Poly.scale Float.nan x0) x1 in
   let s = Poly.add x0 x1 in
-  List.iteri
-    (fun k (name, a, b) ->
-      Alcotest.(check bool) (Fmt.str "%d: %s" k name) true (same_as_reference ~order:1 a b))
-    [ ("NaN x0 * x0", Poly.scale Float.nan x0, x0);
-      ("NaN x0^2 beside x1^2", nan_sq, Poly.add x0 x1);
-      ("clean", s, s) ];
-  Alcotest.(check bool) "NaN tail raises" true
-    (Result.is_error (outcome (fun () -> Poly.mul_trunc ~order:1 (Poly.scale Float.nan x0) x0)))
+  Alcotest.(check bool) "NaN x0 * x0 raises" true
+    (Result.is_error (outcome (fun () -> Poly.mul_trunc ~order:1 (Poly.scale Float.nan x0) x0)));
+  Alcotest.(check bool) "NaN x0^2 beside x1^2 raises" true
+    (Result.is_error
+       (outcome (fun () -> Poly.mul_trunc ~order:1 (Poly.add (Poly.scale Float.nan x0) x1) s)));
+  let nan_const = Poly.add (Poly.const 2 Float.nan) x1 in
+  (match Poly.mul_trunc ~order:1 nan_const x0 with
+  | keep, tail ->
+    Alcotest.(check bool) "kept NaN x0" true
+      (List.exists (fun (e, c) -> e = [| 1; 0 |] && Float.is_nan c) (Poly.to_terms keep));
+    Alcotest.(check bool) "finite tail" true (Float.is_finite (I.lo tail) && Float.is_finite (I.hi tail)));
+  Alcotest.(check bool) "NaN constant: contract" true (same_contract ~order:1 nan_const x0);
+  Alcotest.(check bool) "clean" true (same_contract ~order:1 s s)
 
 (* One plan (8 variables, order 3: 165 input monomials) reached by a
    sparse factor, whose terms are ranked one by one with the step table,
@@ -399,7 +448,7 @@ let test_mul_trunc_rank_and_merge () =
   Alcotest.(check bool) "dense factor is dense" true (Poly.num_terms dense * 8 >= 165);
   Alcotest.(check bool) "sparse factor is sparse" true (Poly.num_terms sparse * 8 < 165);
   List.iter
-    (fun (name, a, b) -> Alcotest.(check bool) name true (same_as_reference ~order:3 a b))
+    (fun (name, a, b) -> Alcotest.(check bool) name true (same_contract ~order:3 a b))
     [ ("sparse * dense", sparse, dense);
       ("dense * sparse", dense, sparse);
       ("dense * dense", dense, full);
@@ -409,25 +458,49 @@ let test_mul_trunc_rank_and_merge () =
       ("dense * sparse with x0^4", dense, sparse_over) ]
 
 (* The product table stores ranks in 16 bits: every plan that is built
-   must have fewer than 2^16 output monomials. *)
+   must have fewer than 2^16 input monomials. *)
 let test_plan_ranks_fit_16_bits () =
   let built = ref 0 and largest = ref 0 in
   for nvars = 1 to 15 do
     for order = 0 to 7 do
       match Poly.plan_shape ~nvars ~order with
       | None -> ()
-      | Some (_, n_out) ->
+      | Some n_in ->
         incr built;
-        largest := max !largest n_out;
-        if n_out >= 1 lsl 16 then
-          Alcotest.failf "plan (%d vars, order %d): %d output ranks" nvars order n_out
+        largest := max !largest n_in;
+        if n_in >= 1 lsl 16 then
+          Alcotest.failf "plan (%d vars, order %d): %d ranks" nvars order n_in
     done
   done;
   (* every arity up to order 3, and 10 / 7 / 6 / 5 variables at orders
      4 / 5 / 6 / 7 *)
   Alcotest.(check int) "plans built" ((4 * 15) + 10 + 7 + 6 + 5) !built;
-  Alcotest.(check int) "largest n_out" 54_264 !largest;
+  Alcotest.(check int) "largest n_in" 1_001 !largest;
   Alcotest.(check bool) "order 8 has no plan" true (Poly.plan_shape ~nvars:1 ~order:8 = None)
+
+(* [bound_unit] charges the summation error: a constant 1.0 plus 1,000
+   odd monomials of coefficient 1e-16 ranges over [1 - 1e-13, 1 + 1e-13]
+   exactly, but each 1e-16 rounds away when added to 1.0, so uncharged
+   sums would report [1, 1] (and [Interval.widen]'s 1e-14 would not
+   reach 1 + 1e-13). *)
+let test_bound_unit_charges_summation () =
+  let terms = ref [ ([| 0; 0; 0 |], 1.0) ] and n = ref 0 in
+  for i = 0 to 15 do
+    for j = 0 to 15 do
+      for k = 0 to 15 do
+        if !n < 1000 && (i + j + k) mod 2 = 1 then begin
+          terms := ([| i; j; k |], 1e-16) :: !terms;
+          incr n
+        end
+      done
+    done
+  done;
+  let p = Poly.of_terms 3 !terms in
+  Alcotest.(check int) "1001 terms" 1001 (Poly.num_terms p);
+  let b = Poly.bound_unit p in
+  Alcotest.(check bool) "hi >= 1 + 1e-13" true (I.hi b >= 1.0 +. 1e-13);
+  Alcotest.(check bool) "lo <= 1 - 1e-13" true (I.lo b <= 1.0 -. 1e-13);
+  Alcotest.(check bool) "still tight" true (I.width b < 1e-12)
 
 (* ---------------- Bernstein ---------------- *)
 
@@ -550,6 +623,39 @@ let test_bernstein_early_out_bit_identical () =
       let a = Bernstein.approximate ~f ~degrees:[| 2; 2 |] (Box.make ~lo:[| 0.0; 0.0 |] ~hi:[| 1.0; 1.0 |]) in
       ignore (Bernstein.remainder ~lipschitz:0.0 ~f ~samples_per_dim:1 a))
 
+(* [eval] computes each axis's basis values once per point and walks
+   the coefficients with an odometer; it must give the bits of the
+   direct sum over coefficients of c times the product of one [basis]
+   call per axis, in flat order. *)
+let test_bernstein_eval_bit_identical () =
+  let st = Random.State.make [| 5 |] in
+  for _ = 1 to 40 do
+    let n = 1 + Random.State.int st 3 in
+    let degrees = Array.init n (fun _ -> 1 + Random.State.int st 4) in
+    let lo = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+    let hi = Array.mapi (fun i l -> if i = 0 && Random.State.int st 5 = 0 then l else l +. Random.State.float st 2.0) lo in
+    let box = Box.make ~lo ~hi in
+    let f x = Array.fold_left (fun acc v -> (acc *. 1.3) +. sin v) 0.2 x in
+    let a = Bernstein.approximate ~f ~degrees box in
+    let x = Array.init n (fun i -> lo.(i) +. (Random.State.float st 1.0 *. (hi.(i) -. lo.(i)))) in
+    let t = Array.init n (fun i -> let w = hi.(i) -. lo.(i) in if w < 1e-300 then 0.0 else (x.(i) -. lo.(i)) /. w) in
+    let size = Array.fold_left (fun acc d -> acc * (d + 1)) 1 degrees in
+    let expected = ref 0.0 in
+    for flat = 0 to size - 1 do
+      let k = Array.make n 0 and rem = ref flat in
+      for i = n - 1 downto 0 do
+        k.(i) <- !rem mod (degrees.(i) + 1);
+        rem := !rem / (degrees.(i) + 1)
+      done;
+      let c = f (Array.init n (fun i -> lo.(i) +. ((hi.(i) -. lo.(i)) *. float_of_int k.(i) /. float_of_int degrees.(i)))) in
+      let weight = ref 1.0 in
+      Array.iteri (fun i ki -> weight := !weight *. Bernstein.basis ~degree:degrees.(i) ~k:ki t.(i)) k;
+      expected := !expected +. (c *. !weight)
+    done;
+    Alcotest.(check int64) "eval bits" (Int64.bits_of_float !expected)
+      (Int64.bits_of_float (Bernstein.eval a x))
+  done
+
 let suite =
   [
     Alcotest.test_case "eval" `Quick test_eval;
@@ -573,7 +679,8 @@ let suite =
     Alcotest.test_case "mul_trunc NaN even tail" `Quick test_mul_trunc_nan_even_tail;
     Alcotest.test_case "mul_trunc rank and merge" `Quick test_mul_trunc_rank_and_merge;
     Alcotest.test_case "plan ranks fit 16 bits" `Quick test_plan_ranks_fit_16_bits;
-    QCheck_alcotest.to_alcotest prop_mul_trunc_bit_identical;
+    QCheck_alcotest.to_alcotest prop_mul_trunc_kept_bits;
+    QCheck_alcotest.to_alcotest prop_mul_trunc_tail_encloses;
     QCheck_alcotest.to_alcotest prop_bound_unit_sound;
     QCheck_alcotest.to_alcotest prop_mul_eval_homomorphism;
     QCheck_alcotest.to_alcotest prop_ieval_sound;
@@ -588,4 +695,6 @@ let suite =
       test_bernstein_remainder_decreases_with_samples;
     Alcotest.test_case "bernstein remainder early-out" `Quick
       test_bernstein_early_out_bit_identical;
+    Alcotest.test_case "bound_unit charges summation" `Quick test_bound_unit_charges_summation;
+    Alcotest.test_case "bernstein eval bit identical" `Quick test_bernstein_eval_bit_identical;
   ]
