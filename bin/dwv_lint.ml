@@ -1,21 +1,18 @@
 (* dwv_lint: static soundness analyzer and lint driver.
 
      dwv_lint models                        Layer-1 checks on built-in systems
-     dwv_lint source [PATH...]              Layer-2/3/4/5 lint over OCaml sources
-                                            (--engine ast|typed|sound, default ast)
+     dwv_lint source [PATH...]              Layer-2..5 lint over OCaml sources
      dwv_lint system -f "x1; -x0/(x1+2)" -n 2 -m 1 --x0="-1,1;-1,1"
                                             Layer-1 checks on a text-defined system
      dwv_lint all [PATH...]                 every layer (what `dune build @lint` runs)
      dwv_lint checks                        list every check the analyzer knows
 
-   The typed engine (--engine typed) reads the .cmt files under _build
-   (run `dune build @check` first) and adds the layer-4 analyses:
-   budget-threading, pool-capture (a Pool task reading a captured local
-   ref/Hashtbl.t) and the type-aware phys-equality exemption. Allocation
-   is not checked statically: `bench hotpath` ratchets each workload's
-   exact minor words instead. The sound engine (--engine sound) reads
-   the same .cmt files and runs only the layer-5 analyses
-   (rounding-flow, cache-purity).
+   The source layers are Lint.run: layer 2 on each file's Parsetree, then
+   layers 3-5 on one index of the .cmt files under _build (run `dune
+   build @check` first): domain-safety, exn-escape, pool-capture,
+   budget-threading, rounding-flow and cache-purity. Allocation is not
+   checked statically: `bench hotpath` ratchets each workload's exact
+   minor words instead.
 
    JSON output is one envelope document (see Diagnostics.report_to_json);
    --format sarif emits SARIF 2.1.0; --plain renders one diagnostic per
@@ -26,9 +23,7 @@
 
 module D = Dwv_analysis.Diagnostics
 module Model_check = Dwv_analysis.Model_check
-module Ast_lint = Dwv_analysis.Ast_lint
-module Typed_lint = Dwv_analysis.Typed_lint
-module Sound_lint = Dwv_analysis.Sound_lint
+module Lint = Dwv_analysis.Lint
 module Registry = Dwv_analysis.Registry
 module Box = Dwv_interval.Box
 module Rng = Dwv_util.Rng
@@ -133,21 +128,10 @@ let plain_arg =
        & info [ "plain" ]
            ~doc:"With text output, print one diagnostic per line and omit hint lines.")
 
-type engine = Ast | Typed | Sound
-
-let engine_arg =
-  Arg.(value & opt (enum [ ("ast", Ast); ("typed", Typed); ("sound", Sound) ]) Ast
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Source engine: ast (layer-2 rules and layer-3 Parsetree analyses), \
-                 typed (ast plus the layer-4 cmt analyses: budget-threading, \
-                 pool-capture, type-aware phys-equality exemption), or sound \
-                 (only the layer-5 semantic soundness analyses: rounding-flow, \
-                 cache-purity).")
-
 let build_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "build-dir" ] ~docv:"DIR"
-           ~doc:"Where the typed engine looks for .cmt files (default: _build/default \
+           ~doc:"Where the source layers look for .cmt files (default: _build/default \
                  when it exists, else the current directory).")
 
 let exclude_arg =
@@ -170,42 +154,32 @@ let models_cmd =
 
 let default_source_roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
 
-let lint_sources ~engine ~exclude ?build_dir paths =
+let lint_sources ~exclude ?build_dir paths =
   let roots =
     match paths with
     | [] -> List.filter Sys.file_exists default_source_roots
     | paths -> paths
   in
-  match engine with
-  | Ast -> (
-    match Ast_lint.lint_tree ~exclude roots with
-    | ds -> ds
-    | exception Invalid_argument m -> usage_die m)
-  | Typed -> (
-    match Typed_lint.lint_tree ?build_dir ~exclude ~roots () with
-    | ds -> ds
-    | exception Invalid_argument m -> usage_die m)
-  | Sound -> (
-    match Sound_lint.lint_tree ?build_dir ~exclude ~roots () with
-    | ds -> ds
-    | exception Invalid_argument m -> usage_die m)
+  match Lint.run ?build_dir ~exclude roots with
+  | ds -> ds
+  | exception Invalid_argument m -> usage_die m
 
 let source_cmd =
   let paths_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"PATH"
          ~doc:"Files or directories to lint (default: lib bin bench test examples).")
   in
-  let run fmt plain engine exclude build_dir paths =
-    let ds = lint_sources ~engine ~exclude ?build_dir paths in
+  let run fmt plain exclude build_dir paths =
+    let ds = lint_sources ~exclude ?build_dir paths in
     render ~plain fmt ds;
     exit (exit_of ds)
   in
   Cmd.v
     (Cmd.info "source"
-       ~doc:"Source lint: layer-2 rules plus the layer-3 AST analyses (domain-safety, \
-             exn-escape) and, with --engine typed, the layer-4 cmt analyses")
-    Term.(const run $ format_arg $ plain_arg $ engine_arg $ exclude_arg $ build_dir_arg
-          $ paths_arg)
+       ~doc:"Source lint: the layer-2 rules on each file, then the typed layers 3-5 \
+             (domain-safety, exn-escape, pool-capture, budget-threading, \
+             rounding-flow, cache-purity) on the .cmt files")
+    Term.(const run $ format_arg $ plain_arg $ exclude_arg $ build_dir_arg $ paths_arg)
 
 let system_cmd =
   let f_arg =
@@ -280,14 +254,13 @@ let all_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"PATH"
          ~doc:"Source roots for the source layers (default: lib bin bench test examples).")
   in
-  let run fmt plain engine exclude build_dir paths =
-    let ds = check_models [] @ lint_sources ~engine ~exclude ?build_dir paths in
+  let run fmt plain exclude build_dir paths =
+    let ds = check_models [] @ lint_sources ~exclude ?build_dir paths in
     render ~plain fmt ds;
     exit (exit_of ds)
   in
   Cmd.v (Cmd.info "all" ~doc:"Run every analysis layer (what `dune build @lint` runs)")
-    Term.(const run $ format_arg $ plain_arg $ engine_arg $ exclude_arg $ build_dir_arg
-          $ paths_arg)
+    Term.(const run $ format_arg $ plain_arg $ exclude_arg $ build_dir_arg $ paths_arg)
 
 let () =
   let doc = "Static soundness analyzer for design-while-verify models and sources" in

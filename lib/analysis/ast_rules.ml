@@ -56,7 +56,7 @@ let builtin =
       message = "physical equality (==/!=) on values; on floats and float-bearing \
                  structures it is not semantic equality";
       hint = Some "use structural/semantic equality (e.g. Float.equal, Expr.equal, =)";
-      allow = [ "lib/expr/expr.ml" (* O(1) shortcut inside Expr.equal itself *) ];
+      allow = [] (* Expr.t identity tests: the typed exemption, see Typed_rules *);
     };
     {
       name = "nan-compare";
@@ -118,18 +118,22 @@ let ident_rule ~raw ~norm =
       Some "poly-compare"
     | _ -> None)
 
-let lint_parsed ?(rules = builtin) (file : Src_ast.parsed) =
+(* Drop a leading [Stdlib.] qualifier. *)
+let normalize_name name =
+  match String.split_on_char '.' name with
+  | "Stdlib" :: (_ :: _ as rest) -> String.concat "." rest
+  | _ -> name
+
+let lint_parsed (file : Src_ast.parsed) =
   let path = file.Src_ast.path in
   let ds = ref [] in
   let emit name loc =
-    match List.find_opt (fun r -> r.name = name) rules with
-    | None -> () (* caller restricted the rule set: stay consistent with it *)
-    | Some rule ->
-      if not (allowed rule path) then
-        ds :=
-          D.make rule.severity ~check:rule.name ~loc:(Src_ast.file_loc ~path loc)
-            rule.message ?hint:rule.hint
-          :: !ds
+    let rule = List.find (fun r -> r.name = name) builtin in
+    if not (allowed rule path) then
+      ds :=
+        D.make rule.severity ~check:rule.name ~loc:(Src_ast.file_loc ~path loc)
+          rule.message ?hint:rule.hint
+        :: !ds
   in
   let open Ast_iterator in
   let iter =
@@ -140,17 +144,17 @@ let lint_parsed ?(rules = builtin) (file : Src_ast.parsed) =
           (match e.Parsetree.pexp_desc with
           | Parsetree.Pexp_ident { txt; loc } -> (
             let raw = Src_ast.name_of txt in
-            match ident_rule ~raw ~norm:(Ast_index.normalize_name raw) with
+            match ident_rule ~raw ~norm:(normalize_name raw) with
             | Some rule -> emit rule loc
             | None -> ())
           | Parsetree.Pexp_apply
               ({ Parsetree.pexp_desc = Parsetree.Pexp_ident { txt; loc }; _ }, args) ->
-            let op = Ast_index.normalize_name (Src_ast.name_of txt) in
+            let op = normalize_name (Src_ast.name_of txt) in
             if List.mem op comparison_ops then begin
               let arg_is_nan (_, (a : Parsetree.expression)) =
                 match a.Parsetree.pexp_desc with
                 | Parsetree.Pexp_ident { txt; _ } ->
-                  List.mem (Ast_index.normalize_name (Src_ast.name_of txt)) nan_idents
+                  List.mem (normalize_name (Src_ast.name_of txt)) nan_idents
                 | _ -> false
               in
               if List.exists arg_is_nan args then emit "nan-compare" loc

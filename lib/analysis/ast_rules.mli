@@ -22,6 +22,5 @@ val allowed : rule -> string -> bool
 (** The built-in float-soundness and hygiene rules. *)
 val builtin : rule list
 
-val lint_parsed : ?rules:rule list -> Src_ast.parsed -> Diagnostics.t list
-(** Run the rules over one parsed file (default {!builtin}). Rules
-    missing from [rules] are skipped. *)
+val lint_parsed : Src_ast.parsed -> Diagnostics.t list
+(** Run {!builtin} over one parsed file. *)

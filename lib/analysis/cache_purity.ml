@@ -8,17 +8,17 @@
    forbidden read lists, so an eta-passed [Sys.getenv] is caught even
    though it is never the head of an application.
 
-   Mutable module-level globals are recognized by joining the typed
-   reference (canonical "Unit.name") against the layer-3 [Ast_index]
-   mutable-state inventory of that unit. Classification:
-   - [Dls_guarded]: accepted — per-domain memo caches; genuineness
-     (fresh initializer, no shared backing) is already enforced by the
-     layer-3 domain-safety pass, which this analysis assumes green.
-   - telemetry counters (initializer calls [Counters.counter]):
-     accepted — they are write-only in reachable code, and the *read*
-     API ([Counters.value]/[snapshot]) is itself on the forbidden list,
-     so any verdict-affecting read is flagged by name instead.
-   - anything else ([Atomic], mutex-guarded, unguarded): flagged unless
+   Mutable module-level globals are the typed index's state inventory
+   ([Cmt_index.find_state] on the canonical "Unit.name"). Classification:
+   - [Dls]: accepted — per-domain memo caches; genuineness (fresh
+     initializer, no shared backing) is already enforced by the
+     domain-safety pass, which this analysis assumes green.
+   - [Counter] (a [Counters.handle]): accepted — counters are write-only
+     in reachable code, and the *read* API ([Counters.value]/[snapshot])
+     is itself on the forbidden list, so any verdict-affecting read is
+     flagged by name instead.
+   - [Lock]: accepted — a bare lock carries no data.
+   - anything else ([Atomic], publish-once, unguarded): flagged unless
      an allow entry justifies it.
 
    Boundary functions are not descended into: the certificate cache
@@ -96,31 +96,13 @@ let default_config =
     allow = default_allow;
   }
 
-(* A top-level value is a telemetry counter when its initializer calls
-   [Counters.counter] (possibly through an alias or the wrapper path). *)
-let is_counter_init (mb : Ast_index.mutable_binding) =
-  Ast_index.SSet.exists
-    (fun s ->
-      s = "Counters.counter"
-      || (String.length s > 16
-          && String.sub s (String.length s - 17) 17 = ".Counters.counter"))
-    mb.Ast_index.m_init_idents
-
-let short_name key =
-  match String.rindex_opt key '.' with
-  | Some i -> String.sub key (i + 1) (String.length key - i - 1)
-  | None -> key
-
-let unit_name key =
-  match String.rindex_opt key '.' with Some i -> String.sub key 0 i | None -> ""
-
 (* Entry-to-offender path from the BFS parent map, for the message. *)
 let rec path_to parents key =
   match Hashtbl.find_opt parents key with
   | None | Some "" -> [ key ]
   | Some p -> key :: path_to parents p
 
-let analyze ?(config = default_config) ?ast idx =
+let analyze ?(config = default_config) idx =
   let diags = ref [] in
   let used_allow = Hashtbl.create 8 in
   let allowed fn what =
@@ -201,41 +183,25 @@ let analyze ?(config = default_config) ?ast idx =
                   end
                 | Some _ -> (
                   (* a top-level *value*: mutable global? *)
-                  match ast with
-                  | None -> ()
-                  | Some ast -> (
-                    match Ast_index.find_module ast (unit_name r.CI.r_name) with
-                    | None -> ()
-                    | Some m -> (
-                      match Ast_index.find_mutable m (short_name r.CI.r_name) with
-                      | None -> ()
-                      | Some mb ->
-                        if
-                          (not (mb.Ast_index.m_guard = Ast_index.Dls_guarded))
-                          && mb.Ast_index.m_kind <> Ast_index.Sync_t
-                             (* a bare lock carries no data *)
-                          && (not (is_counter_init mb))
-                          && not (allowed key r.CI.r_name)
-                        then
-                          diags :=
-                            D.error ~check:Registry.cache_purity
-                              ~loc:(CI.file_loc u r.CI.r_loc)
-                              (Fmt.str
-                                 "unkeyed mutable global %s (%s, %s) reachable \
-                                  from a certificate path: %s"
-                                 r.CI.r_name
-                                 (Ast_index.kind_label mb.Ast_index.m_kind)
-                                 (match mb.Ast_index.m_guard with
-                                 | Ast_index.Unguarded -> "unguarded"
-                                 | Ast_index.Atomic_guarded -> "atomic"
-                                 | Ast_index.Dls_guarded -> "dls"
-                                 | Ast_index.Sync_primitive -> "mutex-guarded")
-                                 (describe key))
-                              ~hint:
-                                "key the state into the fingerprint, move it \
-                                 into Domain.DLS with a fresh initializer, or \
-                                 add a justified Cache_purity allow entry"
-                            :: !diags)))
+                  match CI.find_state idx r.CI.r_name with
+                  | Some (_, s)
+                    when (match s.CI.s_kind with
+                         | CI.Dls | CI.Counter | CI.Lock -> false
+                         | _ -> true)
+                         && not (allowed key r.CI.r_name) ->
+                    diags :=
+                      D.error ~check:Registry.cache_purity
+                        ~loc:(CI.file_loc u r.CI.r_loc)
+                        (Fmt.str
+                           "unkeyed mutable global %s (%s) reachable from a \
+                            certificate path: %s"
+                           r.CI.r_name (CI.kind_label s.CI.s_kind) (describe key))
+                        ~hint:
+                          "key the state into the fingerprint, move it into \
+                           Domain.DLS with a fresh initializer, or add a \
+                           justified Cache_purity allow entry"
+                      :: !diags
+                  | _ -> ())
                 | None -> ())
           fn.CI.t_refs
     end

@@ -7,10 +7,10 @@
     closure of internal references from those entry points and flags
     reads of wall clocks ([Mono.now], [Unix.gettimeofday], [Sys.time]),
     RNG state ([Random.*]), [Domain] identity, process environment, and
-    unkeyed module-level mutable globals (joined against the layer-3
-    {!Ast_index} inventory; [Domain.DLS] memo caches and write-only
-    telemetry counters are accepted — see the implementation header for
-    the argument).
+    unkeyed module-level mutable globals (the {!Cmt_index} state
+    inventory; [Domain.DLS] memo caches, write-only telemetry counters
+    and locks are accepted — see the implementation header for the
+    argument).
 
     [Cert_cache.find]/[store] are an explicit trust boundary: the cache
     sits behind the fingerprint key and {!Cert_check.validate} re-checks
@@ -40,7 +40,5 @@ val default_config : config
 
 (** All {!Registry.cache_purity} violations (with the entry-to-offender
     reference path in the message) plus {!Registry.sound_allow}
-    staleness errors, deterministic across runs. [ast] supplies the
-    layer-3 mutable-state inventory; without it the mutable-global check
-    is skipped (name-based forbidden reads still fire). *)
-val analyze : ?config:config -> ?ast:Ast_index.t -> Cmt_index.t -> Diagnostics.t list
+    staleness errors, deterministic across runs. *)
+val analyze : ?config:config -> Cmt_index.t -> Diagnostics.t list

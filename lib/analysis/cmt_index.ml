@@ -1,14 +1,16 @@
-(* Layer-4 front end: load the .cmt files dune already produced and turn
-   them into a queryable typed index.
+(* The analyzer's one program index: load the .cmt files dune already
+   produced and turn them into a queryable typed index.
 
-   Everything downstream (Budget_threading, Typed_rules, the layer-5 passes)
-   wants the same three things: top-level functions with their typed
-   bodies, call sites with resolved callees and per-argument passing
-   facts, and a canonical spelling for paths and type constructors that
-   survives dune's name mangling ([Dwv_taylor__Taylor_model]), library
-   wrapper modules ([Dwv_taylor.Taylor_model]) and structure-local
-   aliases ([module Tm = Dwv_taylor.Taylor_model]). This module owns all
-   three so the passes stay declarative. *)
+   Everything downstream (Domain_safety, Exn_escape, Budget_threading,
+   Typed_rules, the layer-5 passes) wants the same things: top-level
+   functions with their typed bodies, call sites with resolved callees
+   and per-argument passing facts, the module-level mutable state and
+   how it is guarded, raise sites and handlers, fan-out sites, and a
+   canonical spelling for paths and type constructors that survives
+   dune's name mangling ([Dwv_taylor__Taylor_model]), library wrapper
+   modules ([Dwv_taylor.Taylor_model]) and structure-local aliases
+   ([module Tm = Dwv_taylor.Taylor_model]). This module owns all of it
+   so the passes stay declarative. *)
 
 type param = { p_label : string; p_budget : bool }
 
@@ -23,13 +25,53 @@ type call = {
 
 type ref_site = { r_name : string; r_internal : bool; r_loc : Location.t }
 
+type raise_class =
+  | Rfailure of string   (* failwith / raise (Failure _) *)
+  | Rinvalid of string   (* invalid_arg / raise (Invalid_argument _) *)
+  | Rexit                (* Stdlib.exit *)
+  | Rexn of string       (* raise Constructor *)
+
+type raise_site = { rs_class : raise_class; rs_loc : Location.t }
+
 type tfn = {
   t_name : string;
   t_loc : Location.t;
   t_params : param list;
   t_calls : call list;
   t_refs : ref_site list;
+  t_raises : raise_site list;
+  t_caught : string list;
+  t_handled : (int * int) list;
+  t_speaks_result : bool;
   t_body : Typedtree.expression;
+}
+
+type state_kind =
+  | Ref
+  | Hashtable
+  | Array
+  | Buffer
+  | Queue
+  | Stack
+  | Bytes
+  | Mutable_record
+  | Atomic
+  | Publish_once
+  | Counter
+  | Dls
+  | Lock
+
+type state = {
+  s_name : string;
+  s_kind : state_kind;
+  s_loc : Location.t;
+  s_init : ref_site list;
+}
+
+type fanout = {
+  fo_callee : string;
+  fo_loc : Location.t;
+  fo_tasks : Typedtree.expression list;
 }
 
 type unit_info = {
@@ -38,11 +80,22 @@ type unit_info = {
   u_source : string;
   u_aliases : (string * string list) list;
   u_fns : tfn list;
+  u_state : state list;
+  u_fanouts : fanout list;
+  u_locals : (Ident.t * Typedtree.expression) list;
   u_str : Typedtree.structure;
 }
 
+type type_fact =
+  | Has_mutable_field                       (* a record type *)
+  | Abbreviates of string * Types.type_expr (* declaring unit, manifest *)
+  | Table_instance                          (* [t] of a [Hashtbl.Make] instance *)
+
 type t = {
   by_name : (string, unit_info) Hashtbl.t;
+  types : (string, type_fact) Hashtbl.t;
+      (* what the state inventory needs of every unit's type declarations,
+         by canonical name ("Expr.t", "Expr.Node_tbl.t") *)
   mutable errors : (string * string) list;
 }
 
@@ -54,18 +107,27 @@ let find_unit t name = Hashtbl.find_opt t.by_name name
 let load_errors t = List.rev t.errors
 let fn_key u fn = u.u_name ^ "." ^ fn.t_name
 
-let find_fn t key =
+(* "Unit.name" -> the unit and the first of its entries [get] finds. *)
+let find_keyed get t key =
   match String.rindex_opt key '.' with
   | None -> None
   | Some i -> (
     let m = String.sub key 0 i in
-    let f = String.sub key (i + 1) (String.length key - i - 1) in
+    let name = String.sub key (i + 1) (String.length key - i - 1) in
     match find_unit t m with
     | None -> None
-    | Some u -> (
-      match List.find_opt (fun fn -> fn.t_name = f) u.u_fns with
-      | Some fn -> Some (u, fn)
-      | None -> None))
+    | Some u -> Option.map (fun x -> (u, x)) (get u name))
+
+let find_fn =
+  find_keyed (fun u name -> List.find_opt (fun fn -> fn.t_name = name) u.u_fns)
+
+let find_state =
+  find_keyed (fun u name -> List.find_opt (fun s -> s.s_name = name) u.u_state)
+
+let restrict t keep =
+  let by_name = Hashtbl.create 64 in
+  Hashtbl.iter (fun n u -> if keep u then Hashtbl.replace by_name n u) t.by_name;
+  { t with by_name; errors = [] }
 
 (* ---------- canonical names ---------- *)
 
@@ -288,22 +350,315 @@ let rec binding_name (p : Typedtree.pattern) =
     | None -> Some (Ident.name id))
   | _ -> None
 
+let rec module_path (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me', _, _, _) -> module_path me'
+  | _ -> None
+
 let aliases_of_structure (str : Typedtree.structure) =
   List.filter_map
     (fun (item : Typedtree.structure_item) ->
       match item.Typedtree.str_desc with
       | Typedtree.Tstr_module mb -> (
-        let rec target (me : Typedtree.module_expr) =
-          match me.Typedtree.mod_desc with
-          | Typedtree.Tmod_ident (p, _) -> Some (String.split_on_char '.' (Path.name p))
-          | Typedtree.Tmod_constraint (me', _, _, _) -> target me'
-          | _ -> None
-        in
-        match (mb.Typedtree.mb_id, target mb.Typedtree.mb_expr) with
-        | Some id, Some parts -> Some (Ident.name id, parts)
+        match (mb.Typedtree.mb_id, module_path mb.Typedtree.mb_expr) with
+        | Some id, Some p -> Some (Ident.name id, String.split_on_char '.' (Path.name p))
         | _ -> None)
       | _ -> None)
     str.Typedtree.str_items
+
+(* ---------- raise sites, handlers, the result taxonomy ---------- *)
+
+let rec exn_names (p : Typedtree.pattern) =
+  match p.Typedtree.pat_desc with
+  | Typedtree.Tpat_construct (_, cd, _, _) -> [ cd.Types.cstr_name ]
+  | Typedtree.Tpat_or (a, b, _) -> exn_names a @ exn_names b
+  | Typedtree.Tpat_alias (a, _, _) -> exn_names a
+  | _ -> [ "*" ]
+
+(* The [exception P] arms of a match, possibly under or-patterns. *)
+let rec exception_arms (p : Typedtree.computation Typedtree.general_pattern) =
+  match p.Typedtree.pat_desc with
+  | Typedtree.Tpat_exception v -> exn_names v
+  | Typedtree.Tpat_or (a, b, _) -> exception_arms a @ exception_arms b
+  | Typedtree.Tpat_value _ -> []
+
+(* A [raise] of a bound exception value ([with e -> ... raise e]) is a
+   handler forwarding what it caught; it is not a raise site. *)
+let raise_of t u path (args : (Asttypes.arg_label * Typedtree.expression option) list) =
+  match canon_ident t u path with
+  | "failwith" -> Some (Rfailure "failwith")
+  | "invalid_arg" -> Some (Rinvalid "invalid_arg")
+  | "exit" -> Some Rexit
+  | "raise" | "raise_notrace" -> (
+    match args with
+    | (_, Some { Typedtree.exp_desc = Typedtree.Texp_construct (_, cd, _); _ }) :: _ -> (
+      match cd.Types.cstr_name with
+      | "Failure" -> Some (Rfailure "raise Failure")
+      | "Invalid_argument" -> Some (Rinvalid "raise Invalid_argument")
+      | c -> Some (Rexn c))
+    | _ -> None)
+  | _ -> None
+
+(* [fn] with its raise sites, handlers and result taxonomy filled in
+   from one walk of its body ([t_refs] already resolved). *)
+let with_effects t u fn =
+  let raises = ref [] and caught = ref [] and handled = ref [] in
+  let builds_result = ref false in
+  let result_constructor (cd : Types.constructor_description) =
+    match cd.Types.cstr_name with "Ok" | "Error" -> builds_result := true | _ -> ()
+  in
+  let open Tast_iterator in
+  let iter =
+    {
+      default_iterator with
+      expr =
+        (fun self e ->
+          (match e.Typedtree.exp_desc with
+          | Typedtree.Texp_apply
+              ({ Typedtree.exp_desc = Typedtree.Texp_ident (p, { loc; _ }, _); _ }, args) ->
+            Option.iter
+              (fun rs_class -> raises := { rs_class; rs_loc = loc } :: !raises)
+              (raise_of t u p args)
+          | Typedtree.Texp_try (protected, cases) ->
+            handled := Src_ast.span protected.Typedtree.exp_loc :: !handled;
+            List.iter
+              (fun (c : Typedtree.value Typedtree.case) ->
+                caught := exn_names c.Typedtree.c_lhs @ !caught)
+              cases
+          | Typedtree.Texp_match (scrutinee, cases, _) -> (
+            match
+              List.concat_map
+                (fun (c : Typedtree.computation Typedtree.case) ->
+                  exception_arms c.Typedtree.c_lhs)
+                cases
+            with
+            | [] -> ()
+            | names ->
+              handled := Src_ast.span scrutinee.Typedtree.exp_loc :: !handled;
+              caught := names @ !caught)
+          | Typedtree.Texp_construct (_, cd, _) -> result_constructor cd
+          | _ -> ());
+          default_iterator.expr self e);
+      pat =
+        (fun (type k) self (p : k Typedtree.general_pattern) ->
+          (match p.Typedtree.pat_desc with
+          | Typedtree.Tpat_construct (_, cd, _, _) -> result_constructor cd
+          | _ -> ());
+          default_iterator.pat self p);
+    }
+  in
+  iter.expr iter fn.t_body;
+  {
+    fn with
+    t_raises = List.rev !raises;
+    t_caught = !caught;
+    t_handled = !handled;
+    t_speaks_result =
+      !builds_result
+      || List.exists (fun r -> String.starts_with ~prefix:"Result." r.r_name) fn.t_refs;
+  }
+
+(* Raise sites outside every handled span and of no constructor some
+   handler in the same function catches (that second clause covers the
+   [let fail e = ...; raise Exit] helper paired with [try ... with Exit]). *)
+let escaping_raises fn =
+  let caught name = List.mem name fn.t_caught || List.mem "*" fn.t_caught in
+  List.filter
+    (fun site ->
+      let at = fst (Src_ast.span site.rs_loc) in
+      (not (List.exists (fun (lo, hi) -> at >= lo && at < hi) fn.t_handled))
+      &&
+      match site.rs_class with
+      | Rfailure _ -> not (caught "Failure")
+      | Rinvalid _ -> not (caught "Invalid_argument")
+      | Rexit -> true
+      | Rexn c -> not (caught c))
+    fn.t_raises
+
+let takes_lock refs =
+  List.exists
+    (fun r -> List.mem r.r_name [ "Mutex.lock"; "Mutex.protect"; "Mutex.try_lock" ])
+    refs
+
+(* ---------- module-level mutable state ---------- *)
+
+let kind_label = function
+  | Ref -> "ref cell"
+  | Hashtable -> "hash table"
+  | Array -> "array"
+  | Buffer -> "buffer"
+  | Queue -> "queue"
+  | Stack -> "stack"
+  | Bytes -> "byte buffer"
+  | Mutable_record -> "record with mutable fields"
+  | Atomic -> "atomic"
+  | Publish_once -> "publish-once registry"
+  | Counter -> "telemetry counter"
+  | Dls -> "domain-local key"
+  | Lock -> "synchronization primitive"
+
+let unguarded = function
+  | Ref | Hashtable | Array | Buffer | Queue | Stack | Bytes | Mutable_record -> true
+  | Atomic | Publish_once | Counter | Dls | Lock -> false
+
+(* [h] names [suffix] through any wrapper ("Dwv_util.Counters.handle"
+   when lib/util is not scanned). *)
+let names_type h suffix = h = suffix || String.ends_with ~suffix:("." ^ suffix) h
+
+(* The kind of state a top-level value of type [ty] is, by its type: a
+   table made behind a helper ([let t = make_table ()]) is a table.
+   Abbreviations declared in scanned units are expanded, in the
+   declaring unit's vocabulary. *)
+let rec state_kind_of ?(depth = 0) t u ty =
+  match type_head t u ty with
+  | "ref" -> Some Ref
+  | "Hashtbl.t" -> Some Hashtable
+  | "array" | "floatarray" -> Some Array
+  | "Buffer.t" -> Some Buffer
+  | "Queue.t" -> Some Queue
+  | "Stack.t" -> Some Stack
+  | "bytes" -> Some Bytes
+  | "Atomic.t" -> Some Atomic
+  | "Domain.DLS.key" -> Some Dls
+  | "Mutex.t" | "Condition.t" | "Semaphore.Counting.t" | "Semaphore.Binary.t" ->
+    Some Lock
+  | h when names_type h "Publish_once.t" -> Some Publish_once
+  | h when names_type h "Counters.handle" -> Some Counter
+  | h -> (
+    (* a path into a submodule of this unit ("Node_tbl.t") is keyed
+       with the unit's name *)
+    let fact =
+      match Hashtbl.find_opt t.types h with
+      | Some _ as f -> f
+      | None -> Hashtbl.find_opt t.types (u.u_name ^ "." ^ h)
+    in
+    match fact with
+    | Some Has_mutable_field -> Some Mutable_record
+    | Some Table_instance -> Some Hashtable
+    | Some (Abbreviates (du, manifest)) when depth < 8 ->
+      Option.bind (find_unit t du) (fun du -> state_kind_of ~depth:(depth + 1) t du manifest)
+    | _ -> None)
+
+(* The type facts one unit declares at its top level: record types with
+   a mutable field, abbreviations, and [Hashtbl.Make]/[MakeSeeded]
+   instances. *)
+let type_facts t u =
+  List.concat_map
+    (fun (item : Typedtree.structure_item) ->
+      match item.Typedtree.str_desc with
+      | Typedtree.Tstr_type (_, decls) ->
+        List.filter_map
+          (fun (d : Typedtree.type_declaration) ->
+            let name = u.u_name ^ "." ^ d.Typedtree.typ_name.Location.txt in
+            match (d.Typedtree.typ_kind, d.Typedtree.typ_manifest) with
+            | Typedtree.Ttype_record labels, _
+              when List.exists
+                     (fun (l : Typedtree.label_declaration) ->
+                       l.Typedtree.ld_mutable = Asttypes.Mutable)
+                     labels ->
+              Some (name, Has_mutable_field)
+            | Typedtree.Ttype_abstract, Some manifest ->
+              Some (name, Abbreviates (u.u_name, manifest.Typedtree.ctyp_type))
+            | _ -> None)
+          decls
+      | Typedtree.Tstr_module
+          {
+            Typedtree.mb_id = Some id;
+            mb_expr = { Typedtree.mod_desc = Typedtree.Tmod_apply (functor_, _, _); _ };
+            _;
+          } -> (
+        match
+          Option.map
+            (fun p -> canon_parts t u (String.split_on_char '.' (Path.name p)))
+            (module_path functor_)
+        with
+        | Some [ "Hashtbl"; ("Make" | "MakeSeeded") ] ->
+          [ (u.u_name ^ "." ^ Ident.name id ^ ".t", Table_instance) ]
+        | _ -> [])
+      | _ -> [])
+    u.u_str.Typedtree.str_items
+
+(* ---------- fan-out sites and local definitions ---------- *)
+
+let is_function ty = match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
+
+let fan_out_callees = [ "Pool.map"; "Pool.mapi"; "Pool.map_reduce"; "Domain.spawn" ]
+
+(* One walk of the whole structure (submodules and functor arguments
+   included): every fan-out call with the arguments that run on other
+   domains (every function-typed one but [map_reduce]'s [~reduce],
+   which folds on the caller), and every local [let x = e]. *)
+let fanouts_and_locals t u (str : Typedtree.structure) =
+  let fanouts = ref [] and locals = ref [] in
+  let open Tast_iterator in
+  let iter =
+    {
+      default_iterator with
+      expr =
+        (fun self e ->
+          (match e.Typedtree.exp_desc with
+          | Typedtree.Texp_apply
+              ({ Typedtree.exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
+            let callee, _ = resolve_callee t u p in
+            if List.mem callee fan_out_callees then
+              let tasks =
+                List.filter_map
+                  (fun (label, arg) ->
+                    match (label, arg) with
+                    | Asttypes.Labelled "reduce", _ -> None
+                    | _, Some (a : Typedtree.expression) when is_function a.Typedtree.exp_type
+                      ->
+                      Some a
+                    | _ -> None)
+                  args
+              in
+              fanouts :=
+                { fo_callee = callee; fo_loc = e.Typedtree.exp_loc; fo_tasks = tasks }
+                :: !fanouts
+          | Typedtree.Texp_let (_, vbs, _) ->
+            List.iter
+              (fun (vb : Typedtree.value_binding) ->
+                match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+                | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _) ->
+                  locals := (id, vb.Typedtree.vb_expr) :: !locals
+                | _ -> ())
+              vbs
+          | _ -> ());
+          default_iterator.expr self e);
+    }
+  in
+  iter.structure iter str;
+  (List.rev !fanouts, !locals)
+
+let local_def u id =
+  List.find_map (fun (id', e) -> if Ident.same id id' then Some e else None) u.u_locals
+
+(* The canonical references of a task, and of every local function it
+   mentions, transitively. *)
+let task_refs t u task =
+  let seen = ref [] and acc = ref [] in
+  let rec go e =
+    acc := refs_of_body t u e :: !acc;
+    let open Tast_iterator in
+    let iter =
+      {
+        default_iterator with
+        expr =
+          (fun self e ->
+            (match e.Typedtree.exp_desc with
+            | Typedtree.Texp_ident (Path.Pident id, _, _)
+              when not (List.exists (Ident.same id) !seen) -> (
+              seen := id :: !seen;
+              match local_def u id with Some def -> go def | None -> ())
+            | _ -> ());
+            default_iterator.expr self e);
+      }
+    in
+    iter.expr iter e
+  in
+  go task;
+  List.concat (List.rev !acc)
 
 (* ---------- loading ---------- *)
 
@@ -334,35 +689,63 @@ let under_root root path =
      && String.sub path 0 (String.length root) = root
      && path.[String.length root] = '/'
 
+(* Every top-level value binding, names and parameter spines only; the
+   bodies are resolved once every unit's table exists. *)
 let fns_of_unit t u_skeleton structure =
-  let fns = ref [] in
-  List.iter
+  List.concat_map
     (fun (item : Typedtree.structure_item) ->
       match item.Typedtree.str_desc with
       | Typedtree.Tstr_value (_, vbs) ->
-        List.iter
+        List.filter_map
           (fun (vb : Typedtree.value_binding) ->
-            match binding_name vb.Typedtree.vb_pat with
-            | None -> ()
-            | Some name ->
-              let body = vb.Typedtree.vb_expr in
-              fns :=
+            Option.map
+              (fun name ->
+                let body = vb.Typedtree.vb_expr in
                 {
                   t_name = name;
                   t_loc = vb.Typedtree.vb_loc;
                   t_params = params_of_type t u_skeleton body.Typedtree.exp_type;
                   t_calls = [];
                   t_refs = [];
+                  t_raises = [];
+                  t_caught = [];
+                  t_handled = [];
+                  t_speaks_result = false;
                   t_body = body;
-                }
-                :: !fns)
+                })
+              (binding_name vb.Typedtree.vb_pat))
           vbs
-      | _ -> ())
-    structure.Typedtree.str_items;
-  List.rev !fns
+      | _ -> [])
+    structure.Typedtree.str_items
+
+let resolve_unit t u =
+  let fns =
+    List.map
+      (fun fn ->
+        with_effects t u
+          {
+            fn with
+            t_calls = calls_of_body t u fn.t_body;
+            t_refs = refs_of_body t u fn.t_body;
+          })
+      u.u_fns
+  in
+  let state =
+    List.filter_map
+      (fun fn ->
+        Option.map
+          (fun kind ->
+            { s_name = fn.t_name; s_kind = kind; s_loc = fn.t_loc; s_init = fn.t_refs })
+          (if fn.t_params = [] then
+             state_kind_of t u fn.t_body.Typedtree.exp_type
+           else None))
+      fns
+  in
+  let fanouts, locals = fanouts_and_locals t u u.u_str in
+  { u with u_fns = fns; u_state = state; u_fanouts = fanouts; u_locals = locals }
 
 let of_raw raws =
-  let t = { by_name = Hashtbl.create 64; errors = [] } in
+  let t = { by_name = Hashtbl.create 64; types = Hashtbl.create 64; errors = [] } in
   (* pass 1: skeleton units, so canonicalization knows every unit name *)
   let raws =
     List.filter
@@ -381,34 +764,28 @@ let of_raw raws =
               u_source = raw.r_source;
               u_aliases = aliases_of_structure raw.r_structure;
               u_fns = [];
+              u_state = [];
+              u_fanouts = [];
+              u_locals = [];
               u_str = raw.r_structure;
             };
           true
         end)
       raws
   in
-  (* pass 2: function tables (names only), so callee resolution works *)
+  let names = List.map (fun (_, raw) -> canon_unit_of_modname raw.r_modname) raws in
+  (* pass 2: function tables (names only), so callee resolution works,
+     and the type facts the state inventory reads *)
   List.iter
-    (fun (_, raw) ->
-      let name = canon_unit_of_modname raw.r_modname in
+    (fun name ->
       let u = Hashtbl.find t.by_name name in
-      Hashtbl.replace t.by_name name { u with u_fns = fns_of_unit t u raw.r_structure })
-    raws;
-  (* pass 3: resolved calls *)
+      List.iter (fun (ty, fact) -> Hashtbl.replace t.types ty fact) (type_facts t u);
+      Hashtbl.replace t.by_name name { u with u_fns = fns_of_unit t u u.u_str })
+    names;
+  (* pass 3: resolved calls, references, effects, state and fan-outs *)
   List.iter
-    (fun (_, raw) ->
-      let name = canon_unit_of_modname raw.r_modname in
-      let u = Hashtbl.find t.by_name name in
-      let fns =
-        List.map
-          (fun fn ->
-            { fn with
-              t_calls = calls_of_body t u fn.t_body;
-              t_refs = refs_of_body t u fn.t_body })
-          u.u_fns
-      in
-      Hashtbl.replace t.by_name name { u with u_fns = fns })
-    raws;
+    (fun name -> Hashtbl.replace t.by_name name (resolve_unit t (Hashtbl.find t.by_name name)))
+    names;
   t
 
 let of_cmt_files paths =

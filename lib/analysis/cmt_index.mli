@@ -1,13 +1,14 @@
-(** Layer-4 front end: the typed analogue of {!Src_ast}/{!Ast_index}.
+(** The program index layers 3–5 read.
 
     Loads the [.cmt] files dune emits under [_build] (the same
     [compiler-libs] toolchain that built the repo) and exposes a
-    per-compilation-unit inventory of top-level functions with their
-    {e typed} trees, plus a resolved intra-repo call graph. Where the
-    layer-3 index matches names, this one matches [Path.t]s and
-    [Types.type_expr]s — so "a [Budget.t] parameter", "an argument of
-    type [Expr.t]" and "this optional argument was omitted" are facts,
-    not heuristics. *)
+    per-compilation-unit inventory: top-level functions with their
+    {e typed} trees, a resolved intra-repo call graph, raise sites and
+    handlers, module-level mutable state classified by type, and
+    [Pool]/[Domain] fan-out sites. It matches [Path.t]s and
+    [Types.type_expr]s, not names — so "a [Budget.t] parameter", "an
+    argument of type [Expr.t]", "this optional argument was omitted"
+    and "this binding is a hash table" are facts, not heuristics. *)
 
 type param = {
   p_label : string;  (** "" for positional, "~x" labelled, "?x" optional *)
@@ -36,6 +37,14 @@ type ref_site = {
   r_loc : Location.t;
 }
 
+type raise_class =
+  | Rfailure of string  (** [failwith] / [raise (Failure _)] *)
+  | Rinvalid of string  (** [invalid_arg] / [raise (Invalid_argument _)] *)
+  | Rexit               (** [exit] *)
+  | Rexn of string      (** [raise C] for any other constructor [C] *)
+
+type raise_site = { rs_class : raise_class; rs_loc : Location.t }
+
 type tfn = {
   t_name : string;       (** binding name within its unit *)
   t_loc : Location.t;
@@ -45,7 +54,53 @@ type tfn = {
       (** every identifier the body mentions, canonically resolved — a
           superset of the call heads, so purity passes see eta-passed
           functions and bare global reads *)
+  t_raises : raise_site list;
+      (** [failwith]/[invalid_arg]/[exit] calls and [raise] of a
+          constructor; re-raising a bound exception value is forwarding
+          and not listed *)
+  t_caught : string list;
+      (** exception constructors some handler in the body catches;
+          ["*"] for a catch-all *)
+  t_handled : (int * int) list;
+      (** character spans protected by a [try] or a [match] with an
+          [exception] arm *)
+  t_speaks_result : bool;
+      (** the body constructs or matches [Ok]/[Error], or uses [Result] *)
   t_body : Typedtree.expression;  (** for the body-walking passes *)
+}
+
+(** What a module-level value is, judged by its type; abbreviations
+    declared in scanned units are expanded first. *)
+type state_kind =
+  | Ref
+  | Hashtable  (** [Hashtbl.t], or the [t] of a [Hashtbl.Make] instance *)
+  | Array
+  | Buffer
+  | Queue
+  | Stack
+  | Bytes
+  | Mutable_record  (** a record type of a scanned unit with a mutable field *)
+  | Atomic
+  | Publish_once
+  | Counter  (** a [Counters.handle]: incremented atomically, never read back *)
+  | Dls      (** a [Domain.DLS.key] *)
+  | Lock     (** [Mutex.t], [Condition.t], a semaphore *)
+
+type state = {
+  s_name : string;
+  s_kind : state_kind;
+  s_loc : Location.t;
+  s_init : ref_site list;
+      (** references in the initializer — for a [Dls] key, what its
+          initializer closure returns is only as private as these *)
+}
+
+type fanout = {
+  fo_callee : string;  (** "Pool.map", "Pool.mapi", "Pool.map_reduce", "Domain.spawn" *)
+  fo_loc : Location.t;
+  fo_tasks : Typedtree.expression list;
+      (** the arguments that run on other domains: every function-typed
+          one except [map_reduce]'s [~reduce], which folds on the caller *)
 }
 
 type unit_info = {
@@ -55,7 +110,12 @@ type unit_info = {
   u_aliases : (string * string list) list;
       (** structure-level [module B = Dwv_robust.Budget] aliases, target
           pre-split into components *)
-  u_fns : tfn list;
+  u_fns : tfn list;    (** every top-level value binding *)
+  u_state : state list;
+      (** the top-level values that are mutable state, by type *)
+  u_fanouts : fanout list;  (** anywhere in the structure *)
+  u_locals : (Ident.t * Typedtree.expression) list;
+      (** every [let x = e] below the top level *)
   u_str : Typedtree.structure;
       (** the whole typed structure — [u_fns] covers only top-level
           bindings, so passes that must see inside submodules and
@@ -85,6 +145,13 @@ val find_unit : t -> string -> unit_info option
 
 (** ["Module.fn"] lookup. *)
 val find_fn : t -> string -> (unit_info * tfn) option
+
+(** ["Module.name"] lookup in the mutable-state inventory. *)
+val find_state : t -> string -> (unit_info * state) option
+
+(** The same index with only the units [keep] accepts. Their resolved
+    facts are unchanged; load errors are not carried over. *)
+val restrict : t -> (unit_info -> bool) -> t
 
 val fn_key : unit_info -> tfn -> string
 
@@ -122,3 +189,26 @@ val file_loc : unit_info -> Location.t -> Diagnostics.location
 
 (** The variable a pattern binds ([Tpat_var]/[Tpat_alias]), if simple. *)
 val binding_name : Typedtree.pattern -> string option
+
+(** {1 Queries} *)
+
+(** Raise sites outside every handled span and of no constructor a
+    handler in the same function catches. *)
+val escaping_raises : tfn -> raise_site list
+
+(** Whether these references (a body's [t_refs]) take a lock:
+    [Mutex.lock], [protect] or [try_lock]. *)
+val takes_lock : ref_site list -> bool
+
+val kind_label : state_kind -> string
+
+(** Shared state with no synchronization of its own: every kind except
+    [Atomic], [Publish_once], [Counter], [Dls] and [Lock]. *)
+val unguarded : state_kind -> bool
+
+(** The let-bound definition of a local of [u], if it has one. *)
+val local_def : unit_info -> Ident.t -> Typedtree.expression option
+
+(** The canonical references of a fan-out task and, transitively, of
+    every local function it mentions. *)
+val task_refs : t -> unit_info -> Typedtree.expression -> ref_site list

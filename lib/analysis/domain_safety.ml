@@ -1,31 +1,32 @@
 (* Domain-safety lint: no parallel task may reach unguarded module-level
    mutable state.
 
-   For every Pool.map / Pool.mapi / Pool.map_reduce / Domain.spawn call
-   site, take the task argument's identifiers and close them over the
-   name-based call graph (same-module top level, let-bound locals of the
-   enclosing function, and [M.f] across scanned modules). Any reachable
-   reference to a top-level mutable binding is then judged:
+   For every fan-out site of the index (Pool.map / mapi / map_reduce /
+   Domain.spawn), take the task's references — following the local
+   functions it calls — and close them over the typed call graph. Every
+   reachable reference to module-level state of the inventory is then
+   judged by its kind:
 
-     - Atomic / Mutex-or-Condition values are safe by construction;
-       Domain.DLS keys are safe when their initializer builds fresh
-       state — the initializer's identifiers are walked like task code,
-       so a key whose closure captures a shared unguarded table is still
-       flagged;
-     - otherwise the access is MEDIATED when the function whose body
-       contains the reference takes a lock itself (Mutex.lock/protect)
-       or directly calls one that does — the shape of the memo tables in
-       taylor_model.ml, where the table is passed to a locking helper;
+     - Atomic, publish-once registries, telemetry counters and locks are
+       safe by construction, and the [read_only] entries are never
+       written;
+     - a Domain.DLS key is safe when its initializer builds fresh state —
+       the initializer's references are walked like task code, so a key
+       whose closure returns a shared unguarded table is still flagged;
+     - otherwise the access is MEDIATED when the body containing the
+       reference takes a lock itself or directly references a function
+       that does — the shape of the memo tables in taylor_model.ml, where
+       the table is passed to a locking helper;
      - anything else is a data race waiting for a schedule, reported as
        an error at the fan-out site.
 
    The traversal is transitive (a visited set bounds it); the *guard*
    judgment is one hop, which over-accepts (a lock anywhere in a callee
-   counts) and never over-rejects — false-negative shapes are catalogued
-   in DESIGN.md §10. *)
+   counts) and never over-rejects — the remaining false-negative shapes
+   are catalogued in DESIGN.md §10. *)
 
 module D = Diagnostics
-module SSet = Ast_index.SSet
+module CI = Cmt_index
 
 let check_name = Registry.domain_safety
 
@@ -33,116 +34,89 @@ let hint =
   "guard the state with Atomic/Mutex/Domain.DLS, or make it per-task (see \
    DESIGN.md §10)"
 
-(* Is an access from [accessor_idents] mediated? Lock taken in the same
-   body, or in a directly-referenced function of the scanned set. *)
-let mediated index mi accessor_idents =
-  List.exists (fun m -> SSet.mem m accessor_idents) Ast_index.mutex_names
-  || SSet.exists
-       (fun id ->
-         match Ast_index.resolve index mi id with
-         | Some (Ast_index.Tfn (_, g)) -> g.Ast_index.uses_mutex
-         | _ -> false)
-       accessor_idents
+(* Module-level state the program only reads. Arrays are mutable by
+   type, so the inventory lists every array-typed global; these are
+   built once at module initialization and never written, so tasks may
+   share them. Each entry names the binding and why it is never written. *)
+let read_only =
+  [
+    ( "Oscillator.dynamics",
+      "the system's dynamics, projected once from its scenario and never written" );
+    ("Scn_fuzz.deltas", "a constant table of candidate time steps, only read by index");
+  ]
 
-let analyze index =
+(* Is an access from a body with references [refs] mediated? *)
+let mediated idx refs =
+  CI.takes_lock refs
+  || List.exists
+       (fun (r : CI.ref_site) ->
+         r.CI.r_internal
+         &&
+         match CI.find_fn idx r.CI.r_name with
+         | Some (_, g) -> CI.takes_lock g.CI.t_refs
+         | None -> false)
+       refs
+
+let analyze idx =
   let ds = ref [] in
   List.iter
-    (fun (mi : Ast_index.module_info) ->
+    (fun (u : CI.unit_info) ->
       List.iter
-        (fun (site : Ast_index.pool_site) ->
-          let locals =
-            match Ast_index.find_fn mi site.Ast_index.p_fn with
-            | Some f -> f.Ast_index.locals
-            | None -> []
+        (fun (site : CI.fanout) ->
+          let visited = Hashtbl.create 32 and reported = Hashtbl.create 8 in
+          let report (su : CI.unit_info) (s : CI.state) chain =
+            let key = su.CI.u_name ^ "." ^ s.CI.s_name in
+            if not (Hashtbl.mem reported key) then begin
+              Hashtbl.add reported key ();
+              let def_line, _ = Src_ast.start_line_col s.CI.s_loc in
+              let via =
+                match chain with
+                | [] -> "directly"
+                | c -> "via " ^ String.concat " -> " (List.rev c)
+              in
+              ds :=
+                D.error ~check:check_name
+                  ~loc:(CI.file_loc u site.CI.fo_loc)
+                  (Fmt.str
+                     "task passed to %s reaches module-level mutable state '%s' (%s, \
+                      %s:%d) %s without Atomic/Mutex/Domain.DLS mediation"
+                     site.CI.fo_callee s.CI.s_name (CI.kind_label s.CI.s_kind)
+                     su.CI.u_source def_line via)
+                  ~hint
+                :: !ds
+            end
           in
-          let visited = Hashtbl.create 32 in
-          let reported = Hashtbl.create 8 in
-          (* Walk one identifier set: the task's own, then each reached
-             function's. [mi0] is the module whose body we are inside;
-             [chain] is the call path from the task to the current body. *)
-          let rec walk ~(mi0 : Ast_index.module_info) ~chain idents =
-            let med = lazy (mediated index mi0 idents) in
-            SSet.iter
-              (fun id ->
-                (* locals of the enclosing function are visible only from
-                   the task's own module *)
-                let local =
-                  if mi0.Ast_index.module_name = mi.Ast_index.module_name then
-                    List.assoc_opt id locals
-                  else None
-                in
-                match local with
-                | Some lidents ->
-                  if not (Hashtbl.mem visited ("local:" ^ id)) then begin
-                    Hashtbl.add visited ("local:" ^ id) ();
-                    walk ~mi0:mi ~chain:(id :: chain) lidents
-                  end
-                | None -> (
-                  match Ast_index.resolve index mi0 id with
-                  | Some (Ast_index.Tfn (dm, g)) ->
-                    let key = dm.Ast_index.module_name ^ "." ^ g.Ast_index.f_name in
-                    if not (Hashtbl.mem visited key) then begin
-                      Hashtbl.add visited key ();
-                      walk ~mi0:dm ~chain:(key :: chain) g.Ast_index.idents
-                    end
-                  | Some (Ast_index.Tmutable (dm, mb)) -> (
-                    match mb.Ast_index.m_guard with
-                    | Ast_index.Dls_guarded ->
+          (* Walk one body's references; [chain] is the call path from
+             the task to that body. *)
+          let rec walk ~chain refs =
+            let med = lazy (mediated idx refs) in
+            List.iter
+              (fun (r : CI.ref_site) ->
+                if r.CI.r_internal && not (Hashtbl.mem visited r.CI.r_name) then
+                  match CI.find_state idx r.CI.r_name with
+                  | Some (su, s) -> (
+                    match s.CI.s_kind with
+                    | CI.Dls ->
                       (* per-domain only if the key's initializer builds
                          fresh state: a closure returning a shared table
-                         (Domain.DLS.new_key (fun () -> shared)) hands
-                         every domain the same object, so walk the
-                         initializer's identifiers like any task code *)
-                      let key =
-                        "dls:" ^ dm.Ast_index.module_name ^ "."
-                        ^ mb.Ast_index.m_name
-                      in
-                      if not (Hashtbl.mem visited key) then begin
-                        Hashtbl.add visited key ();
-                        walk ~mi0:dm
-                          ~chain:
-                            ((dm.Ast_index.module_name ^ "."
-                             ^ mb.Ast_index.m_name ^ "[init]")
-                            :: chain)
-                          mb.Ast_index.m_init_idents
-                      end
-                    | Ast_index.Atomic_guarded | Ast_index.Sync_primitive ->
-                      ()
-                    | Ast_index.Unguarded ->
-                      if not (Lazy.force med) then begin
-                        let key =
-                          dm.Ast_index.module_name ^ "." ^ mb.Ast_index.m_name
-                        in
-                        if not (Hashtbl.mem reported key) then begin
-                          Hashtbl.add reported key ();
-                          let def_line, _ =
-                            Src_ast.start_line_col mb.Ast_index.m_loc
-                          in
-                          let via =
-                            match chain with
-                            | [] -> "directly"
-                            | c -> "via " ^ String.concat " -> " (List.rev c)
-                          in
-                          ds :=
-                            D.error ~check:check_name
-                              ~loc:
-                                (Src_ast.file_loc ~path:mi.Ast_index.path
-                                   site.Ast_index.p_loc)
-                              (Fmt.str
-                                 "task passed to %s reaches module-level mutable \
-                                  state '%s' (%s, %s:%d) %s without \
-                                  Atomic/Mutex/Domain.DLS mediation"
-                                 site.Ast_index.p_callee mb.Ast_index.m_name
-                                 (Ast_index.kind_label mb.Ast_index.m_kind)
-                                 dm.Ast_index.path def_line via)
-                              ~hint
-                            :: !ds
-                        end
-                      end)
-                  | None -> ()))
-              idents
+                         hands every domain the same object *)
+                      Hashtbl.add visited r.CI.r_name ();
+                      walk ~chain:((r.CI.r_name ^ "[init]") :: chain) s.CI.s_init
+                    | k ->
+                      if
+                        CI.unguarded k
+                        && (not (List.mem_assoc r.CI.r_name read_only))
+                        && not (Lazy.force med)
+                      then report su s chain)
+                  | None -> (
+                    match CI.find_fn idx r.CI.r_name with
+                    | Some (_, g) ->
+                      Hashtbl.add visited r.CI.r_name ();
+                      walk ~chain:(r.CI.r_name :: chain) g.CI.t_refs
+                    | None -> ()))
+              refs
           in
-          walk ~mi0:mi ~chain:[] site.Ast_index.p_seeds)
-        mi.Ast_index.pool_sites)
-    (Ast_index.modules index);
+          List.iter (fun task -> walk ~chain:[] (CI.task_refs idx u task)) site.CI.fo_tasks)
+        u.CI.u_fanouts)
+    (CI.units idx);
   List.rev !ds

@@ -2,12 +2,13 @@
    Dwv_error.t result taxonomy, not throw.
 
    A function in a hot module is flagged when it can raise — directly or
-   through one call-graph hop — without the raise being handled. A raise
-   is "handled" when it sits inside a try/match-exception span, when its
-   constructor is caught elsewhere in the same function (the [fail]/
-   [try ... with Exit] helper pairing), or when the function itself
-   constructs Ok/Error results (precondition raises of a result-speaking
-   function are its contract, not an escape).
+   through one hop of the typed call graph — without the raise being
+   handled. A raise is "handled" when it sits inside a
+   try/match-exception span, when its constructor is caught elsewhere in
+   the same function (the [fail]/[try ... with Exit] helper pairing), or
+   when the function itself constructs Ok/Error results (precondition
+   raises of a result-speaking function are its contract, not an
+   escape).
 
    Severity tiers:
      - Error: failwith / exit / an uncaught custom constructor raised
@@ -23,7 +24,7 @@
    failwith/exit out of the verification loop. *)
 
 module D = Diagnostics
-module SSet = Ast_index.SSet
+module CI = Cmt_index
 
 let check_name = Registry.exn_escape
 
@@ -62,87 +63,86 @@ let default_allow =
     "Cert_ival" ]
 
 let class_label = function
-  | Ast_index.Rfailure what -> what
-  | Ast_index.Rinvalid what -> what
-  | Ast_index.Rexit -> "exit"
-  | Ast_index.Rexn c -> "raise " ^ c
+  | CI.Rfailure what | CI.Rinvalid what -> what
+  | CI.Rexit -> "exit"
+  | CI.Rexn c -> "raise " ^ c
 
 (* Error-tier escaping raises of [fn]: what makes it unsafe to call bare
    from the verification loop. invalid_arg-class sites are excluded —
    they are reported at Info on the function itself, never propagated. *)
 let error_tier_raises fn =
   List.filter
-    (fun (s : Ast_index.raise_site) ->
-      match s.Ast_index.r_class with
-      | Ast_index.Rfailure _ | Ast_index.Rexit | Ast_index.Rexn _ -> true
-      | Ast_index.Rinvalid _ -> false)
-    (Ast_index.escaping_raises fn)
+    (fun (s : CI.raise_site) ->
+      match s.CI.rs_class with
+      | CI.Rfailure _ | CI.Rexit | CI.Rexn _ -> true
+      | CI.Rinvalid _ -> false)
+    (CI.escaping_raises fn)
 
-let analyze ?(hot_modules = default_hot_modules) ?(allow = default_allow) index =
+let analyze ?(hot_modules = default_hot_modules) ?(allow = default_allow) idx =
   let ds = ref [] in
   let hint =
     "return a Dwv_error.t result (or catch and classify) so the \
      verification loop's fault ladder can handle the failure"
   in
   List.iter
-    (fun (mi : Ast_index.module_info) ->
-      if List.mem mi.Ast_index.module_name hot_modules then
+    (fun (u : CI.unit_info) ->
+      if List.mem u.CI.u_name hot_modules then
         List.iter
-          (fun (fn : Ast_index.fn) ->
-            let result_speaking = Ast_index.speaks_result fn in
-            let escapes = Ast_index.escaping_raises fn in
+          (fun (fn : CI.tfn) ->
+            let result_speaking = fn.CI.t_speaks_result in
+            let escapes = CI.escaping_raises fn in
             (* direct raises *)
             List.iter
-              (fun (s : Ast_index.raise_site) ->
-                let loc = Src_ast.file_loc ~path:mi.Ast_index.path s.Ast_index.r_loc in
-                match s.Ast_index.r_class with
-                | Ast_index.Rinvalid what ->
+              (fun (s : CI.raise_site) ->
+                let loc = CI.file_loc u s.CI.rs_loc in
+                match s.CI.rs_class with
+                | CI.Rinvalid what ->
                   ds :=
                     D.info ~check:check_name ~loc
                       (Fmt.str
                          "hot-path function '%s' can escape with %s (caller-contract \
                           violation; confirm callers validate inputs)"
-                         fn.Ast_index.f_name what)
+                         fn.CI.t_name what)
                     :: !ds
-                | (Ast_index.Rfailure _ | Ast_index.Rexit | Ast_index.Rexn _) as c ->
+                | (CI.Rfailure _ | CI.Rexit | CI.Rexn _) as c ->
                   if not result_speaking then
                     ds :=
                       D.error ~check:check_name ~loc
                         (Fmt.str
                            "hot-path function '%s' can escape with %s, outside the \
                             Dwv_error.t result taxonomy"
-                           fn.Ast_index.f_name (class_label c))
+                           fn.CI.t_name (class_label c))
                         ~hint
                       :: !ds)
               escapes;
-            (* one hop: a direct callee with an Error-tier escape *)
+            (* one hop: a referenced function with an Error-tier escape *)
             if escapes = [] && not result_speaking then
-              SSet.iter
-                (fun id ->
-                  match Ast_index.resolve index mi id with
-                  | Some (Ast_index.Tfn (dm, g))
-                    when (not (List.mem dm.Ast_index.module_name allow))
-                         && not (Ast_index.speaks_result g) -> (
+              List.iter
+                (fun name ->
+                  match CI.find_fn idx name with
+                  | Some (du, g)
+                    when (not (List.mem du.CI.u_name allow)) && not g.CI.t_speaks_result
+                    -> (
                     match error_tier_raises g with
                     | [] -> ()
                     | s :: _ ->
-                      let line, _ = Src_ast.start_line_col s.Ast_index.r_loc in
+                      let line, _ = Src_ast.start_line_col s.CI.rs_loc in
                       ds :=
                         D.warn ~check:check_name
-                          ~loc:
-                            (Src_ast.file_loc ~path:mi.Ast_index.path
-                               fn.Ast_index.f_loc)
+                          ~loc:(CI.file_loc u fn.CI.t_loc)
                           (Fmt.str
-                             "hot-path function '%s' calls %s.%s, which can escape \
-                              with %s (%s:%d)"
-                             fn.Ast_index.f_name dm.Ast_index.module_name
-                             g.Ast_index.f_name
-                             (class_label s.Ast_index.r_class)
-                             dm.Ast_index.path line)
+                             "hot-path function '%s' calls %s, which can escape with %s \
+                              (%s:%d)"
+                             fn.CI.t_name name (class_label s.CI.rs_class)
+                             du.CI.u_source line)
                           ~hint
                         :: !ds)
                   | _ -> ())
-                fn.Ast_index.idents)
-          mi.Ast_index.fns)
-    (Ast_index.modules index);
+                (List.sort_uniq String.compare
+                   (List.filter_map
+                      (fun (r : CI.ref_site) ->
+                        if r.CI.r_internal then Some r.CI.r_name else None)
+                      fn.CI.t_refs)))
+          u.CI.u_fns)
+    (CI.units idx);
   List.rev !ds

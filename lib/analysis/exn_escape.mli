@@ -1,11 +1,11 @@
-(** Exception-escape analysis over the {!Ast_index}: hot-path functions
+(** Exception-escape analysis over the {!Cmt_index}: hot-path functions
     that can raise past the Dwv_error.t result taxonomy. It is the lint
     that keeps bare [failwith]/[exit] out of the verification loop.
 
     Tiers: Error for failwith/exit/uncaught constructor raises in a
     non-result-speaking hot function; Info for invalid_arg-class
-    contract raises; Warn when a raise-free hot function directly calls
-    an in-scope function with an Error-tier escape (one hop). *)
+    contract raises; Warn when a raise-free hot function references a
+    scanned function with an Error-tier escape (one hop). *)
 
 val check_name : string
 (** ["exn-escape"]. *)
@@ -19,4 +19,4 @@ val default_allow : string list
     invariant checks); calls into them are not reported. *)
 
 val analyze :
-  ?hot_modules:string list -> ?allow:string list -> Ast_index.t -> Diagnostics.t list
+  ?hot_modules:string list -> ?allow:string list -> Cmt_index.t -> Diagnostics.t list

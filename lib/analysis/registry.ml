@@ -1,7 +1,7 @@
 (* Check registry. Names live here (not scattered through Model_check) so
    that `dwv_lint checks`, the docs and the tests all read one list. *)
 
-type layer = Model_layer | Source_layer | Ast_layer | Typed_layer | Sound_layer
+type layer = Model_layer | Source_layer | Typed_layer | Sound_layer
 
 type entry = { name : string; layer : layer; description : string }
 
@@ -46,19 +46,12 @@ let model_entries =
     (ctrl_shape, "controller input/output shape matches the plant's (n, m)");
   ]
 
-let ast_entries =
+let typed_entries =
   [
     ( domain_safety,
       "no Pool/Domain task closure reaches unguarded module-level mutable state" );
     ( exn_escape,
       "hot-path functions cannot raise past the Dwv_error.t result taxonomy" );
-    ( ast_parse,
-      "every linted implementation parses with the compiler front end (its \
-       source rules cannot run otherwise)" );
-  ]
-
-let typed_entries =
-  [
     ( pool_capture,
       "no Pool task reads a local ref or Hashtbl.t captured from its \
        enclosing scope" );
@@ -66,7 +59,7 @@ let typed_entries =
       "every call path from a public verify/learn/initset entry point to the \
        flowpipe/ODE kernels threads a Budget.t" );
     ( cmt_missing,
-      "the typed engine found .cmt files for the requested roots (run `dune \
+      "the analyzer found .cmt files for the requested roots (run `dune \
        build @check` first)" );
   ]
 
@@ -99,10 +92,14 @@ let all =
         layer = Source_layer;
         description = "every library .ml has a corresponding .mli interface";
       };
+      {
+        name = ast_parse;
+        layer = Source_layer;
+        description =
+          "every linted implementation parses with the compiler front end (its \
+           source rules cannot run otherwise)";
+      };
     ]
-  @ List.map
-      (fun (name, description) -> { name; layer = Ast_layer; description })
-      ast_entries
   @ List.map
       (fun (name, description) -> { name; layer = Typed_layer; description })
       typed_entries
@@ -113,6 +110,5 @@ let all =
 let layer_label = function
   | Model_layer -> "model"
   | Source_layer -> "source"
-  | Ast_layer -> "ast"
   | Typed_layer -> "typed"
   | Sound_layer -> "sound"

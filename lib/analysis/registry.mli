@@ -4,7 +4,7 @@
     Layer-2 (source) entries are derived from {!Ast_rules.builtin} so
     the listing can never drift from the rule table. *)
 
-type layer = Model_layer | Source_layer | Ast_layer | Typed_layer | Sound_layer
+type layer = Model_layer | Source_layer | Typed_layer | Sound_layer
 
 type entry = { name : string; layer : layer; description : string }
 
@@ -27,15 +27,12 @@ val ctrl_shape : string
 (** {1 Layer-2 check names not backed by an {!Ast_rules} row} *)
 
 val missing_mli : string
+val ast_parse : string
 
-(** {1 Layer-3 (AST) check names} *)
+(** {1 Layers 3–4 (typed) check names} *)
 
 val domain_safety : string
 val exn_escape : string
-val ast_parse : string
-
-(** {1 Layer-4 (typed) check names} *)
-
 val pool_capture : string
 val budget_threading : string
 val cmt_missing : string

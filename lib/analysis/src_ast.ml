@@ -1,8 +1,8 @@
-(* Layer-3 front end: parse OCaml sources into the compiler's own
-   Parsetree. The AST-grounded checks (Ast_rules, Domain_safety,
-   Exn_escape) all start from here, so matching is syntactic — a `==` in
-   a comment, a string banner or an identifier like `preexists` can never
-   fire a rule, and every diagnostic carries the exact compiler location.
+(* Layer-2 front end: parse OCaml sources into the compiler's own
+   Parsetree. The source rules (Ast_rules) start from here, so matching
+   is syntactic — a `==` in a comment, a string banner or an identifier
+   like `preexists` can never fire a rule, and every diagnostic carries
+   the exact compiler location.
 
    Parsing uses compiler-libs.common (the same 5.1 front end that builds
    the repo), so anything dune accepts we parse identically. Files the

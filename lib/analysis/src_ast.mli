@@ -1,6 +1,6 @@
-(** Parsetree front end for the layer-3 (AST) analyses: parse a source
-    file with the compiler's own parser and expose the location helpers
-    the checks need. *)
+(** Parsetree front end for the layer-2 rules: parse a source file with
+    the compiler's own parser and expose the location helpers the checks
+    need (the typed layers share them). *)
 
 type parsed = {
   path : string;

@@ -8,7 +8,7 @@
    magnitude.
 
    Since PR 9 the model is machine-checked by the layer-5 Rounding_flow
-   analysis (`dwv_lint --engine sound`): every bound produced with a
+   analysis (run by `dune build @lint`): every bound produced with a
    rounding operation must route through [widen] (whose slack dominates
    the 1/2-ulp round-to-nearest error of the ops it covers) or through
    the Cert_ival ulp steppers. Exact IEEE operations — negation, abs,

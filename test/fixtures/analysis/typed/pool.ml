@@ -1,8 +1,11 @@
-(* Fixture stand-in for the parallel pool: gives the pool-capture check
-   Pool.mapi call sites whose task closures it must inspect. *)
+(* Fixture stand-in for the parallel pool: gives the pool-capture and
+   domain-safety checks Pool.map/mapi call sites whose task closures
+   they must inspect. *)
 
 type t = unit
 
 let create () = ()
 
 let mapi (_ : t) f a = Array.mapi f a
+
+let map (_ : t) f a = Array.map f a

@@ -7,7 +7,8 @@ module D = Dwv_analysis.Diagnostics
 module Model_check = Dwv_analysis.Model_check
 module Src_ast = Dwv_analysis.Src_ast
 module Ast_rules = Dwv_analysis.Ast_rules
-module Ast_lint = Dwv_analysis.Ast_lint
+module Lint = Dwv_analysis.Lint
+module Source_lint = Dwv_analysis.Source_lint
 module Registry = Dwv_analysis.Registry
 module Expr = Dwv_expr.Expr
 module Parser = Dwv_expr.Parser
@@ -230,9 +231,17 @@ let test_float_of_string_rule () =
   Alcotest.(check (list string)) "_opt variant clean" [] (check_names ok)
 
 let test_allowlist () =
-  (* expr.ml is the documented legit use of the physical shortcut *)
-  let ds = lint_string ~path:"lib/expr/expr.ml" "let eq a b = a == b\n" in
-  Alcotest.(check (list string)) "allowlisted" [] (check_names ds)
+  (* Table.print is the documented legit use of stdout in lib/ *)
+  let src = "let p () = print_endline \"x\"\n" in
+  Alcotest.(check (list string)) "allowlisted" []
+    (check_names (lint_string ~path:"lib/util/table.ml" src));
+  Alcotest.(check (list string)) "flagged elsewhere in lib/" [ "print-debug" ]
+    (check_names (lint_string ~path:"lib/util/rng.ml" src));
+  (* phys-equality has no per-file allowlist: its one exemption is the
+     typed one, for Expr.t operands (test_typed.ml) *)
+  Alcotest.(check (list string)) "no static phys-equality exemption"
+    [ "phys-equality" ]
+    (check_names (lint_string ~path:"lib/expr/expr.ml" "let eq a b = a == b\n"))
 
 let test_lint_tree_missing_mli_and_build_refusal () =
   let tmp = Filename.temp_file "dwv_lint" "" in
@@ -245,9 +254,9 @@ let test_lint_tree_missing_mli_and_build_refusal () =
   let oc = open_out orphan in
   output_string oc "let x = 1\n";
   close_out oc;
-  let ds = Ast_lint.lint_tree [ root ] in
+  let ds = Lint.lint_files (Source_lint.collect_tree [ root ]) in
   Alcotest.(check bool) "orphan flagged" true (has ~check:Registry.missing_mli ds);
-  (match Ast_lint.lint_tree [ "_build/default" ] with
+  (match Source_lint.collect_tree [ "_build/default" ] with
   | _ -> Alcotest.fail "expected _build refusal"
   | exception Invalid_argument _ -> ());
   Sys.remove orphan;
@@ -269,9 +278,9 @@ let test_registry_source_layer_is_rule_table () =
         if e.Registry.layer = Registry.Source_layer then Some e.Registry.name else None)
       Registry.all
   in
-  Alcotest.(check (list string)) "rule table plus missing-mli"
+  Alcotest.(check (list string)) "rule table plus missing-mli and ast-parse"
     (List.map (fun (r : Ast_rules.rule) -> r.Ast_rules.name) Ast_rules.builtin
-    @ [ Registry.missing_mli ])
+    @ [ Registry.missing_mli; Registry.ast_parse ])
     source;
   let names = List.map (fun (e : Registry.entry) -> e.Registry.name) Registry.all in
   List.iter

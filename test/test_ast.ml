@@ -1,22 +1,29 @@
-(* Tests for the layer-3 AST analyses: the parse front end, the
-   module-inventory index, the domain-safety and exception-escape
-   analyses over the fixture corpus in fixtures/analysis/, the layer-2
-   rules under the ast and typed engines' configurations, the
-   unparseable-file note, and the satellite fixes (allowlist component
-   matching, tree-walk dedupe, JSON report envelope). *)
+(* Tests for the Parsetree front end and the layer-2 rules over the
+   textual fixture corpus in fixtures/analysis/, and for the layer-3
+   analyses (domain-safety, exception-escape) and the typed state
+   inventory they read, over the compiled corpus in
+   fixtures/analysis/typed; plus the unparseable-file note and the
+   satellite fixes (allowlist component matching, tree-walk dedupe, JSON
+   report envelope). *)
 
 module D = Dwv_analysis.Diagnostics
 module Src_ast = Dwv_analysis.Src_ast
-module Ast_index = Dwv_analysis.Ast_index
-module Ast_lint = Dwv_analysis.Ast_lint
+module CI = Dwv_analysis.Cmt_index
+module Lint = Dwv_analysis.Lint
 module Ast_rules = Dwv_analysis.Ast_rules
 module Domain_safety = Dwv_analysis.Domain_safety
 module Exn_escape = Dwv_analysis.Exn_escape
+module Typed_rules = Dwv_analysis.Typed_rules
 module Source_lint = Dwv_analysis.Source_lint
 module Registry = Dwv_analysis.Registry
 
 let corpus = "fixtures/analysis"
 let fixture name = Filename.concat corpus name
+
+(* The compiled corpus builds inside the test directory, so from the
+   test's cwd (_build/default/test) its cmts sit right here. *)
+let typed_build = "fixtures/analysis/typed"
+let idx = lazy (CI.scan ~build_dir:typed_build ())
 
 let has ~check ds = List.exists (fun (d : D.t) -> d.D.check = check) ds
 
@@ -33,17 +40,24 @@ let severity_of ~check ds =
   | Some d -> Some d.D.severity
   | None -> None
 
+(* The diagnostics located in one fixture file of the compiled corpus. *)
+let in_file name ds =
+  List.filter
+    (fun (d : D.t) ->
+      match d.D.loc with
+      | D.File { path; _ } -> Filename.basename path = name
+      | D.Model _ -> false)
+    ds
+
 let parse_fixture name =
   match Src_ast.parse_file (fixture name) with
   | Ok p -> p
   | Error m -> Alcotest.failf "fixture %s does not parse: %s" name m
 
-let index_of names = Ast_index.of_files (List.map parse_fixture names)
-
 (* ---------------- Src_ast ---------------- *)
 
 let test_parse_ok () =
-  let p = parse_fixture "ds_bad_memo.ml" in
+  let p = parse_fixture "typed/ds_bad_memo.ml" in
   Alcotest.(check string) "module name" "Ds_bad_memo"
     (Src_ast.module_of_path p.Src_ast.path);
   Alcotest.(check bool) "non-empty structure" true (p.Src_ast.ast <> [])
@@ -54,34 +68,47 @@ let test_parse_error () =
   | Error msg -> Alcotest.(check bool) "mentions syntax" true
                    (contains ~sub:"syntax" msg)
 
-(* ---------------- Ast_index ---------------- *)
+(* ---------------- state inventory ---------------- *)
+
+let unit_of name =
+  match CI.find_unit (Lazy.force idx) name with
+  | Some u -> u
+  | None -> Alcotest.failf "unit %s not indexed" name
+
+let kind_of u name =
+  match List.find_opt (fun (s : CI.state) -> s.CI.s_name = name) u.CI.u_state with
+  | Some s -> s.CI.s_kind
+  | None -> Alcotest.failf "binding %s not in the state inventory" name
 
 let test_index_inventory () =
-  let mi = Ast_index.of_parsed (parse_fixture "ds_good_memo.ml") in
-  let guard name =
-    match Ast_index.find_mutable mi name with
-    | Some m -> m.Ast_index.m_guard
-    | None -> Alcotest.failf "binding %s not in inventory" name
-  in
-  Alcotest.(check bool) "memo unguarded" true (guard "memo" = Ast_index.Unguarded);
-  Alcotest.(check bool) "mutex is a sync primitive" true
-    (guard "memo_mu" = Ast_index.Sync_primitive);
-  Alcotest.(check bool) "atomic counter guarded" true
-    (guard "hits" = Ast_index.Atomic_guarded);
-  Alcotest.(check bool) "publish-once registry guarded" true
-    (guard "plans" = Ast_index.Atomic_guarded);
-  Alcotest.(check int) "one fan-out site" 1 (List.length mi.Ast_index.pool_sites);
-  let site = List.hd mi.Ast_index.pool_sites in
-  Alcotest.(check string) "site callee" "Pool.map" site.Ast_index.p_callee;
-  Alcotest.(check string) "enclosing function" "run" site.Ast_index.p_fn;
-  match Ast_index.find_fn mi "lookup" with
-  | Some f -> Alcotest.(check bool) "lookup locks" true f.Ast_index.uses_mutex
+  let u = unit_of "Ds_good_memo" in
+  Alcotest.(check bool) "memo is an unguarded table" true
+    (kind_of u "memo" = CI.Hashtable && CI.unguarded CI.Hashtable);
+  Alcotest.(check bool) "mutex is a lock" true (kind_of u "memo_mu" = CI.Lock);
+  Alcotest.(check bool) "atomic counter" true (kind_of u "hits" = CI.Atomic);
+  Alcotest.(check bool) "publish-once registry" true
+    (kind_of u "plans" = CI.Publish_once);
+  Alcotest.(check bool) "functions are not state" false
+    (List.exists (fun (s : CI.state) -> s.CI.s_name = "lookup") u.CI.u_state);
+  (match u.CI.u_fanouts with
+  | [ site ] ->
+    Alcotest.(check string) "site callee" "Pool.map" site.CI.fo_callee;
+    Alcotest.(check int) "one task" 1 (List.length site.CI.fo_tasks)
+  | sites -> Alcotest.failf "expected one fan-out site, got %d" (List.length sites));
+  match CI.find_fn (Lazy.force idx) "Ds_good_memo.lookup" with
+  | Some (_, f) -> Alcotest.(check bool) "lookup locks" true (CI.takes_lock f.CI.t_refs)
   | None -> Alcotest.fail "lookup not indexed"
+
+let test_index_helper_table () =
+  Alcotest.(check bool) "a table made by a helper is a table" true
+    (kind_of (unit_of "Ds_bad_helper") "cache" = CI.Hashtable)
 
 (* ---------------- domain-safety ---------------- *)
 
+let domain_safety = lazy (Domain_safety.analyze (Lazy.force idx))
+
 let test_domain_safety_fires () =
-  let ds = Domain_safety.analyze (index_of [ "ds_bad_memo.ml" ]) in
+  let ds = in_file "ds_bad_memo.ml" (Lazy.force domain_safety) in
   Alcotest.(check int) "one finding" 1 (count ~check:Registry.domain_safety ds);
   let d = List.hd ds in
   Alcotest.(check bool) "error severity" true (d.D.severity = D.Error);
@@ -92,20 +119,19 @@ let test_domain_safety_fires () =
 
 let test_domain_safety_silent_when_guarded () =
   Alcotest.(check int) "no findings" 0
-    (List.length (Domain_safety.analyze (index_of [ "ds_good_memo.ml" ])))
+    (List.length (in_file "ds_good_memo.ml" (Lazy.force domain_safety)))
 
 let test_index_records_dls_init_idents () =
-  let mi = Ast_index.of_parsed (parse_fixture "ds_bad_dls.ml") in
-  match Ast_index.find_mutable mi "memo_key" with
-  | Some m ->
-    Alcotest.(check bool) "dls guarded" true
-      (m.Ast_index.m_guard = Ast_index.Dls_guarded);
-    Alcotest.(check bool) "initializer idents captured" true
-      (Ast_index.SSet.mem "shared" m.Ast_index.m_init_idents)
+  let u = unit_of "Ds_bad_dls" in
+  match List.find_opt (fun (s : CI.state) -> s.CI.s_name = "memo_key") u.CI.u_state with
+  | Some s ->
+    Alcotest.(check bool) "domain-local key" true (s.CI.s_kind = CI.Dls);
+    Alcotest.(check bool) "initializer references recorded" true
+      (List.exists (fun (r : CI.ref_site) -> r.CI.r_name = "Ds_bad_dls.shared") s.CI.s_init)
   | None -> Alcotest.fail "memo_key not in inventory"
 
 let test_domain_safety_dls_counterfeit_fires () =
-  let ds = Domain_safety.analyze (index_of [ "ds_bad_dls.ml" ]) in
+  let ds = in_file "ds_bad_dls.ml" (Lazy.force domain_safety) in
   Alcotest.(check int) "one finding" 1 (count ~check:Registry.domain_safety ds);
   let d = List.hd ds in
   Alcotest.(check bool) "error severity" true (d.D.severity = D.Error);
@@ -116,14 +142,20 @@ let test_domain_safety_dls_counterfeit_fires () =
 
 let test_domain_safety_silent_on_fresh_dls () =
   Alcotest.(check int) "no findings" 0
-    (List.length (Domain_safety.analyze (index_of [ "ds_good_dls.ml" ])))
+    (List.length (in_file "ds_good_dls.ml" (Lazy.force domain_safety)))
+
+let test_domain_safety_helper_table_fires () =
+  match in_file "ds_bad_helper.ml" (Lazy.force domain_safety) with
+  | [ d ] ->
+    Alcotest.(check bool) "error severity" true (d.D.severity = D.Error);
+    Alcotest.(check bool) "names the helper-made table" true
+      (contains ~sub:"'cache' (hash table" d.D.message)
+  | ds -> Alcotest.failf "expected one finding, got %d" (List.length ds)
 
 (* ---------------- exn-escape ---------------- *)
 
 let test_exn_escape_fires () =
-  let ds =
-    Exn_escape.analyze ~hot_modules:[ "Exn_bad" ] (index_of [ "exn_bad.ml" ])
-  in
+  let ds = Exn_escape.analyze ~hot_modules:[ "Exn_bad" ] (Lazy.force idx) in
   let of_fn name =
     List.filter
       (fun (d : D.t) -> contains ~sub:("'" ^ name ^ "'") d.D.message)
@@ -138,34 +170,35 @@ let test_exn_escape_fires () =
 
 let test_exn_escape_silent_when_handled () =
   Alcotest.(check int) "result-speaking + try-handled module is silent" 0
-    (List.length
-       (Exn_escape.analyze ~hot_modules:[ "Exn_good" ] (index_of [ "exn_good.ml" ])))
+    (List.length (Exn_escape.analyze ~hot_modules:[ "Exn_good" ] (Lazy.force idx)))
 
 let test_exn_escape_ignores_cold_modules () =
-  (* default hot list does not contain the fixture module *)
+  (* the default hot list does not contain the fixture module *)
   Alcotest.(check int) "cold module is silent" 0
-    (List.length (Exn_escape.analyze (index_of [ "exn_bad.ml" ])))
+    (List.length (in_file "exn_bad.ml" (Exn_escape.analyze (Lazy.force idx))))
 
 (* ---------------- layer-2 rules, both engines ---------------- *)
 
-(* The ast engine lints with the static allowlists; the typed engine
-   passes its typed phys-equality exemption instead (empty here: the
-   fixtures hold no Expr.t identity test), which drops the static
-   phys-equality allowlist. The rules must fire identically under both. *)
-let engines = [ ("ast", None); ("typed", Some []) ]
+(* The two configurations a file is linted in: alone, with no typed
+   index and so no phys-equality exemption, and inside [Lint.run], whose
+   typed index exempts exactly the Expr.t identity tests (here the
+   compiled corpus's expr.ml). No textual fixture compares Expr.t
+   values, so the rules must fire identically under both. *)
+let engines =
+  lazy [ ("untyped", []); ("typed", Typed_rules.expr_phys_eq_allow (Lazy.force idx)) ]
 
 let rule_pair ~check ~bad ~good () =
   List.iter
     (fun (engine, phys_eq_allow) ->
       let label s = Fmt.str "%s/%s" engine s in
-      let ds_good = Ast_lint.lint_files ?phys_eq_allow [ fixture good ] in
+      let ds_good = Lint.lint_files ~phys_eq_allow [ fixture good ] in
       Alcotest.(check int) (label "silent on good") 0 (count ~check ds_good);
       List.iter
         (fun (file, hits) ->
-          let ds_bad = Ast_lint.lint_files ?phys_eq_allow [ fixture file ] in
+          let ds_bad = Lint.lint_files ~phys_eq_allow [ fixture file ] in
           Alcotest.(check int) (label (file ^ " hit count")) hits (count ~check ds_bad))
         bad)
-    engines
+    (Lazy.force engines)
 
 let test_phys_equality =
   rule_pair ~check:"phys-equality" ~bad:[ ("phys_eq_bad.ml", 2) ]
@@ -184,14 +217,14 @@ let test_float_of_string =
     ~good:"fos_good.ml"
 
 let test_poly_compare_severity () =
-  let ds = Ast_lint.lint_files [ fixture "poly_cmp_bad.ml" ] in
+  let ds = Lint.lint_files [ fixture "poly_cmp_bad.ml" ] in
   Alcotest.(check bool) "warn, not error" true
     (severity_of ~check:"poly-compare" ds = Some D.Warn)
 
 (* ---------------- unparseable files ---------------- *)
 
 let test_ast_parse_note () =
-  let ds = Ast_lint.lint_files [ fixture "broken_syntax.ml" ] in
+  let ds = Lint.lint_files [ fixture "broken_syntax.ml" ] in
   Alcotest.(check int) "one ast-parse note" 1 (count ~check:Registry.ast_parse ds);
   Alcotest.(check bool) "note severity" true
     (severity_of ~check:Registry.ast_parse ds = Some D.Info);
@@ -202,6 +235,14 @@ let test_registry_lists_ast_checks () =
   List.iter
     (fun n -> Alcotest.(check bool) n true (List.mem n names))
     [ Registry.domain_safety; Registry.exn_escape; Registry.ast_parse ]
+
+let test_registry_layer3_is_typed () =
+  List.iter
+    (fun n ->
+      match List.find_opt (fun (e : Registry.entry) -> e.Registry.name = n) Registry.all with
+      | Some e -> Alcotest.(check string) n "typed" (Registry.layer_label e.Registry.layer)
+      | None -> Alcotest.failf "%s not registered" n)
+    [ Registry.domain_safety; Registry.exn_escape ]
 
 (* ---------------- satellite: allowlist component matching ---------------- *)
 
@@ -240,8 +281,8 @@ let test_duplicate_roots_dedupe () =
   let overlapping = Source_lint.collect_tree [ "fixtures"; corpus ] in
   Alcotest.(check int) "overlapping roots collect once" (List.length once)
     (List.length overlapping);
-  let ds_once = Ast_lint.lint_tree [ corpus ] in
-  let ds_twice = Ast_lint.lint_tree [ corpus; corpus ] in
+  let ds_once = Lint.lint_files once in
+  let ds_twice = Lint.lint_files twice in
   Alcotest.(check int) "no duplicate diagnostics" (List.length ds_once)
     (List.length ds_twice)
 
@@ -282,7 +323,7 @@ let test_report_json_golden () =
   Alcotest.(check string) "envelope is stable" expected (D.report_to_json ds)
 
 let test_text_json_counts_agree () =
-  let ds = Ast_lint.lint_tree [ corpus ] in
+  let ds = Lint.lint_files (Source_lint.collect_tree [ corpus ]) in
   let json = D.report_to_json ds in
   let expect field n =
     let fragment = Fmt.str {|"%s":%d|} field n in
@@ -300,18 +341,22 @@ let suite =
       test_parse_ok;
     Alcotest.test_case "src_ast: syntax errors are reported, not raised" `Quick
       test_parse_error;
-    Alcotest.test_case "ast_index: inventory, guards and fan-out sites" `Quick
+    Alcotest.test_case "inventory: state kinds, locks and fan-out sites" `Quick
       test_index_inventory;
+    Alcotest.test_case "inventory: a table made by a helper is state" `Quick
+      test_index_helper_table;
     Alcotest.test_case "domain-safety: unguarded memo table under Pool.map fires"
       `Quick test_domain_safety_fires;
     Alcotest.test_case "domain-safety: mutex/atomic-guarded state is silent" `Quick
       test_domain_safety_silent_when_guarded;
-    Alcotest.test_case "ast_index: DLS initializer idents are recorded" `Quick
+    Alcotest.test_case "inventory: DLS initializer references are recorded" `Quick
       test_index_records_dls_init_idents;
     Alcotest.test_case "domain-safety: counterfeit DLS (shared init) fires" `Quick
       test_domain_safety_dls_counterfeit_fires;
     Alcotest.test_case "domain-safety: fresh-per-domain DLS memo is silent" `Quick
       test_domain_safety_silent_on_fresh_dls;
+    Alcotest.test_case "domain-safety: table made behind a helper fires" `Quick
+      test_domain_safety_helper_table_fires;
     Alcotest.test_case "exn-escape: error/warn/info tiers fire" `Quick
       test_exn_escape_fires;
     Alcotest.test_case "exn-escape: handled and result-speaking code is silent"
@@ -330,6 +375,8 @@ let suite =
       test_ast_parse_note;
     Alcotest.test_case "registry lists the ast-layer checks" `Quick
       test_registry_lists_ast_checks;
+    Alcotest.test_case "registry: domain-safety and exn-escape are typed" `Quick
+      test_registry_layer3_is_typed;
     Alcotest.test_case "allowlist matches whole path components" `Quick
       test_allowed_components;
     Alcotest.test_case "tree walk dedupes duplicate/overlapping roots" `Quick

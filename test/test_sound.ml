@@ -2,15 +2,14 @@
    fixtures/analysis/typed. Each seeded violation in sf_ival.ml /
    sf_cache.ml is pinned to its site, the clean shapes must stay
    silent, the allow machinery is exercised both ways (suppression and
-   staleness), and the whole analysis must be bit-identical across
-   runs. *)
+   staleness), the whole analysis must be bit-identical across runs,
+   and the driver must hold layer 5 to units under lib/ and bin/. *)
 
 module D = Dwv_analysis.Diagnostics
 module CI = Dwv_analysis.Cmt_index
 module RF = Dwv_analysis.Rounding_flow
 module CP = Dwv_analysis.Cache_purity
-module AI = Dwv_analysis.Ast_index
-module SA = Dwv_analysis.Src_ast
+module Lint = Dwv_analysis.Lint
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -22,12 +21,6 @@ let contains ~sub s =
 let fixture_build = "fixtures/analysis/typed"
 
 let idx = lazy (CI.scan ~build_dir:fixture_build ())
-
-let fixture_ast =
-  lazy
-    (match SA.parse_file (fixture_build ^ "/sf_cache.ml") with
-    | Ok p -> AI.of_files [ p ]
-    | Error _ -> Alcotest.fail "fixture parse failed: sf_cache.ml")
 
 (* The default allowlist names real-repo functions (Box.bloat, ...);
    on the fixture corpus they would all be stale, so the tests carry
@@ -131,7 +124,7 @@ let purity ds = List.filter (fun d -> d.D.check = "cache-purity") ds
 
 let test_purity_seeded () =
   let ds =
-    CP.analyze ~config:cp_config ~ast:(Lazy.force fixture_ast) (Lazy.force idx)
+    CP.analyze ~config:cp_config (Lazy.force idx)
   in
   let ps = purity ds in
   Alcotest.(check int)
@@ -170,7 +163,7 @@ let test_purity_allow_and_stale () =
   let ds =
     CP.analyze
       ~config:{ cp_config with CP.allow = [ allow_table ] }
-      ~ast:(Lazy.force fixture_ast) (Lazy.force idx)
+      (Lazy.force idx)
   in
   Alcotest.(check int) "table violation suppressed" 3 (List.length (purity ds));
   Alcotest.(check int) "entry is used, not stale" 0
@@ -182,7 +175,7 @@ let test_purity_allow_and_stale () =
   let ds =
     CP.analyze
       ~config:{ cp_config with CP.allow = [ stale ] }
-      ~ast:(Lazy.force fixture_ast) (Lazy.force idx)
+      (Lazy.force idx)
   in
   Alcotest.(check int) "stale entry reported" 1
     (List.length (List.filter (fun d -> d.D.check = "sound-allow") ds))
@@ -191,7 +184,7 @@ let test_purity_unknown_entry () =
   let ds =
     CP.analyze
       ~config:{ cp_config with CP.entries = [ "Sf_cache.no_such_entry" ] }
-      ~ast:(Lazy.force fixture_ast) (Lazy.force idx)
+      (Lazy.force idx)
   in
   match purity ds with
   | [ d ] ->
@@ -207,11 +200,35 @@ let test_deterministic_report () =
     let idx = CI.scan ~build_dir:fixture_build () in
     let ds =
       RF.analyze ~config:rf_config idx
-      @ CP.analyze ~config:cp_config ~ast:(Lazy.force fixture_ast) idx
+      @ CP.analyze ~config:cp_config idx
     in
     D.report_to_json (D.sort ds)
   in
   Alcotest.(check string) "bit-identical across runs" (run ()) (run ())
+
+(* ---------------- scope ---------------- *)
+
+let test_scope () =
+  List.iter
+    (fun (path, expected) -> Alcotest.(check bool) path expected (Lint.in_sound_scope path))
+    [
+      ("lib/interval/box.ml", true); ("./lib/poly/poly.ml", true);
+      ("bin/dwv_lint.ml", true); ("bench/main.ml", false); ("test/test_sound.ml", false);
+      ("examples/quickstart.ml", false); ("test/fixtures/analysis/typed/sf_ival.ml", false);
+      ("paperbench/lib/x.ml", false);
+    ];
+  (* every fixture unit lives under test/: the driver runs the
+     scope-free layers on them (the seeded domain-safety findings) but
+     no layer-5 or budget finding, though rounding-flow on the same
+     index finds the five seeded sites *)
+  let ds = Lint.analyze_index (Lazy.force idx) in
+  Alcotest.(check bool) "scope-free layers ran" true
+    (List.exists (fun d -> d.D.check = "domain-safety") ds);
+  List.iter
+    (fun check ->
+      Alcotest.(check int) (check ^ " judges nothing outside lib/ and bin/") 0
+        (List.length (List.filter (fun d -> d.D.check = check) ds)))
+    [ "rounding-flow"; "cache-purity"; "sound-allow"; "budget-threading" ]
 
 let suite =
   [
@@ -228,4 +245,5 @@ let suite =
     Alcotest.test_case "purity: unknown entry point" `Quick
       test_purity_unknown_entry;
     Alcotest.test_case "deterministic report" `Quick test_deterministic_report;
+    Alcotest.test_case "scope: layer 5 judges only lib/ and bin/" `Quick test_scope;
   ]

@@ -1,7 +1,7 @@
 (* Layer-4 typed-analysis suite, run against the compiled fixture corpus
    in fixtures/analysis/typed (a real dune library, so its .cmt files
    exist under the test's own build directory). Covers the cmt index,
-   the typed phys-equality exemption end to end through Ast_lint, the
+   the typed phys-equality exemption end to end through Lint, the
    pool-capture check (a Pool task reading a captured local ref or
    table) and the budget-threading verifier (clean chain, dropped
    budget, unbudgeted kernel, bad entries), plus the SARIF envelope. *)
@@ -10,7 +10,7 @@ module D = Dwv_analysis.Diagnostics
 module CI = Dwv_analysis.Cmt_index
 module TR = Dwv_analysis.Typed_rules
 module BT = Dwv_analysis.Budget_threading
-module AL = Dwv_analysis.Ast_lint
+module Lint = Dwv_analysis.Lint
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -31,8 +31,10 @@ let test_index_units () =
   Alcotest.(check (list string))
     "fixture units, canonical names, sorted"
     [
-      "Budget"; "Expr"; "Interval"; "Interval_reach"; "Pool"; "Sf_cache"; "Sf_ival";
-      "Tf_boxed_loop"; "Tf_budget_drop"; "Tf_budget_ok";
+      "Budget"; "Ds_bad_dls"; "Ds_bad_helper"; "Ds_bad_memo"; "Ds_good_dls";
+      "Ds_good_memo"; "Exn_bad"; "Exn_good"; "Expr"; "Interval"; "Interval_reach";
+      "Pool"; "Publish_once"; "Sf_cache"; "Sf_ival"; "Tf_boxed_loop";
+      "Tf_budget_drop"; "Tf_budget_ok";
     ]
     (List.map (fun u -> u.CI.u_name) (CI.units idx));
   Alcotest.(check (list (pair string string))) "no load errors" []
@@ -82,7 +84,7 @@ let test_phys_eq_allow_filters_lint () =
       (TR.expr_phys_eq_allow (Lazy.force idx))
   in
   let file = fixture_build ^ "/expr.ml" in
-  let ds = AL.lint_files ~phys_eq_allow:allow [ file ] in
+  let ds = Lint.lint_files ~phys_eq_allow:allow [ file ] in
   let phys_lines =
     List.filter_map
       (fun d ->
