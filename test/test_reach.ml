@@ -611,6 +611,165 @@ let test_golden_digests () =
     (List.map (fun (name, expected, _) -> (name, expected)) cases)
     got
 
+(* ---------------- ACC zonotope engine ---------------- *)
+
+(* The ACC verifier on every kind of call Algorithm 1 and 2 make: the
+   design paperbench's acc-linear learns (G metric, seed 1), the DSL's
+   starting design (Unknown), a design whose pipe outgrows
+   [blowup_width], an initset cell of the marginal design, and an
+   injected NaN gain (its failure record). Recorded on the Box-API
+   flowpipe, before the flat-array kernel replaced it. *)
+
+module Acc = Dwv_systems.Acc
+module Fault = Dwv_robust.Fault
+
+let acc_learned =
+  lazy (Acc.controller_of_theta [| 0x1.b0008cd1354c6p-1; -0x1.8cbcc844e65bfp+1; -0x1.9bc184f8266e4p-7 |])
+
+let acc_blowup = lazy (Acc.controller_of_theta [| 0.0; 3.0; 0.0 |])
+
+(* A depth-6 cell of X0 that the marginal design certifies. *)
+let acc_cell = lazy (Box.make ~lo:[| 122.0; 48.0 |] ~hi:[| 122.25; 48.5 |])
+
+let acc_report_digest (r : Verifier.fallback_report) =
+  robust_digest r ^ Option.value ~default:"-" r.Verifier.rung
+
+let golden_acc =
+  [
+    ( "learned G seed 1",
+      "c1f8eaea4aaac0e17fabe108ae5cebfdzonotope",
+      Verifier.Reach_avoid,
+      fun () -> Acc.verify_robust (Lazy.force acc_learned) );
+    ("DSL start", "f4d310eb04f6cba49eea9998dd22daeczonotope", Verifier.Unknown, fun () -> Acc.verify_robust Acc.initial_controller);
+    ("blowup", "876eb6892cc20fe05766cefc551af9f8-", Verifier.Unknown, fun () -> Acc.verify_robust (Lazy.force acc_blowup));
+    ( "initset cell",
+      "87ce0bb7a061c7e4cf63bdd76a560acezonotope",
+      Verifier.Reach_avoid,
+      fun () ->
+        Acc.verify_robust_from (Lazy.force acc_cell)
+          (Acc.controller_of_theta [| 0.55; -2.0; 1.83 |]) );
+    ( "NaN theta",
+      "e2d352deced2f441ce987e88ca174e6d-",
+      Verifier.Unknown,
+      fun () ->
+        Fault.with_faults [ (0, Fault.Nan_theta) ] (fun () ->
+            Acc.verify_robust (Lazy.force acc_learned)) );
+  ]
+
+let test_acc_golden_digests () =
+  let spec = Acc.spec in
+  let got =
+    List.map
+      (fun (name, _, _, run) ->
+        let r = run () in
+        ( name,
+          ( acc_report_digest r,
+            Verifier.verdict_to_string
+              (Verifier.check ~unsafe:spec.Dwv_core.Spec.unsafe ~goal:spec.Dwv_core.Spec.goal
+                 r.Verifier.pipe) ) ))
+      golden_acc
+  in
+  Alcotest.(check (list (pair string (pair string string))))
+    "acc digests and verdicts"
+    (List.map
+       (fun (name, digest, verdict, _) -> (name, (digest, Verifier.verdict_to_string verdict)))
+       golden_acc)
+    got
+
+(* The plain pipe of the blowup design is cut short and flagged; the
+   NaN run fails with a structured record rather than a pipe. *)
+let test_acc_failure_paths () =
+  let blown = Acc.verify (Lazy.force acc_blowup) in
+  Alcotest.(check bool) "blowup diverged" true (Flowpipe.diverged blown);
+  Alcotest.(check bool) "blowup cut short" true (Flowpipe.steps blown < Acc.steps);
+  let r =
+    Fault.with_faults [ (0, Fault.Nan_theta) ] (fun () ->
+        Acc.verify_robust (Lazy.force acc_learned))
+  in
+  Alcotest.(check bool) "NaN fails" true (r.Verifier.failures <> []);
+  Alcotest.(check (option string)) "NaN has no rung" None r.Verifier.rung
+
+(* The LTI flowpipe against the Box-API reference in Lti_reference, on
+   random plants (n <= 4, m <= 2, sparse A and B with signed zeros),
+   gains with non-finite entries, boxes (some of zero width), periods,
+   horizons and blow-up widths: the same step and segment bits, the
+   same flag, or the same exception. *)
+
+type lti_case = {
+  lc_n : int;
+  lc_m : int;
+  lc_a : float array;
+  lc_b : float array;
+  lc_gain : float array;
+  lc_lo : float array;
+  lc_width : float array;
+  lc_delta : float;
+  lc_steps : int;
+  lc_blowup : float;
+}
+
+let gen_lti_case =
+  let open QCheck.Gen in
+  let entry = frequency [ (4, float_range (-2.0) 2.0); (1, return 0.0); (1, return (-0.0)) ] in
+  let gain_entry =
+    frequency
+      [
+        (8, float_range (-3.0) 3.0);
+        (1, oneofl [ 0.0; -0.0 ]);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 1e300; -1e300 ]);
+      ]
+  in
+  int_range 1 4 >>= fun n ->
+  int_range 1 2 >>= fun m ->
+  array_size (return (n * n)) entry >>= fun a ->
+  array_size (return (n * m)) entry >>= fun b ->
+  array_size (return (m * n)) gain_entry >>= fun gain ->
+  array_size (return n) (float_range (-10.0) 10.0) >>= fun lo ->
+  array_size (return n) (frequency [ (4, float_range 0.0 5.0); (1, return 0.0) ]) >>= fun width ->
+  oneofl [ 0.05; 0.1; 0.2; 0.5 ] >>= fun delta ->
+  int_range 0 40 >>= fun steps ->
+  oneofl [ 1e7; 1e3; 10.0 ] >>= fun blowup ->
+  return
+    {
+      lc_n = n; lc_m = m; lc_a = a; lc_b = b; lc_gain = gain; lc_lo = lo; lc_width = width;
+      lc_delta = delta; lc_steps = steps; lc_blowup = blowup;
+    }
+
+let print_lti_case c =
+  let arr a = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "n=%d m=%d A=[%s] B=[%s] K=[%s] lo=[%s] w=[%s] delta=%g steps=%d blowup=%g"
+    c.lc_n c.lc_m (arr c.lc_a) (arr c.lc_b) (arr c.lc_gain) (arr c.lc_lo) (arr c.lc_width)
+    c.lc_delta c.lc_steps c.lc_blowup
+
+let lti_outcome run =
+  match run () with
+  | pipe -> Ok (pipe_digest pipe [])
+  | exception e -> Error (Printexc.to_string e)
+
+let prop_lti_kernel_matches_reference =
+  QCheck.Test.make ~name:"lti flowpipe = Box-API reference, bit for bit" ~count:400
+    (QCheck.make ~print:print_lti_case gen_lti_case)
+    (fun c ->
+      let mat r k d = Mat.init r k (fun i j -> d.((i * k) + j)) in
+      let a = mat c.lc_n c.lc_n c.lc_a and b = mat c.lc_n c.lc_m c.lc_b in
+      let gain = mat c.lc_m c.lc_n c.lc_gain in
+      let x0 = Box.make ~lo:c.lc_lo ~hi:(Array.mapi (fun i l -> l +. c.lc_width.(i)) c.lc_lo) in
+      let expected =
+        lti_outcome (fun () ->
+            Lti_reference.flowpipe ~blowup_width:c.lc_blowup ~a ~b ~gain ~x0 ~delta:c.lc_delta
+              ~steps:c.lc_steps ())
+      in
+      let got =
+        lti_outcome (fun () ->
+            Linear_reach.flowpipe ~blowup_width:c.lc_blowup ~sys:{ Linear_reach.a; b } ~gain ~x0
+              ~delta:c.lc_delta ~steps:c.lc_steps ())
+      in
+      if got = expected then true
+      else
+        QCheck.Test.fail_reportf "expected %s, got %s"
+          (match expected with Ok d -> d | Error e -> e)
+          (match got with Ok d -> d | Error e -> e))
+
 let suite =
   [
     Alcotest.test_case "flowpipe accessors" `Quick test_flowpipe_accessors;
@@ -638,6 +797,9 @@ let suite =
     Alcotest.test_case "initial box not goal" `Quick test_initial_set_does_not_count_as_goal;
     Alcotest.test_case "nn flowpipe sound" `Quick test_nn_flowpipe_sound_vs_simulation;
     Alcotest.test_case "golden flowpipe digests" `Quick test_golden_digests;
+    Alcotest.test_case "acc zonotope golden digests" `Quick test_acc_golden_digests;
+    Alcotest.test_case "acc zonotope failure paths" `Quick test_acc_failure_paths;
+    QCheck_alcotest.to_alcotest prop_lti_kernel_matches_reference;
     Alcotest.test_case "registry verifies like the study modules" `Quick
       test_registry_matches_modules;
     Alcotest.test_case "registry threads method and cell" `Quick
