@@ -68,6 +68,19 @@ let default_allow =
          test certifies the candidate, not this inflation";
     };
     {
+      a_fn = "Linear_reach.bloat";
+      a_reason =
+        "Box.bloat on the flat LTI kernel's Picard box; same outward-padding \
+         argument";
+    };
+    {
+      a_fn = "Linear_reach.inflate";
+      a_reason =
+        "Box.scale_about_center on the flat LTI kernel's Picard box: an \
+         inflation heuristic seeding Picard iteration; the downstream subset \
+         test certifies the candidate, not this inflation";
+    };
+    {
       a_fn = "Box.bisect";
       a_reason =
         "the split point need not be the exact midpoint: both halves are \
@@ -111,10 +124,11 @@ let default_allow =
 let default_config =
   {
     bound_types = [ "Interval.t"; "Cert_ival.t" ];
-    constructors = [ "Interval.make"; "Interval.of_point"; "Box.make"; "Cert_ival.make" ];
+    constructors =
+      [ "Interval.make"; "Interval.check"; "Interval.of_point"; "Box.make"; "Cert_ival.make" ];
     outward =
       [
-        "Interval.widen"; "Cert_ival.widen"; "Cert_ival.down"; "Cert_ival.up";
+        "Interval.widen"; "Interval.checked_slack"; "Cert_ival.widen"; "Cert_ival.down"; "Cert_ival.up";
         "Cert_ival.down2"; "Cert_ival.up2"; "Cert_ival.mono"; "Float.pred";
         "Float.succ";
       ];

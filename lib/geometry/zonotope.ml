@@ -23,27 +23,65 @@ let num_generators z = snd (Mat.dims z.generators)
 
 let center z = Array.copy z.center
 
-(* A box is a zonotope with one axis-aligned generator per dimension. *)
+(* ---------- flat kernels ----------
+
+   The same operations on caller-owned float arrays: a zonotope of
+   dimension n with p generators is its center [c] (n floats) and its
+   generator matrix [g] (n×p, row-major). They allocate nothing, and
+   [of_box], [to_box] and [linear_map] below are these routines on
+   fresh arrays, so both forms give the same bits. *)
+
+(* A box is a zonotope with one axis-aligned generator per dimension:
+   [g] (n×n) gets the radii on its diagonal and 0.0 elsewhere. *)
+let of_box_flat (box : Box.t) ~c ~g =
+  let n = Box.dim box in
+  Array.fill g 0 (n * n) 0.0;
+  for i = 0 to n - 1 do
+    c.(i) <- I.mid box.(i);
+    g.((i * n) + i) <- I.rad box.(i)
+  done
+
+(* Interval hull, row i: center_i -+ sum_j |G_ij| summed from 0.0 in j
+   order (these bounds go to [raw_lo]/[raw_hi] at [off + i]), validated
+   as [Interval.make] validates them, then widened outward into
+   [lo.(i)]/[hi.(i)]. The generator-magnitude sum and the endpoint
+   arithmetic round to nearest; the eps-scale widening restores
+   outwardness. *)
+let to_box_flat ~n ~p ~c ~g ~raw_lo ~raw_hi ~off ~lo ~hi =
+  for i = 0 to n - 1 do
+    let r = ref 0.0 in
+    for j = 0 to p - 1 do
+      r := !r +. Float.abs g.((i * p) + j)
+    done;
+    let l = c.(i) -. !r and h = c.(i) +. !r in
+    let s = I.checked_slack I.widen_eps l h in
+    raw_lo.(off + i) <- l;
+    raw_hi.(off + i) <- h;
+    lo.(i) <- l -. s;
+    hi.(i) <- h +. s
+  done
+
+(* Exact image under the map [a] (rows×n): [Mat.matvec] and
+   [Mat.matmul]'s sums into [c'] (rows) and [g'] (rows×p). *)
+let linear_map_flat ~rows ~n ~p ~a ~c ~g ~c' ~g' =
+  Mat.matvec_flat ~rows ~cols:n a c c';
+  Mat.matmul_flat ~rows ~inner:n ~cols:p a g g'
+
 let of_box (box : Box.t) =
   let n = Box.dim box in
-  let center = Box.center box in
-  let radii = Box.radii box in
-  let generators = Mat.init n n (fun i j -> if i = j then radii.(i) else 0.0) in
-  { center; generators }
+  let center = Array.make n 0.0 and g = Array.make (n * n) 0.0 in
+  of_box_flat box ~c:center ~g;
+  { center; generators = Mat.of_flat ~rows:n ~cols:n g }
 
-(* Interval hull: center_i +- sum_j |G_ij|. *)
 let to_box z =
-  let n = dim z and m = num_generators z in
-  Array.init n (fun i ->
-      let r = ref 0.0 in
-      for j = 0 to m - 1 do
-        r := !r +. Float.abs (Mat.get z.generators i j)
-      done;
-      (* the generator-magnitude sum and the endpoint arithmetic round
-         to nearest; the eps-scale widening restores outwardness *)
-      I.widen (I.make (z.center.(i) -. !r) (z.center.(i) +. !r)))
+  let n = dim z and p = num_generators z in
+  let raw_lo = Array.make n 0.0 and raw_hi = Array.make n 0.0 in
+  let lo = Array.make n 0.0 and hi = Array.make n 0.0 in
+  to_box_flat ~n ~p ~c:z.center ~g:(Mat.to_flat z.generators) ~raw_lo ~raw_hi ~off:0 ~lo ~hi;
+  Array.init n (fun i -> I.widen (I.make raw_lo.(i) raw_hi.(i)))
 
-(* Exact image under a linear map. *)
+(* Exact image under a linear map; [Mat.matvec] and [Mat.matmul] are
+   the loops of [linear_map_flat]. *)
 let linear_map a z =
   { center = Mat.matvec a z.center; generators = Mat.matmul a z.generators }
 

@@ -17,10 +17,15 @@
 
 type t = { lo : float; hi : float }
 
-let make lo hi =
+(* The validation [make] applies, for kernels that keep their bounds in
+   float arrays: the same exceptions, raised on the same bounds. *)
+let[@inline] check lo hi =
   if not (Float.is_finite lo && Float.is_finite hi) then
     invalid_arg "Interval.make: non-finite bound";
-  if lo > hi then invalid_arg "Interval.make: lo > hi";
+  if lo > hi then invalid_arg "Interval.make: lo > hi"
+
+let make lo hi =
+  check lo hi;
   { lo; hi }
 
 let of_point x = make x x
@@ -39,14 +44,27 @@ let is_point t = t.lo = t.hi
 let widen_eps = 1e-14
 
 (* Outward widening proportional to magnitude: the audited primitive
-   every rounding operation below discharges through. The body itself is
-   allowlisted in Rounding_flow (the root of trust): s >= eps >= 1e-14
-   dominates the 1/2 ulp the final round-to-nearest subtraction can lose,
-   and rounding lo -. s to nearest can never land above lo, so the result
-   always strictly contains [t]. *)
+   every rounding operation below discharges through. [widen_slack] is
+   its one float-level step, shared with the kernels that keep bounds in
+   float arrays (Linear_reach): [lo, hi] widens to
+   [lo -. s, hi +. s] with [s = widen_slack eps lo hi]. The root of trust
+   (the body of [widen] is allowlisted in Rounding_flow): s >= eps >=
+   1e-14 times the larger magnitude dominates the 1/2 ulp the
+   round-to-nearest operation that produced the bound can lose, and
+   rounding lo -. s to nearest can never land above lo, so the result
+   always contains [lo, hi]. *)
+let[@inline] widen_slack eps lo hi =
+  eps *. Float.max 1.0 (Float.max (Float.abs lo) (Float.abs hi))
+
 let widen ?(eps = widen_eps) t =
-  let s = eps *. Float.max 1.0 (Float.max (Float.abs t.lo) (Float.abs t.hi)) in
+  let s = widen_slack eps t.lo t.hi in
   { lo = t.lo -. s; hi = t.hi +. s }
+
+(* [widen (make lo hi)] as a float step: [make]'s validation, then the
+   slack. *)
+let[@inline] checked_slack eps lo hi =
+  check lo hi;
+  widen_slack eps lo hi
 
 let contains t x = t.lo <= x && x <= t.hi
 

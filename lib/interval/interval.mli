@@ -8,6 +8,10 @@ type t = private { lo : float; hi : float }
 (** [make lo hi]; raises [Invalid_argument] if [lo > hi] or non-finite. *)
 val make : float -> float -> t
 
+(** [check lo hi] raises what [make lo hi] raises, and returns [()]
+    where [make] returns an interval. *)
+val check : float -> float -> unit
+
 (** Degenerate interval [x, x]. *)
 val of_point : float -> t
 
@@ -25,8 +29,23 @@ val rad : t -> float
 val width : t -> float
 val is_point : t -> bool
 
-(** Outward widening by a relative epsilon (default 1e-14). *)
+(** Outward widening by a relative epsilon (default {!widen_eps}):
+    [[lo, hi]] becomes [[lo -. s, hi +. s]] with
+    [s = widen_slack eps lo hi]. *)
 val widen : ?eps:float -> t -> t
+
+(** [1e-14], the default relative epsilon of {!widen}. *)
+val widen_eps : float
+
+(** [widen_slack eps lo hi] is [eps *. max 1 (max |lo| |hi|)], the step
+    {!widen} moves each bound outward by. Kernels that hold bounds in
+    float arrays widen with it, so every outward step goes through this
+    one function. *)
+val widen_slack : float -> float -> float -> float
+
+(** [checked_slack eps lo hi] is {!check} then {!widen_slack}: the step
+    of [widen ~eps (make lo hi)], raising where that raises. *)
+val checked_slack : float -> float -> float -> float
 
 val contains : t -> float -> bool
 

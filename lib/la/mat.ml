@@ -61,42 +61,56 @@ let sub a b =
 
 let scale s m = map (fun x -> s *. x) m
 
+(* The product loops on bare row-major arrays; [matmul], [matvec] and
+   [matvec_into] are these loops on a matrix's data, and the flat
+   zonotope kernel calls them directly. [matmul_flat] starts every
+   entry of [dst] at 0.0 and skips zero entries of [a]. *)
+let matmul_flat ~rows ~inner ~cols a b dst =
+  Array.fill dst 0 (rows * cols) 0.0;
+  for i = 0 to rows - 1 do
+    for k = 0 to inner - 1 do
+      let aik = a.((i * inner) + k) in
+      if aik <> 0.0 then
+        for j = 0 to cols - 1 do
+          dst.((i * cols) + j) <- dst.((i * cols) + j) +. (aik *. b.((k * cols) + j))
+        done
+    done
+  done
+
+let matvec_flat ~rows ~cols m v dst =
+  for i = 0 to rows - 1 do
+    let acc = ref 0.0 in
+    for j = 0 to cols - 1 do
+      acc := !acc +. (m.((i * cols) + j) *. v.(j))
+    done;
+    dst.(i) <- !acc
+  done
+
+let to_flat m = Array.copy m.data
+
+let of_flat ~rows ~cols data =
+  if rows < 0 || cols < 0 || Array.length data <> rows * cols then
+    invalid_arg "Mat.of_flat: dimension mismatch";
+  { rows; cols; data = Array.copy data }
+
 let matmul a b =
   if a.cols <> b.rows then invalid_arg "Mat.matmul: dimension mismatch";
   let c = zeros a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0.0 then
-        for j = 0 to b.cols - 1 do
-          c.data.((i * b.cols) + j) <-
-            c.data.((i * b.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
-    done
-  done;
+  matmul_flat ~rows:a.rows ~inner:a.cols ~cols:b.cols a.data b.data c.data;
   c
 
 let matvec m v =
   if m.cols <> Array.length v then invalid_arg "Mat.matvec: dimension mismatch";
-  Array.init m.rows (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.((i * m.cols) + j) *. v.(j))
-      done;
-      !acc)
+  let dst = Array.make m.rows 0.0 in
+  matvec_flat ~rows:m.rows ~cols:m.cols m.data v dst;
+  dst
 
 (* [matvec] into [dst], which must be [rows] long and distinct from
    [v]: the same sums in the same order, with no allocation. *)
 let matvec_into m v dst =
   if m.cols <> Array.length v || m.rows <> Array.length dst then
     invalid_arg "Mat.matvec_into: dimension mismatch";
-  for i = 0 to m.rows - 1 do
-    let acc = ref 0.0 in
-    for j = 0 to m.cols - 1 do
-      acc := !acc +. (m.data.((i * m.cols) + j) *. v.(j))
-    done;
-    dst.(i) <- !acc
-  done
+  matvec_flat ~rows:m.rows ~cols:m.cols m.data v dst
 
 (* [matvec] on [v; 1]: the same sums in the same order, from 0.0 and
    column by column, the last column added as it is (times 1.0 is

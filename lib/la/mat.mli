@@ -49,6 +49,31 @@ val matvec_into : t -> float array -> float array -> unit
     Raises unless [m] has one more column than [v] has entries. *)
 val matvec_affine : t -> float array -> float array
 
+(** {2 Flat row-major kernels}
+
+    The loops of {!matmul} and {!matvec} on bare arrays, for kernels
+    that keep their matrices in caller-owned buffers: the same sums in
+    the same order, so the results are bit for bit those of the
+    allocating functions. No dimension checks beyond array bounds. *)
+
+(** [matmul_flat ~rows ~inner ~cols a b dst]: [dst] (rows×cols) :=
+    [a] (rows×inner) · [b] (inner×cols), each entry summed from 0.0 in
+    [k] order, skipping zero entries of [a] as {!matmul} does. [dst]
+    must not share storage with [a] or [b]. *)
+val matmul_flat :
+  rows:int -> inner:int -> cols:int -> float array -> float array -> float array -> unit
+
+(** [matvec_flat ~rows ~cols m v dst]: [dst] (rows) := [m] (rows×cols)
+    · [v]; [dst] must not be [v]. *)
+val matvec_flat : rows:int -> cols:int -> float array -> float array -> float array -> unit
+
+(** A copy of the entries, row-major. *)
+val to_flat : t -> float array
+
+(** [of_flat ~rows ~cols data]: the matrix whose row-major entries are a
+    copy of [data]; raises unless [data] has [rows * cols] entries. *)
+val of_flat : rows:int -> cols:int -> float array -> t
+
 (** Row-vector-matrix product (vᵀM). *)
 val vecmat : float array -> t -> float array
 

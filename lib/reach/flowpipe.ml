@@ -39,9 +39,24 @@ let segment_boxes t = Array.to_list t.segment_boxes
 
 (* All boxes relevant for continuous-time safety: the segments (which by
    construction cover the step instants too). *)
-let all_boxes t =
-  if Array.length t.segment_boxes = 0 then Array.to_list t.step_boxes
-  else Array.to_list t.segment_boxes
+let safety_boxes t = if Array.length t.segment_boxes = 0 then t.step_boxes else t.segment_boxes
+
+let all_boxes t = Array.to_list (safety_boxes t)
+
+(* The same walks over the arrays, without the list copies: [find_step]
+   tests step boxes from index [from] up, [exists_box]/[for_all_boxes]
+   the boxes of [all_boxes] in its order. *)
+let find_step ~from p t =
+  let rec go i =
+    if i >= Array.length t.step_boxes then None
+    else if p t.step_boxes.(i) then Some i
+    else go (i + 1)
+  in
+  go from
+
+let exists_box p t = Array.exists p (safety_boxes t)
+
+let for_all_boxes p t = Array.for_all p (safety_boxes t)
 
 (* Width of the widest dimension of the final box: a cheap tightness
    proxy used by the tightness ablation. *)

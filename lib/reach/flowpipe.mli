@@ -35,6 +35,16 @@ val segment_boxes : t -> Dwv_interval.Box.t list
     back to step boxes for a degenerate pipe). *)
 val all_boxes : t -> Dwv_interval.Box.t list
 
+(** [find_step ~from p t]: the first sample index [i >= from] whose
+    step box satisfies [p], walking the boxes in place. *)
+val find_step : from:int -> (Dwv_interval.Box.t -> bool) -> t -> int option
+
+(** [List.exists p (all_boxes t)] without the list. *)
+val exists_box : (Dwv_interval.Box.t -> bool) -> t -> bool
+
+(** [List.for_all p (all_boxes t)] without the list. *)
+val for_all_boxes : (Dwv_interval.Box.t -> bool) -> t -> bool
+
 (** Max width of the final box (tightness proxy). *)
 val final_width : t -> float
 

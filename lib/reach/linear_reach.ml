@@ -7,7 +7,14 @@
    are closed under this linear map, so the sample-instant reach sets are
    computed EXACTLY (up to floating point). Between samples the flow is
    enclosed with a Picard-style box argument, which adds the conservatism
-   a continuous-time tool like Flow* would. *)
+   a continuous-time tool like Flow* would.
+
+   The flowpipe is one kernel over float arrays the call owns: the
+   zonotope is a center and a row-major generator matrix, every box a
+   pair of lo/hi arrays, and each operation performs the IEEE operations
+   of the Box/Interval code it replaces in the same order (DESIGN.md
+   §11.3 has the contract and the soundness argument). Interval records
+   are built only for the returned flowpipe. *)
 
 module Mat = Dwv_la.Mat
 module I = Dwv_interval.Interval
@@ -16,92 +23,258 @@ module Zonotope = Dwv_geometry.Zonotope
 
 type lti = { a : Mat.t; b : Mat.t }
 
-(* ZOH discretisation (exact, via the augmented-matrix integral). *)
-let discretize ~delta { a; b } =
+type plant = {
+  delta : float;
+  n : int;
+  m : int;
+  ad : Mat.t;
+  bd : Mat.t;
+  a_flat : float array;  (* A, n×n row-major *)
+  b_flat : float array;  (* B, n×m row-major *)
+}
+
+(* ZOH discretisation (exact, via the augmented-matrix integral), once
+   per (plant, delta). *)
+let prepare ~delta { a; b } =
   let ad = Mat.expm (Mat.scale delta a) in
   let bd = Mat.matmul (Mat.integral_expm a delta) b in
-  (ad, bd)
+  {
+    delta;
+    n = fst (Mat.dims a);
+    m = snd (Mat.dims b);
+    ad;
+    bd;
+    a_flat = Mat.to_flat a;
+    b_flat = Mat.to_flat b;
+  }
+
+let discretize ~delta sys =
+  let (p : plant) = prepare ~delta sys in
+  (p.ad, p.bd)
 
 (* Interval range of K x over a zonotope (tight per output row via the
    support function). *)
-let gain_range ~gain z =
-  Zonotope.to_box (Zonotope.linear_map gain z)
+let gain_range ~gain z = Zonotope.to_box (Zonotope.linear_map gain z)
 
-(* Interval evaluation of f(x, u) = A x + B u over boxes. *)
-let field_range { a; b } ~(x : Box.t) ~(u : Box.t) =
-  let n, _ = Mat.dims a in
-  let _, m = Mat.dims b in
-  Array.init n (fun i ->
-      let acc = ref I.zero in
-      for j = 0 to Box.dim x - 1 do
-        acc := I.add !acc (I.scale (Mat.get a i j) x.(j))
-      done;
-      for k = 0 to m - 1 do
-        acc := I.add !acc (I.scale (Mat.get b i k) u.(k))
-      done;
-      !acc)
+(* ---------- the kernel ---------- *)
 
-(* Enclosure of x(t) for t in [0, delta] starting in [x_box] under the
-   constant input range [u_box]: find E with x_box + [0,delta] f(E) ⊆ E
-   (then the candidate itself encloses the flow). Returns [None] when the
-   inflation loop fails (treated as divergence). *)
-let intersample_enclosure sys ~x_box ~x_next_box ~u_box ~delta =
-  let candidate_of e =
-    let fr = field_range sys ~x:e ~u:u_box in
-    (* Outward-rounded Picard candidate; see Taylor_reach.apriori_enclosure. *)
-    Array.init (Box.dim x_box) (fun i ->
-        I.widen
-          (I.make
-             (I.lo x_box.(i) +. Float.min 0.0 (delta *. I.lo fr.(i)))
-             (I.hi x_box.(i) +. Float.max 0.0 (delta *. I.hi fr.(i)))))
-  in
-  let rec refine e iter =
-    if iter > 30 then None
+(* Scratch of the inter-sample enclosure: the plant's flat A (n×n) and
+   B (n×m), the period, the field-range accumulator, and the boxes of
+   one step as lo/hi pairs: the sample box x, the next sample box, the
+   control box u, the Picard box e and its candidate. *)
+type work = {
+  n : int;
+  m : int;
+  a : float array;
+  b : float array;
+  dt : float;
+  acc : float array;
+  xlo : float array;
+  xhi : float array;
+  nlo : float array;
+  nhi : float array;
+  ulo : float array;
+  uhi : float array;
+  elo : float array;
+  ehi : float array;
+  clo : float array;
+  chi : float array;
+}
+
+let work ~n ~m ~a ~b ~dt =
+  let v k = Array.make k 0.0 in
+  {
+    n; m; a; b; dt; acc = v 2;
+    xlo = v n; xhi = v n; nlo = v n; nhi = v n; ulo = v m; uhi = v m;
+    elo = v n; ehi = v n; clo = v n; chi = v n;
+  }
+
+(* [acc := Interval.add acc (Interval.scale s [tlo, thi])] on the pair
+   acc.(0), acc.(1), each result widened as those functions widen it. *)
+let[@inline] add_scaled acc s tlo thi =
+  let sl = if s >= 0.0 then s *. tlo else s *. thi
+  and sh = if s >= 0.0 then s *. thi else s *. tlo in
+  let ss = I.widen_slack I.widen_eps sl sh in
+  let al = acc.(0) +. (sl -. ss) and ah = acc.(1) +. (sh +. ss) in
+  let sa = I.widen_slack I.widen_eps al ah in
+  acc.(0) <- al -. sa;
+  acc.(1) <- ah +. sa
+
+(* The Picard candidate x + [0, dt] f(e, u), row by row: the field
+   range (A e + B u) summed from [0, 0] over A's terms, then B's, and
+   the candidate's bounds validated and widened as [widen (make lo hi)].
+   Raw bounds go to [raw_lo]/[raw_hi] at [off], widened ones to
+   [clo]/[chi]. *)
+let candidate w ~raw_lo ~raw_hi ~off =
+  let n = w.n and m = w.m and acc = w.acc in
+  for i = 0 to n - 1 do
+    acc.(0) <- 0.0;
+    acc.(1) <- 0.0;
+    for j = 0 to n - 1 do
+      add_scaled acc w.a.((i * n) + j) w.elo.(j) w.ehi.(j)
+    done;
+    for k = 0 to m - 1 do
+      add_scaled acc w.b.((i * m) + k) w.ulo.(k) w.uhi.(k)
+    done;
+    let l = w.xlo.(i) +. Float.min 0.0 (w.dt *. acc.(0))
+    and h = w.xhi.(i) +. Float.max 0.0 (w.dt *. acc.(1)) in
+    let s = I.checked_slack I.widen_eps l h in
+    raw_lo.(off + i) <- l;
+    raw_hi.(off + i) <- h;
+    w.clo.(i) <- l -. s;
+    w.chi.(i) <- h +. s
+  done
+
+(* [Box.bloat 1e-9] on e, in place. Rounding_flow allow: additive
+   outward padding; rounding lo -. eps to nearest can never land above
+   lo, so the result still contains the input box. *)
+let bloat w =
+  for i = 0 to w.n - 1 do
+    let l = w.elo.(i) -. 1e-9 and h = w.ehi.(i) +. 1e-9 in
+    I.check l h;
+    w.elo.(i) <- l;
+    w.ehi.(i) <- h
+  done
+
+(* [Box.scale_about_center 1.2] on e, in place. Rounding_flow allow: an
+   inflation heuristic seeding Picard iteration; the downstream subset
+   test certifies the candidate, not this step. *)
+let inflate w =
+  for i = 0 to w.n - 1 do
+    let lo = w.elo.(i) and hi = w.ehi.(i) in
+    let c = 0.5 *. (lo +. hi) and r = 0.5 *. (hi -. lo) *. 1.2 in
+    let l = c -. r and h = c +. r in
+    I.check l h;
+    w.elo.(i) <- l;
+    w.ehi.(i) <- h
+  done
+
+(* [Box.subset candidate e]. *)
+let settled w =
+  let ok = ref true in
+  for i = 0 to w.n - 1 do
+    if not (w.elo.(i) <= w.clo.(i) && w.chi.(i) <= w.ehi.(i)) then ok := false
+  done;
+  !ok
+
+(* Up to 31 candidates: the first that lies inside its e encloses the
+   flow; otherwise e grows to [inflate (bloat (hull candidate e))]. *)
+let rec refine w ~raw_lo ~raw_hi ~off iter =
+  if iter > 30 then false
+  else begin
+    candidate w ~raw_lo ~raw_hi ~off;
+    if settled w then true
     else begin
-      let cand = candidate_of e in
-      if Box.subset cand e then Some cand
-      else refine (Box.scale_about_center 1.2 (Box.bloat 1e-9 (Box.hull cand e))) (iter + 1)
+      for i = 0 to w.n - 1 do
+        w.elo.(i) <- Float.min w.clo.(i) w.elo.(i);
+        w.ehi.(i) <- Float.max w.chi.(i) w.ehi.(i)
+      done;
+      bloat w;
+      inflate w;
+      refine w ~raw_lo ~raw_hi ~off (iter + 1)
     end
-  in
-  refine (Box.bloat 1e-9 (Box.hull x_box x_next_box)) 0
+  end
 
-let box_is_sane ~blowup_width b =
-  Array.for_all
-    (fun iv -> Float.is_finite (I.lo iv) && Float.is_finite (I.hi iv))
-    b
-  && Box.max_width b <= blowup_width
+(* Enclosure of x(t), t in [0, dt], from the box x under a constant
+   input in u: x + [0, dt] f(E) ⊆ E for a candidate E, seeded with
+   [bloat (hull x x_next)]. True when found; the enclosure's raw bounds
+   are then at [off] of [raw_lo]/[raw_hi] and its widened ones in
+   [clo]/[chi]. False when the inflation loop fails (divergence). *)
+let enclose w ~raw_lo ~raw_hi ~off =
+  for i = 0 to w.n - 1 do
+    w.elo.(i) <- Float.min w.xlo.(i) w.nlo.(i);
+    w.ehi.(i) <- Float.max w.xhi.(i) w.nhi.(i)
+  done;
+  bloat w;
+  refine w ~raw_lo ~raw_hi ~off 0
+
+(* Every bound of the next sample box finite, and its widest side at
+   most [blowup_width] ([Box.max_width]'s fold). *)
+let next_is_sane ~blowup_width w =
+  let finite = ref true in
+  for i = 0 to w.n - 1 do
+    if not (Float.is_finite w.nlo.(i) && Float.is_finite w.nhi.(i)) then finite := false
+  done;
+  !finite
+  &&
+  let widest = ref 0.0 in
+  for i = 0 to w.n - 1 do
+    widest := Float.max !widest (w.nhi.(i) -. w.nlo.(i))
+  done;
+  !widest <= blowup_width
+
+(* [count] boxes of [n] rows from raw bounds, each interval
+   [widen (make lo hi)] as the bounds were validated and widened. *)
+let boxes_of_raw ~n ~raw_lo ~raw_hi count =
+  Array.init count (fun k ->
+      Array.init n (fun i -> I.widen (I.make raw_lo.((k * n) + i) raw_hi.((k * n) + i))))
+
+(* Sound enclosure of the one-period flow from [x_box] under a constant
+   input in [u_box]. *)
+let intersample_enclosure (sys : lti) ~x_box ~x_next_box ~u_box ~delta =
+  let n = Box.dim x_box and m = Box.dim u_box in
+  if Box.dim x_next_box <> n then invalid_arg "Box.hull: dimension mismatch";
+  let w = work ~n ~m ~a:(Mat.to_flat sys.a) ~b:(Mat.to_flat sys.b) ~dt:delta in
+  let load lo hi box = Array.iteri (fun i iv -> lo.(i) <- I.lo iv; hi.(i) <- I.hi iv) box in
+  load w.xlo w.xhi x_box;
+  load w.nlo w.nhi x_next_box;
+  load w.ulo w.uhi u_box;
+  let raw_lo = Array.make n 0.0 and raw_hi = Array.make n 0.0 in
+  if enclose w ~raw_lo ~raw_hi ~off:0 then Some (boxes_of_raw ~n ~raw_lo ~raw_hi 1).(0)
+  else None
 
 let c_linear_flowpipes = Dwv_util.Counters.counter "linear_flowpipes"
 
-(* Full flowpipe for [steps] periods under u = gain * x (ZOH). *)
-let flowpipe ?(blowup_width = 1e7) ~sys ~gain ~x0 ~delta ~steps () =
+(* Full flowpipe for [steps] periods under u = gain * x (ZOH). Each
+   period: the control box (gain image of z), the next zonotope (the
+   closed-loop image of z) and its box, the blow-up test, then the
+   inter-sample enclosure. The zonotope z and its successor are a
+   center and n×n generators each, the gain image a center and m×n
+   generators; raw step and segment bounds are kept per row until the
+   end, where the returned boxes are built from them. *)
+let flowpipe ?(blowup_width = 1e7) ~(plant : plant) ~gain ~x0 ~steps () =
   Dwv_util.Counters.incr c_linear_flowpipes;
-  let ad, bd = discretize ~delta sys in
-  let acl = Mat.add ad (Mat.matmul bd gain) in
-  let step_boxes = ref [] and segment_boxes = ref [] in
-  let diverged = ref false in
-  let z = ref (Zonotope.of_box x0) in
-  step_boxes := Zonotope.to_box !z :: !step_boxes;
-  (try
-     for _ = 1 to steps do
-       let x_box = Zonotope.to_box !z in
-       let u_box = gain_range ~gain !z in
-       let z_next = Zonotope.linear_map acl !z in
-       let x_next_box = Zonotope.to_box z_next in
-       if not (box_is_sane ~blowup_width x_next_box) then begin
-         diverged := true;
-         raise Exit
-       end;
-       (match intersample_enclosure sys ~x_box ~x_next_box ~u_box ~delta with
-       | Some seg -> segment_boxes := seg :: !segment_boxes
-       | None ->
-         diverged := true;
-         raise Exit);
-       z := z_next;
-       step_boxes := x_next_box :: !step_boxes
-     done
-   with Exit -> ());
+  let n = plant.n and m = plant.m in
+  let acl = Mat.to_flat (Mat.add plant.ad (Mat.matmul plant.bd gain)) in
+  let gain_flat = Mat.to_flat gain in
+  if Box.dim x0 <> n then invalid_arg "Linear_reach.flowpipe: x0 dimension mismatch";
+  let w = work ~n ~m ~a:plant.a_flat ~b:plant.b_flat ~dt:plant.delta in
+  let c = ref (Array.make n 0.0) and g = ref (Array.make (n * n) 0.0) in
+  let c2 = ref (Array.make n 0.0) and g2 = ref (Array.make (n * n) 0.0) in
+  let uc = Array.make m 0.0 and ug = Array.make (m * n) 0.0 in
+  let u_raw_lo = Array.make m 0.0 and u_raw_hi = Array.make m 0.0 in
+  let step_lo = Array.make ((steps + 1) * n) 0.0 and step_hi = Array.make ((steps + 1) * n) 0.0 in
+  let seg_lo = Array.make (steps * n) 0.0 and seg_hi = Array.make (steps * n) 0.0 in
+  Zonotope.of_box_flat x0 ~c:!c ~g:!g;
+  Zonotope.to_box_flat ~n ~p:n ~c:!c ~g:!g ~raw_lo:step_lo ~raw_hi:step_hi ~off:0 ~lo:w.xlo
+    ~hi:w.xhi;
+  let completed = ref 0 and diverged = ref false in
+  while (not !diverged) && !completed < steps do
+    let s = !completed in
+    Zonotope.linear_map_flat ~rows:m ~n ~p:n ~a:gain_flat ~c:!c ~g:!g ~c':uc ~g':ug;
+    Zonotope.to_box_flat ~n:m ~p:n ~c:uc ~g:ug ~raw_lo:u_raw_lo ~raw_hi:u_raw_hi ~off:0
+      ~lo:w.ulo ~hi:w.uhi;
+    Zonotope.linear_map_flat ~rows:n ~n ~p:n ~a:acl ~c:!c ~g:!g ~c':!c2 ~g':!g2;
+    Zonotope.to_box_flat ~n ~p:n ~c:!c2 ~g:!g2 ~raw_lo:step_lo ~raw_hi:step_hi
+      ~off:((s + 1) * n) ~lo:w.nlo ~hi:w.nhi;
+    if
+      (not (next_is_sane ~blowup_width w))
+      || not (enclose w ~raw_lo:seg_lo ~raw_hi:seg_hi ~off:(s * n))
+    then diverged := true
+    else begin
+      let c0 = !c and g0 = !g in
+      c := !c2;
+      g := !g2;
+      c2 := c0;
+      g2 := g0;
+      for i = 0 to n - 1 do
+        w.xlo.(i) <- w.nlo.(i);
+        w.xhi.(i) <- w.nhi.(i)
+      done;
+      completed := s + 1
+    end
+  done;
   Flowpipe.make
-    ~step_boxes:(Array.of_list (List.rev !step_boxes))
-    ~segment_boxes:(Array.of_list (List.rev !segment_boxes))
-    ~delta ~diverged:!diverged
+    ~step_boxes:(boxes_of_raw ~n ~raw_lo:step_lo ~raw_hi:step_hi (!completed + 1))
+    ~segment_boxes:(boxes_of_raw ~n ~raw_lo:seg_lo ~raw_hi:seg_hi !completed)
+    ~delta:plant.delta ~diverged:!diverged

@@ -12,7 +12,6 @@
                      not provably reached, or the analysis diverged). *)
 
 module Box = Dwv_interval.Box
-module Setops = Dwv_geometry.Setops
 module Tm = Dwv_taylor.Taylor_model
 module Tm_vec = Dwv_taylor.Tm_vec
 module Dwv_error = Dwv_robust.Dwv_error
@@ -40,19 +39,12 @@ let pp_verdict ppf v = Fmt.string ppf (verdict_to_string v)
 
 (* First sample instant whose enclosure is contained in the goal. *)
 let goal_step ~goal pipe =
-  let boxes = Array.of_list (Flowpipe.step_boxes pipe) in
-  let rec find i =
-    if i >= Array.length boxes then None
-    else if Box.subset boxes.(i) goal then Some i
-    else find (i + 1)
-  in
-  find 1 (* the initial set itself does not count as goal-reaching *)
+  (* the initial set itself does not count as goal-reaching *)
+  Flowpipe.find_step ~from:1 (fun b -> Box.subset b goal) pipe
 
-let safety_ok ~unsafe pipe =
-  not (Setops.any_intersects (Flowpipe.all_boxes pipe) unsafe)
+let safety_ok ~unsafe pipe = not (Flowpipe.exists_box (fun b -> Box.intersects b unsafe) pipe)
 
-let certainly_unsafe ~unsafe pipe =
-  List.exists (fun b -> Box.subset b unsafe) (Flowpipe.all_boxes pipe)
+let certainly_unsafe ~unsafe pipe = Flowpipe.exists_box (fun b -> Box.subset b unsafe) pipe
 
 (* The avoid set is a list of boxes: a segment inside any of them is
    certainly unsafe, and an intersection with any of them blocks

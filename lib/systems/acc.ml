@@ -62,6 +62,10 @@ let lti_augmented =
     b = Mat.of_rows [ [| 0.0 |]; [| 1.0 |]; [| 0.0 |] ];
   }
 
+(* Its discretization for the verifier's period, done once: every
+   verifier call shares it. *)
+let plant = Linear_reach.prepare ~delta lti_augmented
+
 (* theta = [theta_s; theta_v; bias]: u = theta_s s + theta_v v + bias. *)
 let controller_of_theta theta =
   if Array.length theta <> 3 then invalid_arg "Acc.controller_of_theta: need 3 parameters";
@@ -82,8 +86,7 @@ let augment_box box =
 let verify_from x0 controller =
   match controller with
   | Controller.Linear { gain } ->
-    Linear_reach.flowpipe ~sys:lti_augmented ~gain ~x0:(augment_box x0) ~delta
-      ~steps:spec.Spec.steps ()
+    Linear_reach.flowpipe ~plant ~gain ~x0:(augment_box x0) ~steps:spec.Spec.steps ()
     |> Flowpipe.project ~dims:[| 0; 1 |]
   | Controller.Net _ -> invalid_arg "Acc.verify_from: the ACC study uses linear controllers"
 
@@ -132,7 +135,7 @@ let verify_robust_from ?budget ?cache x0 controller =
           Error
             (Dwv_robust.Dwv_error.divergence ~backend:"zonotope"
                ~where:"Acc.verify_robust" ())
-        else if not (List.for_all Box.is_finite (Flowpipe.all_boxes pipe)) then
+        else if not (Flowpipe.for_all_boxes Box.is_finite pipe) then
           Error
             (Dwv_robust.Dwv_error.non_finite ~backend:"zonotope"
                ~where:"Acc.verify_robust" "reach box")

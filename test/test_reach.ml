@@ -61,7 +61,7 @@ let test_linear_flowpipe_sound_vs_simulation () =
   let gain = Mat.of_rows [ [| -1.0; -1.5 |] ] in
   let x0 = box2 0.9 1.1 (-0.1) 0.1 in
   let delta = 0.1 and steps = 30 in
-  let pipe = Linear_reach.flowpipe ~sys ~gain ~x0 ~delta ~steps () in
+  let pipe = Linear_reach.flowpipe ~plant:(Linear_reach.prepare ~delta sys) ~gain ~x0 ~steps () in
   Alcotest.(check bool) "completes" false (Flowpipe.diverged pipe);
   let f = [| Expr.var 1; Expr.input 0 |] in
   let sampled = Dwv_ode.Sampled_system.make ~f ~n:2 ~m:1 ~delta in
@@ -84,8 +84,8 @@ let test_linear_flowpipe_sound_vs_simulation () =
 let test_linear_flowpipe_contracts () =
   let gain = Mat.of_rows [ [| 0.0 |] ] in
   let pipe =
-    Linear_reach.flowpipe ~sys:scalar_sys ~gain ~x0:(Box.make ~lo:[| 1.0 |] ~hi:[| 2.0 |])
-      ~delta:0.1 ~steps:50 ()
+    Linear_reach.flowpipe ~plant:(Linear_reach.prepare ~delta:0.1 scalar_sys) ~gain
+      ~x0:(Box.make ~lo:[| 1.0 |] ~hi:[| 2.0 |]) ~steps:50 ()
   in
   (* x' = -x contracts toward zero *)
   let final = Flowpipe.final_box pipe in
@@ -96,8 +96,8 @@ let test_linear_flowpipe_divergence_flag () =
   (* unstable closed loop must trip the blow-up detector *)
   let gain = Mat.of_rows [ [| 10.0 |] ] in
   let pipe =
-    Linear_reach.flowpipe ~blowup_width:1e3 ~sys:scalar_sys ~gain
-      ~x0:(Box.make ~lo:[| 1.0 |] ~hi:[| 1.1 |]) ~delta:0.5 ~steps:100 ()
+    Linear_reach.flowpipe ~blowup_width:1e3 ~plant:(Linear_reach.prepare ~delta:0.5 scalar_sys)
+      ~gain ~x0:(Box.make ~lo:[| 1.0 |] ~hi:[| 1.1 |]) ~steps:100 ()
   in
   Alcotest.(check bool) "diverged" true (Flowpipe.diverged pipe)
 
@@ -241,7 +241,7 @@ let prop_linear_flowpipe_sound_fuzz =
       let gain = Mat.of_rows [ [| -.k1; -.k2 |] ] in
       let x0 = box2 0.9 1.1 (-0.1) 0.1 in
       let steps = 10 and delta = 0.1 in
-      let pipe = Linear_reach.flowpipe ~sys ~gain ~x0 ~delta ~steps () in
+      let pipe = Linear_reach.flowpipe ~plant:(Linear_reach.prepare ~delta sys) ~gain ~x0 ~steps () in
       (not (Flowpipe.diverged pipe))
       &&
       let f = [| Expr.var 1; Expr.input 0 |] in
@@ -761,8 +761,9 @@ let prop_lti_kernel_matches_reference =
       in
       let got =
         lti_outcome (fun () ->
-            Linear_reach.flowpipe ~blowup_width:c.lc_blowup ~sys:{ Linear_reach.a; b } ~gain ~x0
-              ~delta:c.lc_delta ~steps:c.lc_steps ())
+            Linear_reach.flowpipe ~blowup_width:c.lc_blowup
+              ~plant:(Linear_reach.prepare ~delta:c.lc_delta { Linear_reach.a; b })
+              ~gain ~x0 ~steps:c.lc_steps ())
       in
       if got = expected then true
       else
