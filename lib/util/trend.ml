@@ -112,11 +112,13 @@ let regressions ~prev cur =
   let names =
     List.sort_uniq compare (List.map fst prev @ List.map fst cur)
   in
+  (* a work counter the previous entry does not record is new: its
+     first value starts its baseline rather than growing from 0 *)
   let work =
     List.filter_map
       (fun n ->
         let p = value prev n and c = value cur n in
-        if is_work n && c > p then
+        if is_work n && List.mem_assoc n prev && c > p then
           Some (Printf.sprintf "%s increased %d -> %d" n p c)
         else None)
       names

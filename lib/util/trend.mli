@@ -44,8 +44,9 @@ val last :
     increased (more work for the same deterministic workload), any
     benefit counter ([warm_hits], [cache_fast_hits]) that decreased
     (lost warm starts / fast-tier hits), plus a decreased cache hit
-    rate [hits / (hits + misses)]. Counters absent from one side
-    count 0. *)
+    rate [hits / (hits + misses)]. A work counter absent from [prev]
+    is new and starts its baseline (no regression); otherwise a counter
+    absent from one side counts 0. *)
 val regressions : prev:(string * int) list -> (string * int) list -> string list
 
 (** Gate helper: for each [(workload, snapshot)], compare against the

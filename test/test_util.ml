@@ -208,10 +208,10 @@ let test_trend_regressions () =
   Alcotest.(check bool)
     "work counter named" true
     (List.exists (fun m -> m = "nn_flowpipes increased 5 -> 6") msgs);
-  (* a counter absent from the history counts 0: new work is a regression *)
-  Alcotest.(check int)
-    "new counter flags" 1
-    (List.length (Trend.regressions ~prev (("taylor_steps", 1) :: prev)))
+  (* a work counter absent from the history is new, not grown from 0 *)
+  Alcotest.(check (list string))
+    "new counter starts its baseline" []
+    (Trend.regressions ~prev (("taylor_steps", 1) :: prev))
 
 let test_trend_record_roundtrip () =
   let path = Filename.temp_file "dwv_trend" ".json" in
@@ -288,6 +288,30 @@ let test_trend_regression_not_ratcheted () =
       Alcotest.(check (option (list (pair string int)))) "baseline unchanged" (Some base)
         (Trend.last history ~section:"hotpath" ~workload:"rates"
            ~profile:Dwv_util.Build_profile.name))
+
+(* A work counter added to the registry appears in the next snapshot
+   with no previous value: that snapshot is appended as the counter's
+   baseline, and growth from there on fails as for any counter. *)
+let test_trend_new_counter_baseline () =
+  let path = Filename.temp_file "dwv_trend" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let base = [ ("minor_words", 100); ("verifier_calls", 7) ] in
+      ignore (Trend.record ~path ~section:"hotpath" [ ("learn", base) ]);
+      let with_new = ("poly_pairs", 5000) :: base in
+      Alcotest.(check (list string)) "new counter clean" []
+        (Trend.record ~path ~section:"hotpath" [ ("learn", with_new) ]);
+      Alcotest.(check (option (list (pair string int)))) "appended as the baseline"
+        (Some (List.sort compare with_new))
+        (Trend.last (Trend.load path) ~section:"hotpath" ~workload:"learn"
+           ~profile:Dwv_util.Build_profile.name);
+      Alcotest.(check (list string)) "growth from the baseline fails"
+        [ "[hotpath/learn] poly_pairs increased 5000 -> 5001" ]
+        (Trend.record ~path ~section:"hotpath" [ ("learn", ("poly_pairs", 5001) :: base) ]);
+      (* a work counter that disappears reads 0: less work, clean *)
+      Alcotest.(check (list string)) "dropped counter clean" []
+        (Trend.regressions ~prev:with_new base))
 
 (* A release build allocates fewer minor words than the default one, so
    an entry measured under another profile must not become the bar this
@@ -410,6 +434,8 @@ let suite =
     Alcotest.test_case "trend record roundtrip" `Quick test_trend_record_roundtrip;
     Alcotest.test_case "trend regression not ratcheted" `Quick test_trend_regression_not_ratcheted;
     Alcotest.test_case "trend profiles independent" `Quick test_trend_profiles_independent;
+    Alcotest.test_case "trend new counter starts its baseline" `Quick
+      test_trend_new_counter_baseline;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity_check;
     Alcotest.test_case "svg scene renders" `Quick test_svg_scene_renders;
