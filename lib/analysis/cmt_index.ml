@@ -684,10 +684,67 @@ let read_raw path =
     | _ -> Skip)
 
 let under_root root path =
-  root = path
+  root = "."
+  || root = path
   || String.length path > String.length root
      && String.sub path 0 (String.length root) = root
      && path.[String.length root] = '/'
+
+(* ---------- the project root ----------
+
+   A .cmt records its source path relative to the dune project root,
+   while command-line roots are relative to the working directory, so
+   both are brought to the project root before they are compared. *)
+
+(* [path] as components of an absolute path, "." and ".." resolved
+   textually against the working directory. *)
+let absolute_components path =
+  let path = if Filename.is_relative path then Filename.concat (Sys.getcwd ()) path else path in
+  List.fold_left
+    (fun acc c ->
+      match c with
+      | "" | "." -> acc
+      | ".." -> ( match acc with _ :: up -> up | [] -> [])
+      | c -> c :: acc)
+    [] (String.split_on_char '/' path)
+  |> List.rev
+
+let of_components cs = "/" ^ String.concat "/" cs
+
+(* Inside a dune build context (a path through _build/<context>) the
+   context directory, which mirrors the source tree; elsewhere the
+   nearest ancestor of the working directory holding a dune-project
+   file; failing both, the working directory. *)
+let project_root_components () =
+  let cwd = absolute_components "." in
+  let rec context prefix = function
+    | "_build" :: ctx :: _ -> Some (List.rev_append prefix [ "_build"; ctx ])
+    | c :: rest -> context (c :: prefix) rest
+    | [] -> None
+  in
+  match context [] cwd with
+  | Some root -> (root, true)
+  | None ->
+    let rec up dir =
+      if Sys.file_exists (Filename.concat (of_components dir) "dune-project") then Some dir
+      else match List.rev dir with [] -> None | _ :: parent -> up (List.rev parent)
+    in
+    (Option.value ~default:cwd (up cwd), false)
+
+let project_root () = of_components (fst (project_root_components ()))
+
+let source_path path =
+  let root, _ = project_root_components () in
+  let rec strip r p =
+    match (r, p) with
+    | [], rest -> Some rest
+    | a :: r, b :: p when a = b -> strip r p
+    | _ -> None
+  in
+  match strip root (absolute_components path) with
+  | Some [] -> "."
+  | Some rest -> String.concat "/" rest
+  | None -> path
 
 (* Every top-level value binding, names and parameter spines only; the
    bodies are resolved once every unit's table exists. *)
@@ -802,10 +859,18 @@ let of_cmt_files paths =
   t.errors <- t.errors @ errors;
   t
 
+(* The project root's _build/default, or the root itself inside a
+   build context; spelled relative when the root is the working
+   directory. *)
 let default_build_dir () =
-  if Sys.file_exists "_build/default" && Sys.is_directory "_build/default" then
-    "_build/default"
-  else "."
+  let root, in_context = project_root_components () in
+  let here = root = absolute_components "." in
+  let build = root @ [ "_build"; "default" ] in
+  if in_context then if here then "." else of_components root
+  else if Sys.file_exists (of_components build) && Sys.is_directory (of_components build) then
+    if here then "_build/default" else of_components build
+  else if here then "."
+  else of_components root
 
 let collect_cmts dir =
   let files = ref [] in
@@ -826,6 +891,7 @@ let collect_cmts dir =
 let scan ?build_dir ?(exclude = []) ?roots () =
   let dir = match build_dir with Some d -> d | None -> default_build_dir () in
   let paths = collect_cmts dir in
+  let roots = Option.map (List.map source_path) roots in
   let keep raw =
     (match roots with
     | None -> true

@@ -126,17 +126,33 @@ type unit_info = {
 type t
 
 (** Read every [.cmt] implementation below [build_dir] (default
-    ["_build/default"], or ["."] when already inside [_build]) whose
-    source path sits under one of [roots] and under none of the
-    [exclude] fragments (whole-path-component matching, as in
-    {!Source_lint}). Units that fail to load are skipped and reported in
-    {!load_errors}. *)
+    {!default_build_dir}) whose source path sits under one of [roots]
+    and under none of the [exclude] fragments (whole-path-component
+    matching, as in {!Source_lint}). [roots] are paths from the working
+    directory, matched as {!source_path} gives them, so the scan finds
+    the same units from any directory of the project. Units that fail to
+    load are skipped and reported in {!load_errors}. *)
 val scan : ?build_dir:string -> ?exclude:string list -> ?roots:string list -> unit -> t
 
 (** Index exactly these [.cmt] files (tests use this on the typed
     fixture corpus). *)
 val of_cmt_files : string list -> t
 
+(** The directory .cmt files record their source paths against: inside
+    a dune build context ([.../_build/<context>/...]) that context
+    directory, elsewhere the nearest ancestor of the working directory
+    holding a [dune-project] file, failing both the working directory.
+    Absolute. *)
+val project_root : unit -> string
+
+(** [source_path p]: the path [p] (from the working directory, or
+    absolute) relative to {!project_root}, as a [.cmt] records a source
+    path; ["."] for the root itself, [p] unchanged when outside it. *)
+val source_path : string -> string
+
+(** [_build/default] under {!project_root}, or the root itself when
+    that is a build context or has no build directory; relative when the
+    root is the working directory. *)
 val default_build_dir : unit -> string
 
 (** All indexed units, sorted by [u_name]. *)

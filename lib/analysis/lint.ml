@@ -6,7 +6,9 @@
 
 module D = Diagnostics
 
-(* Paths compare component-wise, so "./lib/x.ml" and "lib/x.ml" agree. *)
+(* Paths compare component-wise, so "./lib/x.ml" and "lib/x.ml" agree;
+   the exemptions carry project-relative source paths, the file
+   diagnostics paths from the working directory. *)
 let components path =
   String.split_on_char '/' path |> List.filter (fun c -> c <> "" && c <> ".")
 
@@ -18,7 +20,8 @@ let exempt ~phys_eq_allow ds =
         not
           (d.D.check = "phys-equality"
           && List.exists
-               (fun (p, l) -> l = line && components p = components path)
+               (fun (p, l) ->
+                 l = line && components p = components (Cmt_index.source_path path))
                phys_eq_allow)
       | D.Model _ -> true)
     ds

@@ -72,17 +72,10 @@ let test_phys_eq_allow_sites () =
     allow
 
 let test_phys_eq_allow_filters_lint () =
-  let allow =
-    (* cmt paths are rooted at the project ("test/fixtures/..."); the
-       lint below runs from the test directory, so strip the prefix *)
-    List.map
-      (fun (p, l) ->
-        match String.index_opt p '/' with
-        | Some i when String.sub p 0 i = "test" ->
-          (String.sub p (i + 1) (String.length p - i - 1), l)
-        | _ -> (p, l))
-      (TR.expr_phys_eq_allow (Lazy.force idx))
-  in
+  (* cmt paths are rooted at the project ("test/fixtures/..."); the
+     lint below runs from the test directory and resolves its file
+     paths against the project root to compare them *)
+  let allow = TR.expr_phys_eq_allow (Lazy.force idx) in
   let file = fixture_build ^ "/expr.ml" in
   let ds = Lint.lint_files ~phys_eq_allow:allow [ file ] in
   let phys_lines =
@@ -153,6 +146,44 @@ let test_budget_missing_entry () =
     && contains ~sub:"not found in the typed index"
          (String.concat "\n" (List.map (fun d -> d.D.message) ds)))
 
+(* ---------------- running from a subdirectory ---------------- *)
+
+(* The .cmt files record project-relative source paths; [Lint.run]'s
+   roots are relative to the working directory. From the test's own
+   directory and from two levels below it, the same roots must reach the
+   same typed units: no cmt-missing error, and the same findings (file
+   diagnostics compared by file name, since layer 2 reports paths from
+   the working directory). *)
+let test_lint_from_subdirectory () =
+  let shape ds =
+    List.map
+      (fun (d : D.t) ->
+        let where =
+          match d.D.loc with
+          | D.File { path; line; col } -> Fmt.str "%s:%d:%d" (Filename.basename path) line col
+          | D.Model m -> m
+        in
+        (d.D.check, where, d.D.message))
+      ds
+    |> List.sort compare
+  in
+  let here = Sys.getcwd () in
+  let from_test = Lint.run [ "fixtures/analysis/typed" ] in
+  let from_sub =
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir here)
+      (fun () ->
+        Sys.chdir "fixtures/analysis";
+        Lint.run [ "typed" ])
+  in
+  let no_missing ds = not (List.exists (fun (d : D.t) -> d.D.check = "cmt-missing") ds) in
+  Alcotest.(check bool) "typed units found from the test directory" true (no_missing from_test);
+  Alcotest.(check bool) "typed units found from a subdirectory" true (no_missing from_sub);
+  Alcotest.(check bool) "the typed layers ran" true
+    (List.exists (fun (d : D.t) -> d.D.check = "domain-safety") from_sub);
+  Alcotest.(check (list (triple string string string))) "same findings" (shape from_test)
+    (shape from_sub)
+
 (* ---------------- SARIF envelope ---------------- *)
 
 let test_sarif_golden () =
@@ -197,4 +228,6 @@ let suite =
       test_budget_missing_entry;
     Alcotest.test_case "sarif: envelope is golden-stable" `Quick
       test_sarif_golden;
+    Alcotest.test_case "lint: same typed findings from a subdirectory" `Quick
+      test_lint_from_subdirectory;
   ]
