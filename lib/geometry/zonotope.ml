@@ -42,12 +42,12 @@ let of_box_flat (box : Box.t) ~c ~g =
   done
 
 (* Interval hull, row i: center_i -+ sum_j |G_ij| summed from 0.0 in j
-   order (these bounds go to [raw_lo]/[raw_hi] at [off + i]), validated
+   order (these bounds go to [raw_lo.(i)]/[raw_hi.(i)]), validated
    as [Interval.make] validates them, then widened outward into
    [lo.(i)]/[hi.(i)]. The generator-magnitude sum and the endpoint
    arithmetic round to nearest; the eps-scale widening restores
    outwardness. *)
-let to_box_flat ~n ~p ~c ~g ~raw_lo ~raw_hi ~off ~lo ~hi =
+let to_box_flat ~n ~p ~c ~g ~raw_lo ~raw_hi ~lo ~hi =
   for i = 0 to n - 1 do
     let r = ref 0.0 in
     for j = 0 to p - 1 do
@@ -55,8 +55,8 @@ let to_box_flat ~n ~p ~c ~g ~raw_lo ~raw_hi ~off ~lo ~hi =
     done;
     let l = c.(i) -. !r and h = c.(i) +. !r in
     let s = I.checked_slack I.widen_eps l h in
-    raw_lo.(off + i) <- l;
-    raw_hi.(off + i) <- h;
+    raw_lo.(i) <- l;
+    raw_hi.(i) <- h;
     lo.(i) <- l -. s;
     hi.(i) <- h +. s
   done
@@ -77,7 +77,7 @@ let to_box z =
   let n = dim z and p = num_generators z in
   let raw_lo = Array.make n 0.0 and raw_hi = Array.make n 0.0 in
   let lo = Array.make n 0.0 and hi = Array.make n 0.0 in
-  to_box_flat ~n ~p ~c:z.center ~g:(Mat.to_flat z.generators) ~raw_lo ~raw_hi ~off:0 ~lo ~hi;
+  to_box_flat ~n ~p ~c:z.center ~g:(Mat.to_flat z.generators) ~raw_lo ~raw_hi ~lo ~hi;
   Array.init n (fun i -> I.widen (I.make raw_lo.(i) raw_hi.(i)))
 
 (* Exact image under a linear map; [Mat.matvec] and [Mat.matmul] are

@@ -32,9 +32,9 @@ val linear_map : Dwv_la.Mat.t -> t -> t
     of [g] (n×n, zero elsewhere). *)
 val of_box_flat : Dwv_interval.Box.t -> c:float array -> g:float array -> unit
 
-(** [to_box_flat ~n ~p ~c ~g ~raw_lo ~raw_hi ~off ~lo ~hi]: row [i]'s
-    hull bounds [c_i ∓ Σ_j |g_ij|] go to [raw_lo]/[raw_hi] at
-    [off + i], are validated as [Interval.make] validates them (raising
+(** [to_box_flat ~n ~p ~c ~g ~raw_lo ~raw_hi ~lo ~hi]: row [i]'s hull
+    bounds [c_i ∓ Σ_j |g_ij|] go to [raw_lo.(i)]/[raw_hi.(i)], are
+    validated as [Interval.make] validates them (raising
     its [Invalid_argument] on the first bad row), and go widened as
     [Interval.widen] widens them to [lo.(i)]/[hi.(i)]. *)
 val to_box_flat :
@@ -44,7 +44,6 @@ val to_box_flat :
   g:float array ->
   raw_lo:float array ->
   raw_hi:float array ->
-  off:int ->
   lo:float array ->
   hi:float array ->
   unit

@@ -103,9 +103,8 @@ let[@inline] add_scaled acc s tlo thi =
 (* The Picard candidate x + [0, dt] f(e, u), row by row: the field
    range (A e + B u) summed from [0, 0] over A's terms, then B's, and
    the candidate's bounds validated and widened as [widen (make lo hi)].
-   Raw bounds go to [raw_lo]/[raw_hi] at [off], widened ones to
-   [clo]/[chi]. *)
-let candidate w ~raw_lo ~raw_hi ~off =
+   Raw bounds go to [raw_lo]/[raw_hi], widened ones to [clo]/[chi]. *)
+let candidate w ~raw_lo ~raw_hi =
   let n = w.n and m = w.m and acc = w.acc in
   for i = 0 to n - 1 do
     acc.(0) <- 0.0;
@@ -119,8 +118,8 @@ let candidate w ~raw_lo ~raw_hi ~off =
     let l = w.xlo.(i) +. Float.min 0.0 (w.dt *. acc.(0))
     and h = w.xhi.(i) +. Float.max 0.0 (w.dt *. acc.(1)) in
     let s = I.checked_slack I.widen_eps l h in
-    raw_lo.(off + i) <- l;
-    raw_hi.(off + i) <- h;
+    raw_lo.(i) <- l;
+    raw_hi.(i) <- h;
     w.clo.(i) <- l -. s;
     w.chi.(i) <- h +. s
   done
@@ -159,10 +158,10 @@ let settled w =
 
 (* Up to 31 candidates: the first that lies inside its e encloses the
    flow; otherwise e grows to [inflate (bloat (hull candidate e))]. *)
-let rec refine w ~raw_lo ~raw_hi ~off iter =
+let rec refine w ~raw_lo ~raw_hi iter =
   if iter > 30 then false
   else begin
-    candidate w ~raw_lo ~raw_hi ~off;
+    candidate w ~raw_lo ~raw_hi;
     if settled w then true
     else begin
       for i = 0 to w.n - 1 do
@@ -171,22 +170,22 @@ let rec refine w ~raw_lo ~raw_hi ~off iter =
       done;
       bloat w;
       inflate w;
-      refine w ~raw_lo ~raw_hi ~off (iter + 1)
+      refine w ~raw_lo ~raw_hi (iter + 1)
     end
   end
 
 (* Enclosure of x(t), t in [0, dt], from the box x under a constant
    input in u: x + [0, dt] f(E) ⊆ E for a candidate E, seeded with
    [bloat (hull x x_next)]. True when found; the enclosure's raw bounds
-   are then at [off] of [raw_lo]/[raw_hi] and its widened ones in
-   [clo]/[chi]. False when the inflation loop fails (divergence). *)
-let enclose w ~raw_lo ~raw_hi ~off =
+   are then in [raw_lo]/[raw_hi] and its widened ones in [clo]/[chi].
+   False when the inflation loop fails (divergence). *)
+let enclose w ~raw_lo ~raw_hi =
   for i = 0 to w.n - 1 do
     w.elo.(i) <- Float.min w.xlo.(i) w.nlo.(i);
     w.ehi.(i) <- Float.max w.xhi.(i) w.nhi.(i)
   done;
   bloat w;
-  refine w ~raw_lo ~raw_hi ~off 0
+  refine w ~raw_lo ~raw_hi 0
 
 (* Every bound of the next sample box finite, and its widest side at
    most [blowup_width] ([Box.max_width]'s fold). *)
@@ -203,11 +202,10 @@ let next_is_sane ~blowup_width w =
   done;
   !widest <= blowup_width
 
-(* [count] boxes of [n] rows from raw bounds, each interval
-   [widen (make lo hi)] as the bounds were validated and widened. *)
-let boxes_of_raw ~n ~raw_lo ~raw_hi count =
-  Array.init count (fun k ->
-      Array.init n (fun i -> I.widen (I.make raw_lo.((k * n) + i) raw_hi.((k * n) + i))))
+(* The box of raw bounds, each interval [widen (make lo hi)] as the
+   bounds were validated and widened. *)
+let box_of_raw ~raw_lo ~raw_hi =
+  Array.init (Array.length raw_lo) (fun i -> I.widen (I.make raw_lo.(i) raw_hi.(i)))
 
 (* Sound enclosure of the one-period flow from [x_box] under a constant
    input in [u_box]. *)
@@ -220,8 +218,7 @@ let intersample_enclosure (sys : lti) ~x_box ~x_next_box ~u_box ~delta =
   load w.nlo w.nhi x_next_box;
   load w.ulo w.uhi u_box;
   let raw_lo = Array.make n 0.0 and raw_hi = Array.make n 0.0 in
-  if enclose w ~raw_lo ~raw_hi ~off:0 then Some (boxes_of_raw ~n ~raw_lo ~raw_hi 1).(0)
-  else None
+  if enclose w ~raw_lo ~raw_hi then Some (box_of_raw ~raw_lo ~raw_hi) else None
 
 let c_linear_flowpipes = Dwv_util.Counters.counter "linear_flowpipes"
 
@@ -230,8 +227,8 @@ let c_linear_flowpipes = Dwv_util.Counters.counter "linear_flowpipes"
    closed-loop image of z) and its box, the blow-up test, then the
    inter-sample enclosure. The zonotope z and its successor are a
    center and n×n generators each, the gain image a center and m×n
-   generators; raw step and segment bounds are kept per row until the
-   end, where the returned boxes are built from them. *)
+   generators. The returned boxes are built from the raw bounds of each
+   completed period. *)
 let flowpipe ?(blowup_width = 1e7) ~(plant : plant) ~gain ~x0 ~steps () =
   Dwv_util.Counters.incr c_linear_flowpipes;
   let n = plant.n and m = plant.m in
@@ -243,23 +240,24 @@ let flowpipe ?(blowup_width = 1e7) ~(plant : plant) ~gain ~x0 ~steps () =
   let c2 = ref (Array.make n 0.0) and g2 = ref (Array.make (n * n) 0.0) in
   let uc = Array.make m 0.0 and ug = Array.make (m * n) 0.0 in
   let u_raw_lo = Array.make m 0.0 and u_raw_hi = Array.make m 0.0 in
-  let step_lo = Array.make ((steps + 1) * n) 0.0 and step_hi = Array.make ((steps + 1) * n) 0.0 in
-  let seg_lo = Array.make (steps * n) 0.0 and seg_hi = Array.make (steps * n) 0.0 in
+  let step_lo = Array.make n 0.0 and step_hi = Array.make n 0.0 in
+  let seg_lo = Array.make n 0.0 and seg_hi = Array.make n 0.0 in
   Zonotope.of_box_flat x0 ~c:!c ~g:!g;
-  Zonotope.to_box_flat ~n ~p:n ~c:!c ~g:!g ~raw_lo:step_lo ~raw_hi:step_hi ~off:0 ~lo:w.xlo
-    ~hi:w.xhi;
+  Zonotope.to_box_flat ~n ~p:n ~c:!c ~g:!g ~raw_lo:step_lo ~raw_hi:step_hi ~lo:w.xlo ~hi:w.xhi;
+  let step_boxes = Array.make (steps + 1) (box_of_raw ~raw_lo:step_lo ~raw_hi:step_hi) in
+  let segment_boxes = Array.make steps [||] in
   let completed = ref 0 and diverged = ref false in
   while (not !diverged) && !completed < steps do
     let s = !completed in
     Zonotope.linear_map_flat ~rows:m ~n ~p:n ~a:gain_flat ~c:!c ~g:!g ~c':uc ~g':ug;
-    Zonotope.to_box_flat ~n:m ~p:n ~c:uc ~g:ug ~raw_lo:u_raw_lo ~raw_hi:u_raw_hi ~off:0
-      ~lo:w.ulo ~hi:w.uhi;
+    Zonotope.to_box_flat ~n:m ~p:n ~c:uc ~g:ug ~raw_lo:u_raw_lo ~raw_hi:u_raw_hi ~lo:w.ulo
+      ~hi:w.uhi;
     Zonotope.linear_map_flat ~rows:n ~n ~p:n ~a:acl ~c:!c ~g:!g ~c':!c2 ~g':!g2;
-    Zonotope.to_box_flat ~n ~p:n ~c:!c2 ~g:!g2 ~raw_lo:step_lo ~raw_hi:step_hi
-      ~off:((s + 1) * n) ~lo:w.nlo ~hi:w.nhi;
+    Zonotope.to_box_flat ~n ~p:n ~c:!c2 ~g:!g2 ~raw_lo:step_lo ~raw_hi:step_hi ~lo:w.nlo
+      ~hi:w.nhi;
     if
       (not (next_is_sane ~blowup_width w))
-      || not (enclose w ~raw_lo:seg_lo ~raw_hi:seg_hi ~off:(s * n))
+      || not (enclose w ~raw_lo:seg_lo ~raw_hi:seg_hi)
     then diverged := true
     else begin
       let c0 = !c and g0 = !g in
@@ -271,10 +269,12 @@ let flowpipe ?(blowup_width = 1e7) ~(plant : plant) ~gain ~x0 ~steps () =
         w.xlo.(i) <- w.nlo.(i);
         w.xhi.(i) <- w.nhi.(i)
       done;
+      step_boxes.(s + 1) <- box_of_raw ~raw_lo:step_lo ~raw_hi:step_hi;
+      segment_boxes.(s) <- box_of_raw ~raw_lo:seg_lo ~raw_hi:seg_hi;
       completed := s + 1
     end
   done;
   Flowpipe.make
-    ~step_boxes:(boxes_of_raw ~n ~raw_lo:step_lo ~raw_hi:step_hi (!completed + 1))
-    ~segment_boxes:(boxes_of_raw ~n ~raw_lo:seg_lo ~raw_hi:seg_hi !completed)
+    ~step_boxes:(Array.sub step_boxes 0 (!completed + 1))
+    ~segment_boxes:(Array.sub segment_boxes 0 !completed)
     ~delta:plant.delta ~diverged:!diverged
