@@ -71,7 +71,7 @@ let of_box (box : Box.t) =
   let n = Box.dim box in
   let center = Array.make n 0.0 and g = Array.make (n * n) 0.0 in
   of_box_flat box ~c:center ~g;
-  { center; generators = Mat.of_flat ~rows:n ~cols:n g }
+  { center; generators = Mat.init n n (fun i j -> g.((i * n) + j)) }
 
 let to_box z =
   let n = dim z and p = num_generators z in

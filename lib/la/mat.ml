@@ -88,11 +88,6 @@ let matvec_flat ~rows ~cols m v dst =
 
 let to_flat m = Array.copy m.data
 
-let of_flat ~rows ~cols data =
-  if rows < 0 || cols < 0 || Array.length data <> rows * cols then
-    invalid_arg "Mat.of_flat: dimension mismatch";
-  { rows; cols; data = Array.copy data }
-
 let matmul a b =
   if a.cols <> b.rows then invalid_arg "Mat.matmul: dimension mismatch";
   let c = zeros a.rows b.cols in

@@ -70,10 +70,6 @@ val matvec_flat : rows:int -> cols:int -> float array -> float array -> float ar
 (** A copy of the entries, row-major. *)
 val to_flat : t -> float array
 
-(** [of_flat ~rows ~cols data]: the matrix whose row-major entries are a
-    copy of [data]; raises unless [data] has [rows * cols] entries. *)
-val of_flat : rows:int -> cols:int -> float array -> t
-
 (** Row-vector-matrix product (vᵀM). *)
 val vecmat : float array -> t -> float array
 
