@@ -231,6 +231,8 @@ let c_linear_flowpipes = Dwv_util.Counters.counter "linear_flowpipes"
    completed period. *)
 let flowpipe ?(blowup_width = 1e7) ~(plant : plant) ~gain ~x0 ~steps () =
   Dwv_util.Counters.incr c_linear_flowpipes;
+  (* a negative horizon runs no period, as a [for] loop to it would *)
+  let steps = max steps 0 in
   let n = plant.n and m = plant.m in
   let acl = Mat.to_flat (Mat.add plant.ad (Mat.matmul plant.bd gain)) in
   let gain_flat = Mat.to_flat gain in

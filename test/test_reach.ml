@@ -692,7 +692,7 @@ let test_acc_failure_paths () =
 (* The LTI flowpipe against the Box-API reference in Lti_reference, on
    random plants (n <= 4, m <= 2, sparse A and B with signed zeros),
    gains with non-finite entries, boxes (some of zero width), periods,
-   horizons and blow-up widths: the same step and segment bits, the
+   horizons (one negative) and blow-up widths: the same step and segment bits, the
    same flag, or the same exception. *)
 
 type lti_case = {
@@ -727,7 +727,7 @@ let gen_lti_case =
   array_size (return n) (float_range (-10.0) 10.0) >>= fun lo ->
   array_size (return n) (frequency [ (4, float_range 0.0 5.0); (1, return 0.0) ]) >>= fun width ->
   oneofl [ 0.05; 0.1; 0.2; 0.5 ] >>= fun delta ->
-  int_range 0 40 >>= fun steps ->
+  int_range (-1) 40 >>= fun steps ->
   oneofl [ 1e7; 1e3; 10.0 ] >>= fun blowup ->
   return
     {
