@@ -692,8 +692,8 @@ let test_acc_failure_paths () =
 (* The LTI flowpipe against the Box-API reference in Lti_reference, on
    random plants (n <= 4, m <= 2, sparse A and B with signed zeros),
    gains with non-finite entries, boxes (some of zero width), periods,
-   horizons (one negative) and blow-up widths: the same step and segment bits, the
-   same flag, or the same exception. *)
+   horizons (one negative) and blow-up widths: the same step and
+   segment bits, the same flag, or the same exception. *)
 
 type lti_case = {
   lc_n : int;
