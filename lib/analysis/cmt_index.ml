@@ -731,8 +731,6 @@ let project_root_components () =
     in
     (Option.value ~default:cwd (up cwd), false)
 
-let project_root () = of_components (fst (project_root_components ()))
-
 let source_path path =
   let root, _ = project_root_components () in
   let rec strip r p =

@@ -138,19 +138,17 @@ val scan : ?build_dir:string -> ?exclude:string list -> ?roots:string list -> un
     fixture corpus). *)
 val of_cmt_files : string list -> t
 
-(** The directory .cmt files record their source paths against: inside
-    a dune build context ([.../_build/<context>/...]) that context
-    directory, elsewhere the nearest ancestor of the working directory
-    holding a [dune-project] file, failing both the working directory.
-    Absolute. *)
-val project_root : unit -> string
-
 (** [source_path p]: the path [p] (from the working directory, or
-    absolute) relative to {!project_root}, as a [.cmt] records a source
-    path; ["."] for the root itself, [p] unchanged when outside it. *)
+    absolute) relative to the project root, as a [.cmt] records a source
+    path; ["."] for the root itself, [p] unchanged when outside it. The
+    project root is the directory .cmt files record their source paths
+    against: inside a dune build context ([.../_build/<context>/...])
+    that context directory, elsewhere the nearest ancestor of the
+    working directory holding a [dune-project] file, failing both the
+    working directory. *)
 val source_path : string -> string
 
-(** [_build/default] under {!project_root}, or the root itself when
+(** [_build/default] under the project root, or the root itself when
     that is a build context or has no build directory; relative when the
     root is the working directory. *)
 val default_build_dir : unit -> string
