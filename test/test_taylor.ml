@@ -197,6 +197,214 @@ let prop_compose_soundness =
       let enclosure = I.widen ~eps:1e-9 (Tm.eval tm [| z |]) in
       I.contains enclosure (tanh ((s *. z) +. c)))
 
+(* ---------------- bit identity with the sparse reference ---------------- *)
+
+(* Every operation against [Tm_reference], the sparse Poly-backed model
+   the plan-native one replaced: the same coefficient bits, remainder
+   bits and order, or the same exception, on random plans (up to 6
+   variables, order up to 4) and random models with NaN, infinite,
+   underflowing and exactly cancelling coefficients and zero-width,
+   wide and non-finite remainders. *)
+
+module Ref = Tm_reference
+
+let model_bits ~nvars ~poly ~rem ~order =
+  ( nvars,
+    order,
+    List.map (fun (e, c) -> (Array.to_list e, Int64.bits_of_float c)) (Poly.to_terms poly),
+    Int64.bits_of_float (I.lo rem),
+    Int64.bits_of_float (I.hi rem) )
+
+let tm_bits tm =
+  model_bits ~nvars:(Tm.nvars tm) ~poly:(Tm.poly tm) ~rem:(Tm.remainder tm) ~order:(Tm.order tm)
+
+let ref_bits tm =
+  model_bits ~nvars:(Ref.nvars tm) ~poly:(Ref.poly tm) ~rem:(Ref.remainder tm) ~order:(Ref.order tm)
+
+let iv_bits iv = (Int64.bits_of_float (I.lo iv), Int64.bits_of_float (I.hi iv))
+
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument m -> Error ("Invalid_argument " ^ m)
+  | exception Failure m -> Error ("Failure " ^ m)
+
+(* 1e-12 ... 1e2 in magnitude, a few exactly cancelling values, and the
+   specials: NaN, infinities, zeros and magnitudes whose products
+   underflow. *)
+let gen_coeff st =
+  match Random.State.int st 40 with
+  | 0 -> Float.nan
+  | 1 -> Float.infinity
+  | 2 -> Float.neg_infinity
+  | 3 -> 0.0
+  | 4 -> -0.0
+  | 5 | 6 -> (if Random.State.bool st then 1e-170 else -1e-170)
+  | 7 | 8 | 9 | 10 | 11 | 12 -> [| 0.5; -0.5; 1.0; -1.0; 0.25 |].(Random.State.int st 5)
+  | _ ->
+    let m = Float.pow 10.0 (2.0 -. Random.State.float st 14.0) in
+    if Random.State.bool st then m else -.m
+
+let gen_rem st =
+  match Random.State.int st 8 with
+  | 0 | 1 -> I.zero
+  | 2 -> I.of_point (gen_coeff st |> fun c -> if Float.is_finite c then c else 0.5)
+  | 3 -> I.scale 1e300 (I.make (-1e10) 1e10)
+  | _ ->
+    let r = Float.pow 10.0 (-.Random.State.float st 10.0) in
+    I.make (-.r) (r *. Random.State.float st 2.0)
+
+let gen_monomial nvars order st =
+  let e = Array.make nvars 0 in
+  for _ = 1 to Random.State.int st (order + 1) do
+    let i = Random.State.int st nvars in
+    e.(i) <- e.(i) + 1
+  done;
+  e
+
+(* A random model; [over] lets a few terms exceed the order, which
+   [make] must fold into the remainder. *)
+let gen_poly ?(over = false) nvars order st =
+  Poly.of_terms nvars
+    (List.init (Random.State.int st 30) (fun _ ->
+         let d = if over && Random.State.int st 4 = 0 then order + 2 else order in
+         (gen_monomial nvars d st, gen_coeff st)))
+
+type case = {
+  nvars : int;
+  order : int;
+  polys : (Poly.t * I.t) array;  (* operand models, as [make] inputs *)
+  scalars : float array;
+  point : float array;
+  slot : int;
+  expo : int;
+  seed : int;
+}
+
+let gen_case st =
+  let nvars = 1 + Random.State.int st 6 and order = 1 + Random.State.int st 4 in
+  let polys =
+    Array.init 3 (fun k -> (gen_poly ~over:(k = 2) nvars order st, gen_rem st))
+  in
+  let scalar () =
+    match Random.State.int st 8 with
+    | 0 -> 0.0
+    | 1 -> -0.0
+    | 2 -> Float.nan
+    | 3 -> Float.infinity
+    | 4 -> 1e-300
+    | _ -> gen_coeff st
+  in
+  { nvars;
+    order;
+    polys;
+    scalars = Array.init 3 (fun _ -> scalar ());
+    point = Array.init nvars (fun _ -> Random.State.float st 2.0 -. 1.0);
+    slot = Random.State.int st nvars;
+    expo = Random.State.int st 5;
+    seed = Random.State.bits st }
+
+(* A random expression over the case's models as state and input. *)
+let gen_expr st =
+  let module E = Dwv_expr.Expr in
+  let rec go depth =
+    if depth = 0 then
+      match Random.State.int st 4 with
+      | 0 -> E.const (Random.State.float st 2.0 -. 1.0)
+      | 1 -> E.input 0
+      | _ -> E.var (Random.State.int st 2)
+    else
+      match Random.State.int st 11 with
+      | 0 | 1 -> E.add (go (depth - 1)) (go (depth - 1))
+      | 2 -> E.sub (go (depth - 1)) (go (depth - 1))
+      | 3 | 4 -> E.mul (go (depth - 1)) (go (depth - 1))
+      | 5 -> E.neg (go (depth - 1))
+      | 6 -> E.pow (go (depth - 1)) (Random.State.int st 4)
+      | 7 -> E.sin_ (go (depth - 1))
+      | 8 -> E.cos_ (go (depth - 1))
+      | 9 -> E.tanh_ (go (depth - 1))
+      | _ -> E.div (go (depth - 1)) (E.add (E.const 3.0) (go 0))
+  in
+  go 3
+
+let kept_pairs () = Dwv_util.Counters.get "poly_kept_pairs"
+
+(* Each check runs one operation on both sides: [Error] is the
+   mismatch's description. *)
+let same_case c =
+  let ms = Array.map (fun (poly, rem) -> outcome (fun () -> Tm.make ~poly ~rem ~order:c.order)) c.polys in
+  let rs = Array.map (fun (poly, rem) -> outcome (fun () -> Ref.make ~poly ~rem ~order:c.order)) c.polys in
+  let failures = ref [] in
+  let fail name = failures := name :: !failures in
+  let same_model name t r =
+    if Result.map tm_bits (t ()) <> Result.map ref_bits (r ()) then fail name
+  in
+  let same_iv name t r = if Result.map iv_bits (t ()) <> Result.map iv_bits (r ()) then fail name in
+  Array.iteri (fun k m -> same_model (Fmt.str "make %d" k) (fun () -> m) (fun () -> rs.(k))) ms;
+  (match (ms, rs) with
+  | [| Ok a; Ok b; Ok h |], [| Ok ra; Ok rb; Ok rh |] ->
+    let model name t r = same_model name (fun () -> outcome t) (fun () -> outcome r) in
+    let iv name t r = same_iv name (fun () -> outcome t) (fun () -> outcome r) in
+    let s0 = c.scalars.(0) and s1 = c.scalars.(1) and s2 = c.scalars.(2) in
+    List.iter
+      (fun (name, t, r) -> model name t r)
+      [ ("add", (fun () -> Tm.add a b), fun () -> Ref.add ra rb);
+        ("add h", (fun () -> Tm.add h a), fun () -> Ref.add rh ra);
+        ("sub", (fun () -> Tm.sub a b), fun () -> Ref.sub ra rb);
+        ("sub self", (fun () -> Tm.sub a a), fun () -> Ref.sub ra ra);
+        ("neg", (fun () -> Tm.neg a), fun () -> Ref.neg ra);
+        ("scale", (fun () -> Tm.scale s0 a), fun () -> Ref.scale s0 ra);
+        ("scale 0", (fun () -> Tm.scale 0.0 h), fun () -> Ref.scale 0.0 rh);
+        ("shift", (fun () -> Tm.shift s1 b), fun () -> Ref.shift s1 rb);
+        ("shift -c0", (fun () -> Tm.shift (-.Tm.constant_term a) a),
+         fun () -> Ref.shift (-.Ref.constant_term ra) ra);
+        ("mul", (fun () -> Tm.mul a b), fun () -> Ref.mul ra rb);
+        ("mul h", (fun () -> Tm.mul h b), fun () -> Ref.mul rh rb);
+        ("mul self", (fun () -> Tm.mul a a), fun () -> Ref.mul ra ra);
+        ("pow", (fun () -> Tm.pow b c.expo), fun () -> Ref.pow rb c.expo);
+        ("tanh", (fun () -> Tm.tanh_ a), fun () -> Ref.tanh_ ra);
+        ("sigmoid", (fun () -> Tm.sigmoid_ b), fun () -> Ref.sigmoid_ rb);
+        ("exp", (fun () -> Tm.exp_ a), fun () -> Ref.exp_ ra);
+        ("sin", (fun () -> Tm.sin_ b), fun () -> Ref.sin_ rb);
+        ("cos", (fun () -> Tm.cos_ a), fun () -> Ref.cos_ ra);
+        ("inv", (fun () -> Tm.inv (Tm.shift 4.0 a)), fun () -> Ref.inv (Ref.shift 4.0 ra));
+        ("relu", (fun () -> Tm.relu b), fun () -> Ref.relu rb);
+        ("relu shifted", (fun () -> Tm.relu (Tm.shift s2 a)), fun () -> Ref.relu (Ref.shift s2 ra));
+        ("sweep", (fun () -> Tm.sweep a), fun () -> Ref.sweep ra);
+        ("sweep coarse", (fun () -> Tm.sweep ~tol:0.3 b), fun () -> Ref.sweep ~tol:0.3 rb);
+        ("absorb_var", (fun () -> Tm.absorb_var c.slot a), fun () -> Ref.absorb_var c.slot ra);
+        ("symbolize_remainder", (fun () -> Tm.symbolize_remainder ~slot:c.slot b),
+         fun () -> Ref.symbolize_remainder ~slot:c.slot rb);
+        ("symbolize absorbed", (fun () -> Tm.symbolize_remainder ~slot:c.slot (Tm.absorb_var c.slot a)),
+         fun () -> Ref.symbolize_remainder ~slot:c.slot (Ref.absorb_var c.slot ra)) ];
+    List.iter
+      (fun (name, t, r) -> iv name t r)
+      [ ("bound", (fun () -> Tm.bound a), fun () -> Ref.bound ra);
+        ("bound h", (fun () -> Tm.bound h), fun () -> Ref.bound rh);
+        ("eval", (fun () -> Tm.eval b c.point), fun () -> Ref.eval rb c.point) ];
+    (* the product counts the same pairs, raising or not *)
+    let before = kept_pairs () and ref_before = !Ref.kept_pair_count in
+    ignore (outcome (fun () -> Tm.mul a b), outcome (fun () -> Ref.mul ra rb));
+    if kept_pairs () - before <> !Ref.kept_pair_count - ref_before then fail "kept pairs";
+    let e = gen_expr (Random.State.make [| c.seed |]) in
+    model "of_expr"
+      (fun () -> Tm.of_expr ~memo:(Tm.create_memo ()) ~x:[| a; b |] ~u:[| h |] e)
+      (fun () -> Ref.of_expr ~x:[| ra; rb |] ~u:[| rh |] e)
+  | _ -> ());
+  match !failures with [] -> true | l -> QCheck.Test.fail_reportf "%s" (String.concat ", " (List.rev l))
+
+let arb_case =
+  let print c =
+    Fmt.str "nvars=%d order=%d@.%a" c.nvars c.order
+      Fmt.(array ~sep:cut (pair ~sep:(any " + ") Poly.pp I.pp))
+      c.polys
+  in
+  QCheck.make ~print gen_case
+
+let prop_reference_bits =
+  QCheck.Test.make ~name:"every operation = the sparse reference, bit for bit" ~count:300 arb_case
+    same_case
+
 let suite =
   [
     Alcotest.test_case "var identity" `Quick test_var_identity;
@@ -223,4 +431,5 @@ let suite =
     Alcotest.test_case "tm_vec extra vars" `Quick test_tm_vec_extra_vars;
     Alcotest.test_case "order guard" `Quick test_order_guard;
     QCheck_alcotest.to_alcotest prop_compose_soundness;
+    QCheck_alcotest.to_alcotest prop_reference_bits;
   ]
