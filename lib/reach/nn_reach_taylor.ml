@@ -18,17 +18,17 @@ let apply_activation (act : Activation.t) tm =
   | Activation.Sigmoid -> Tm.sigmoid_ tm
   | Activation.Linear -> tm
 
-(* Affine layer on Taylor models: pre_i = sum_j W_ij h_j + b_i (exact). *)
+(* Affine layer on Taylor models: pre_i = b_i + sum_{W_ij <> 0} W_ij h_j
+   (exact), accumulated in place in one array per output. *)
 let affine (weights : Mat.t) (bias : float array) (h : Tm.t array) =
   let rows, cols = Mat.dims weights in
   if cols <> Array.length h then invalid_arg "Nn_reach_taylor.affine: arity mismatch";
   Array.init rows (fun i ->
-      let acc = ref (Tm.const ~nvars:(Tm.nvars h.(0)) ~order:(Tm.order h.(0)) bias.(i)) in
-      for j = 0 to cols - 1 do
-        let w = Mat.get weights i j in
-        if w <> 0.0 then acc := Tm.add !acc (Tm.scale w h.(j))
-      done;
-      !acc)
+      let js = List.filter (fun j -> Mat.get weights i j <> 0.0) (List.init cols Fun.id) in
+      Tm.sum_scaled
+        (Tm.const ~nvars:(Tm.nvars h.(0)) ~order:(Tm.order h.(0)) bias.(i))
+        (Array.of_list (List.map (Mat.get weights i) js))
+        (Array.of_list (List.map (Array.get h) js)))
 
 let c_polar_abstractions = Dwv_util.Counters.counter "polar_abstractions"
 

@@ -216,11 +216,11 @@ let step ?budget ?pool ?hint ~f ~lie ~delta (x : Tm_vec.t) (u : Tm_vec.t) =
        over [0, delta], meet with the Picard enclosure *)
     let per_dim =
       par_init pool n (fun i ->
-          let acc = ref coeffs.(0).(i) in
-          for j = 1 to order do
-            acc := Tm.add !acc (Tm.scale t_scale.(j) coeffs.(j).(i))
-          done;
-          let state_i = Tm.sweep (Tm.add_remainder lagrange.(i) !acc) in
+          let acc =
+            Tm.sum_scaled coeffs.(0).(i) (Array.sub t_scale 1 order)
+              (Array.init order (fun j -> coeffs.(j + 1).(i)))
+          in
+          let state_i = Tm.sweep (Tm.add_remainder lagrange.(i) acc) in
           let racc = ref (Tm.bound coeffs.(0).(i)) in
           for j = 1 to order do
             racc := I.add !racc (I.mul t_pow.(j) (Tm.bound coeffs.(j).(i)))

@@ -12,81 +12,294 @@
 module I = Dwv_interval.Interval
 module Poly = Dwv_poly.Poly
 module Box = Dwv_interval.Box
+module Plan = Tm_plan
 
-type t = { poly : Poly.t; rem : I.t; order : int }
+(* The polynomial is one coefficient per rank of the (nvars, order)
+   product plan ([Tm_plan]): ±0 is an absent monomial and ranks past
+   the array's end are absent, so arrays are only as long as their
+   highest present rank needs. Every operation performs the same IEEE
+   operations in the same order as the sparse representation it
+   replaced (ascending rank is ascending key order), so flowpipes,
+   certificates and work counters keep their bits.
 
-let max_order = 7 (* products stay within Poly's packed-nibble exponents *)
+   [g] memoizes the graded bounds ([Tm_plan.graded]), [[||]] until
+   computed: a deterministic value, so domains that race to fill it
+   store the same one. The coefficient array of a published model is
+   never written. *)
+type t = { plan : Plan.t; c : float array; rem : I.t; mutable g : float array }
+
+let max_order = 7
+
+let model plan c rem = { plan; c; rem; g = [||] }
+
+let plan_of ~nvars ~order =
+  if order < 1 || order > max_order then
+    invalid_arg "Taylor_model: order must be within [1, 7]";
+  Plan.find ~nvars ~order
+
+let nvars tm = Plan.nvars tm.plan
+let order tm = Plan.order tm.plan
+let remainder tm = tm.rem
+
+let graded tm =
+  if Array.length tm.g > 0 then tm.g
+  else begin
+    let g = Plan.graded tm.plan tm.c in
+    tm.g <- g;
+    g
+  end
+
+(* Enclosure of the polynomial alone; raises [Invalid_argument] when a
+   bound is not finite. *)
+let bound_poly tm =
+  let g = graded tm in
+  I.make g.(0) g.(1)
+
+let present x = x <> 0.0
+
+(* Whole bound over [-1,1]^n of terms given in ascending key order,
+   whatever their degree: [Tm_plan.graded]'s arithmetic, for the terms
+   above the order that [make] folds into the remainder. *)
+let bound_terms terms =
+  let lo = ref 0.0 and hi = ref 0.0 and s = ref 0.0 and n = ref 0 in
+  List.iter
+    (fun (e, x) ->
+      if Array.for_all (fun k -> k = 0) e then begin
+        lo := !lo +. x;
+        hi := !hi +. x
+      end
+      else if Array.for_all (fun k -> k land 1 = 0) e then begin
+        if x >= 0.0 then hi := !hi +. x else lo := !lo +. x
+      end
+      else begin
+        lo := !lo -. Float.abs x;
+        hi := !hi +. Float.abs x
+      end;
+      s := !s +. Float.abs x;
+      incr n)
+    terms;
+  if !n > 1 then begin
+    let slack = Float.succ (float_of_int (!n - 1) *. epsilon_float *. !s) in
+    lo := Float.pred (!lo -. slack);
+    hi := Float.succ (!hi +. slack)
+  end;
+  I.make !lo !hi
 
 let make ~poly ~rem ~order =
   if order < 1 || order > max_order then
     invalid_arg "Taylor_model.make: order must be within [1, 7]";
-  let low, high = Poly.truncate ~order poly in
-  if Poly.is_zero high then { poly = low; rem; order }
-  else { poly = low; rem = I.add rem (Poly.bound_unit high); order }
+  let plan = Plan.find ~nvars:(Poly.nvars poly) ~order in
+  let c = Array.make (Plan.size plan) (-0.0) in
+  let high = ref [] in
+  (* [to_terms] lists the terms in descending key order *)
+  List.iter
+    (fun (e, x) ->
+      if present x then
+        match Plan.rank plan e with Some r -> c.(r) <- x | None -> high := (e, x) :: !high)
+    (Poly.to_terms poly);
+  let rem = if !high = [] then rem else I.add rem (bound_terms !high) in
+  model plan c rem
 
-let nvars tm = Poly.nvars tm.poly
-let poly tm = tm.poly
-let remainder tm = tm.rem
-let order tm = tm.order
+let poly tm =
+  let terms = ref [] in
+  Array.iteri
+    (fun r x ->
+      if present x then
+        terms := (Array.init (nvars tm) (Plan.exponent tm.plan r), x) :: !terms)
+    tm.c;
+  Poly.of_terms (nvars tm) !terms
 
-let const ~nvars ~order c = { poly = Poly.const nvars c; rem = I.zero; order }
+let const_in plan x = model plan (if x = 0.0 then [||] else [| x |]) I.zero
 
-let var ~nvars ~order i = { poly = Poly.var nvars i; rem = I.zero; order }
+let const ~nvars ~order x = const_in (plan_of ~nvars ~order) x
+
+(* Rank of the monomial z_i. *)
+let var_rank plan i =
+  let e = Array.make (Plan.nvars plan) 0 in
+  e.(i) <- 1;
+  Option.get (Plan.rank plan e)
+
+let var ~nvars ~order i =
+  let plan = plan_of ~nvars ~order in
+  if i < 0 || i >= nvars then invalid_arg "Taylor_model.var: index out of range";
+  let r = var_rank plan i in
+  let c = Array.make (r + 1) (-0.0) in
+  c.(r) <- 1.0;
+  model plan c I.zero
 
 (* Abstract an interval as a Taylor model with no symbolic dependency.
    The symmetrized remainder is widened: mid and rad round to nearest, so
    mid +- rad can undershoot the original bounds by 1/2 ulp each. *)
 let of_interval ~nvars ~order iv =
-  { poly = Poly.const nvars (I.mid iv);
-    rem = I.widen (I.make (-.I.rad iv) (I.rad iv));
-    order }
+  { (const ~nvars ~order (I.mid iv)) with rem = I.widen (I.make (-.I.rad iv) (I.rad iv)) }
 
 (* Sound range enclosure. *)
-let bound tm = I.add (Poly.bound_unit tm.poly) tm.rem
+let bound tm = I.add (bound_poly tm) tm.rem
 
-(* Evaluate at a concrete z (the result is the interval poly(z) + rem). *)
-let eval tm z = I.shift (Poly.eval tm.poly z) tm.rem
+(* Evaluate at a concrete z (the result is the interval poly(z) + rem):
+   each present term's product of powers, summed in ascending rank. *)
+let eval tm z =
+  if Array.length z <> nvars tm then invalid_arg "Taylor_model.eval: arity mismatch";
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun r x ->
+      if present x then begin
+        let term = ref x in
+        for i = 0 to nvars tm - 1 do
+          for _ = 1 to Plan.exponent tm.plan r i do
+            term := !term *. z.(i)
+          done
+        done;
+        acc := !acc +. !term
+      end)
+    tm.c;
+  I.shift !acc tm.rem
 
-let constant_term tm = Poly.constant_term tm.poly
+let constant_term tm =
+  if Array.length tm.c > 0 && present tm.c.(0) then tm.c.(0) else 0.0
 
-let neg tm = { tm with poly = Poly.neg tm.poly; rem = I.neg tm.rem }
+let neg tm =
+  let a = tm.c in
+  let c = Array.make (Array.length a) 0.0 in
+  for r = 0 to Array.length a - 1 do
+    Array.unsafe_set c r (-.Array.unsafe_get a r)
+  done;
+  model tm.plan c (I.neg tm.rem)
 
-let join_order a b = min a.order b.order
+(* Both operands must share a plan: the same arity and the same order. *)
+let join name a b =
+  if nvars a <> nvars b then invalid_arg ("Taylor_model." ^ name ^ ": arity mismatch");
+  if order a <> order b then invalid_arg ("Taylor_model." ^ name ^ ": order mismatch")
+
+(* a.(r) +. sign b.(r) over the common ranks; a rank only one operand
+   has keeps that operand's coefficient (negated for [sub]), as the
+   sparse merge did. *)
+let combine ~negate a b =
+  let na = Array.length a and nb = Array.length b in
+  let c = Array.make (max na nb) 0.0 in
+  if negate then
+    for r = 0 to min na nb - 1 do
+      Array.unsafe_set c r (Array.unsafe_get a r +. -.Array.unsafe_get b r)
+    done
+  else
+    for r = 0 to min na nb - 1 do
+      Array.unsafe_set c r (Array.unsafe_get a r +. Array.unsafe_get b r)
+    done;
+  if na > nb then Array.blit a nb c nb (na - nb)
+  else
+    for r = na to nb - 1 do
+      let y = Array.unsafe_get b r in
+      Array.unsafe_set c r (if negate then -.y else y)
+    done;
+  c
 
 let add a b =
-  if nvars a <> nvars b then invalid_arg "Taylor_model.add: arity mismatch";
-  { poly = Poly.add a.poly b.poly; rem = I.add a.rem b.rem; order = join_order a b }
+  join "add" a b;
+  model a.plan (combine ~negate:false a.c b.c) (I.add a.rem b.rem)
 
 let sub a b =
-  if nvars a <> nvars b then invalid_arg "Taylor_model.sub: arity mismatch";
-  { poly = Poly.sub a.poly b.poly; rem = I.sub a.rem b.rem; order = join_order a b }
+  join "sub" a b;
+  model a.plan (combine ~negate:true a.c b.c) (I.sub a.rem b.rem)
 
-let scale s tm = { tm with poly = Poly.scale s tm.poly; rem = I.scale s tm.rem }
+(* acc.(r) <- acc.(r) +. s *. m.(r) for every rank of [m] ([acc] is at
+   least as long): the coefficients of [add acc (scale s m)]. A finite
+   [s] maps an absent ±0 to ±0, which leaves acc.(r) as it was; a
+   non-finite one would make it NaN, so only present terms are
+   multiplied then. *)
+let axpy acc s m =
+  if s = 0.0 then ()
+  else if Float.is_finite s then
+    for r = 0 to Array.length m - 1 do
+      Array.unsafe_set acc r (Array.unsafe_get acc r +. (s *. Array.unsafe_get m r))
+    done
+  else
+    for r = 0 to Array.length m - 1 do
+      let x = Array.unsafe_get m r in
+      if present x then Array.unsafe_set acc r (Array.unsafe_get acc r +. (s *. x))
+    done
 
-let shift c tm = { tm with poly = Poly.add tm.poly (Poly.const (nvars tm) c) }
+(* [scale 0.0] is the zero model whatever the coefficients, NaN and
+   infinities included. *)
+let scale s tm =
+  if s = 0.0 then model tm.plan [||] (I.scale s tm.rem)
+  else begin
+    let c = Array.make (Array.length tm.c) (-0.0) in
+    axpy c s tm.c;
+    model tm.plan c (I.scale s tm.rem)
+  end
+
+let sum_scaled init s ms =
+  let len = ref (Array.length init.c) in
+  Array.iter
+    (fun m ->
+      join "add" init m;
+      len := max !len (Array.length m.c))
+    ms;
+  let c = Array.make !len (-0.0) in
+  Array.blit init.c 0 c 0 (Array.length init.c);
+  let rem = ref init.rem in
+  Array.iteri
+    (fun j m ->
+      axpy c s.(j) m.c;
+      rem := I.add !rem (I.scale s.(j) m.rem))
+    ms;
+  model init.plan c !rem
+
+(* Add a constant to the rank-0 (constant) coefficient: an absent ±0
+   plus x is x, and a sum of exactly 0 is absent, as the sparse merge
+   dropped it. *)
+let shift x tm =
+  let c = Array.make (max 1 (Array.length tm.c)) (-0.0) in
+  Array.blit tm.c 0 c 0 (Array.length tm.c);
+  c.(0) <- c.(0) +. x;
+  model tm.plan c tm.rem
 
 let add_remainder iv tm = { tm with rem = I.add tm.rem iv }
+
+(* Split off the present terms [drop] selects into the remainder: the
+   kept ones stay in place, the dropped ones are bounded in ascending
+   rank. [tm] itself when nothing is dropped. *)
+let fold_into_remainder tm drop =
+  let kept = Array.copy tm.c and dropped = Array.make (Array.length tm.c) (-0.0) in
+  let any = ref false in
+  for r = 0 to Array.length kept - 1 do
+    let x = kept.(r) in
+    if present x && drop r x then begin
+      dropped.(r) <- x;
+      kept.(r) <- -0.0;
+      any := true
+    end
+  done;
+  if not !any then tm
+  else begin
+    let g = Plan.graded tm.plan dropped in
+    model tm.plan kept (I.add tm.rem (I.make g.(0) g.(1)))
+  end
 
 (* Prune monomials with negligible coefficients into the remainder. The
    closed-loop iteration fills the polynomial with cross-term debris many
    orders of magnitude below the leading coefficients; sweeping keeps the
    representation sparse (and hence the flowpipe fast) at a remainder cost
-   bounded by the swept coefficients themselves. *)
+   bounded by the swept coefficients themselves. The running maximum
+   may read absent slots: |±0| never raises it. *)
 let sweep ?(tol = 1e-10) tm =
-  let scale = Float.max 1e-30 (Poly.max_abs_coeff tm.poly) in
-  let cutoff = tol *. scale in
-  let kept, dropped = Poly.partition_coeffs ~cutoff tm.poly in
-  if Poly.is_zero dropped then tm
-  else { tm with poly = kept; rem = I.add tm.rem (Poly.bound_unit dropped) }
+  let m = Array.make 1 0.0 in
+  for r = 0 to Array.length tm.c - 1 do
+    m.(0) <- Float.max m.(0) (Float.abs (Array.unsafe_get tm.c r))
+  done;
+  let cutoff = tol *. Float.max 1e-30 m.(0) in
+  fold_into_remainder tm (fun _ x -> not (Float.abs x > cutoff))
+
+let check_var name tm i =
+  if i < 0 || i >= nvars tm then invalid_arg ("Taylor_model." ^ name ^ ": index out of range")
 
 (* Retire symbol i: bound every monomial involving z_i over the domain and
    fold it into the interval remainder. Used to recycle disturbance
    symbols (POLAR-style symbolic remainders with a bounded symbol
    budget). *)
 let absorb_var i tm =
-  let keep, drop = Poly.split_var tm.poly i in
-  if Poly.is_zero drop then tm
-  else { tm with poly = keep; rem = I.add tm.rem (Poly.bound_unit drop) }
+  check_var "absorb_var" tm i;
+  fold_into_remainder tm (fun r _ -> Plan.exponent tm.plan r i > 0)
 
 (* Move the interval remainder onto a fresh symbol z_slot (which must not
    occur in the polynomial — absorb it first): the resulting model has a
@@ -94,36 +307,40 @@ let absorb_var i tm =
    steps all see the SAME disturbance value, which lets a contractive
    closed loop cancel it instead of compounding it. *)
 let symbolize_remainder ~slot tm =
-  let keep, stale = Poly.split_var tm.poly slot in
-  if not (Poly.is_zero stale) then
-    invalid_arg "Taylor_model.symbolize_remainder: slot still in use";
-  let m = I.mid tm.rem and r = I.rad tm.rem in
-  if r = 0.0 then { tm with poly = Poly.add_term keep (Array.make (nvars tm) 0) m; rem = I.zero }
-  else begin
-    let e = Array.make (nvars tm) 0 in
-    e.(slot) <- 1;
-    let poly = Poly.add_term (Poly.add_term keep (Array.make (nvars tm) 0) m) e r in
-    { tm with poly; rem = I.zero }
-  end
+  check_var "symbolize_remainder" tm slot;
+  Array.iteri
+    (fun r x ->
+      if present x && Plan.exponent tm.plan r slot > 0 then
+        invalid_arg "Taylor_model.symbolize_remainder: slot still in use")
+    tm.c;
+  let m = I.mid tm.rem and rad = I.rad tm.rem in
+  let rs = var_rank tm.plan slot in
+  let len = if rad = 0.0 then max 1 (Array.length tm.c) else max (rs + 1) (Array.length tm.c) in
+  let c = Array.make len (-0.0) in
+  Array.blit tm.c 0 c 0 (Array.length tm.c);
+  c.(0) <- c.(0) +. m;
+  if rad <> 0.0 then c.(rs) <- rad;
+  model tm.plan c I.zero
 
 (* (p1 + r1)(p2 + r2) = p1 p2 + p1 r2 + p2 r1 + r1 r2; the product
    polynomial is truncated to the model order and the dropped tail is
-   bounded into the remainder, both by the fused [Poly.mul_trunc],
-   which bounds the tail from the factors' homogeneous parts and leaves
-   their whole bounds ([bp1], [bp2]) in the same cache. *)
+   bounded into the remainder from the factors' homogeneous parts
+   ([Tm_plan.tail]), whose whole bounds ([bp1], [bp2]) come from the
+   same graded scans. *)
 let mul a b =
-  if nvars a <> nvars b then invalid_arg "Taylor_model.mul: arity mismatch";
-  let order = join_order a b in
-  let keep, drop_bound = Poly.mul_trunc ~order a.poly b.poly in
-  let bp1 = Poly.bound_unit a.poly and bp2 = Poly.bound_unit b.poly in
+  join "mul" a b;
+  let ga = graded a and gb = graded b in
+  let drop_bound = Plan.tail a.plan ga gb in
+  let keep = Plan.mul a.plan a.c b.c in
+  let bp1 = bound_poly a and bp2 = bound_poly b in
   let rem =
     I.add drop_bound (I.add (I.mul bp1 b.rem) (I.add (I.mul bp2 a.rem) (I.mul a.rem b.rem)))
   in
-  { poly = keep; rem; order }
+  model a.plan keep rem
 
 let rec pow tm n =
   if n < 0 then invalid_arg "Taylor_model.pow: negative exponent"
-  else if n = 0 then const ~nvars:(nvars tm) ~order:tm.order 1.0
+  else if n = 0 then const_in tm.plan 1.0
   else if n = 1 then tm
   else begin
     let half = pow tm (n / 2) in
@@ -148,26 +365,30 @@ let factorial k =
   done;
   !acc
 
+(* The Horner sum accumulates in place, in one array as long as the
+   longest power of d; every product is formed before any coefficient
+   is added, which changes nothing observable (only a product can
+   raise). *)
 let compose fn tm =
-  let order = tm.order in
+  let order = order tm in
   let c = constant_term tm in
   (* d = tm - c has zero constant term *)
   let d = shift (-.c) tm in
   let range = bound tm in
-  (* Taylor polynomial sum phi^(k)(c)/k! d^k, Horner over TMs *)
-  let acc = ref (const ~nvars:(nvars tm) ~order (fn.deriv_at c 0)) in
-  let dk = ref (const ~nvars:(nvars tm) ~order 1.0) in
+  (* Taylor polynomial sum phi^(k)(c)/k! d^k *)
+  let dk = Array.make (order + 1) (const_in tm.plan 1.0) in
   for k = 1 to order do
-    dk := mul !dk d;
-    acc := add !acc (scale (fn.deriv_at c k /. factorial k) !dk)
+    dk.(k) <- mul dk.(k - 1) d
   done;
+  let s = Array.init order (fun k -> fn.deriv_at c (k + 1) /. factorial (k + 1)) in
+  let acc = sum_scaled (const_in tm.plan (fn.deriv_at c 0)) s (Array.sub dk 1 order) in
   (* Lagrange remainder: phi^(order+1)(xi)/ (order+1)! * d^(order+1),
      xi anywhere in the model's range *)
   let d_pow = I.pow_int (bound d) (order + 1) in
   let lagrange =
     I.scale (1.0 /. factorial (order + 1)) (I.mul (fn.deriv_bound range (order + 1)) d_pow)
   in
-  add_remainder lagrange !acc
+  add_remainder lagrange acc
 
 (* The derivative-polynomial memo tables below are the only module-level
    mutable state on the verifier's hot path. Parallel gradient probes hit
@@ -312,7 +533,7 @@ let relu tm =
   let range = bound tm in
   let lo = I.lo range and hi = I.hi range in
   if lo >= 0.0 then tm
-  else if hi <= 0.0 then const ~nvars:(nvars tm) ~order:tm.order 0.0
+  else if hi <= 0.0 then const_in tm.plan 0.0
   else begin
     let lambda = hi /. (hi -. lo) in
     let gap = hi *. -.lo /. (hi -. lo) in
@@ -343,7 +564,7 @@ let create_memo () : memo = Expr_memo.create 256
 
 let of_expr ?memo ~x ~u e =
   if Array.length x = 0 then invalid_arg "Taylor_model.of_expr: empty state";
-  let nv = nvars x.(0) and ord = x.(0).order in
+  let plan = x.(0).plan in
   let module E = Dwv_expr.Expr in
   let rec go e =
     match memo with
@@ -357,7 +578,7 @@ let of_expr ?memo ~x ~u e =
     | None -> compute e
   and compute e =
     match e.E.node with
-    | E.Const c -> const ~nvars:nv ~order:ord c
+    | E.Const c -> const_in plan c
     | E.Var i -> x.(i)
     | E.Input j -> u.(j)
     | E.Add (a, b) -> add (go a) (go b)
@@ -374,5 +595,5 @@ let of_expr ?memo ~x ~u e =
   go e
 
 let pp ppf tm =
-  Fmt.pf ppf "@[<hov 2>{poly = %a;@ rem = %a;@ order = %d}@]" Poly.pp tm.poly I.pp tm.rem
-    tm.order
+  Fmt.pf ppf "@[<hov 2>{poly = %a;@ rem = %a;@ order = %d}@]" Poly.pp (poly tm) I.pp tm.rem
+    (order tm)

@@ -3,15 +3,27 @@
     abstracted function satisfies f(z) ∈ poly(z) + rem.
 
     Used both to push reachable sets through the nonlinear dynamics and —
-    POLAR-style — through neural-network layers. *)
+    POLAR-style — through neural-network layers.
+
+    The polynomial is stored as one coefficient per rank of the
+    (nvars, order) product plan ({!Tm_plan}); every shape needs a plan
+    (order 1 to 7, at most 15 variables, see {!Tm_plan.shape}), and a
+    constructor raises [Invalid_argument] on a shape without one. A
+    binary operation raises [Invalid_argument] when its operands differ
+    in arity or in order. *)
 
 type t
 
-(** Build from parts; monomials above [order] are soundly folded into the
-    remainder. Raises if [order < 1]. *)
+(** Build from a sparse polynomial (a boundary conversion); monomials
+    above [order] are soundly folded into the remainder, and ±0
+    coefficients are absent monomials. Raises [Invalid_argument] if
+    [order] is outside [1, 7] or the shape has no plan. *)
 val make : poly:Dwv_poly.Poly.t -> rem:Dwv_interval.Interval.t -> order:int -> t
 
 val nvars : t -> int
+
+(** The polynomial as a sparse {!Dwv_poly.Poly.t} (a boundary
+    conversion). *)
 val poly : t -> Dwv_poly.Poly.t
 val remainder : t -> Dwv_interval.Interval.t
 val order : t -> int
@@ -40,6 +52,11 @@ val scale : float -> t -> t
 (** Add a constant. *)
 val shift : float -> t -> t
 
+(** [sum_scaled init s ms] = [init + Σⱼ s.(j)·ms.(j)]: the left fold of
+    [add acc (scale s.(j) ms.(j))] from [init], bit for bit, accumulated
+    in place in one fresh array ([init] is not modified). *)
+val sum_scaled : t -> float array -> t array -> t
+
 (** Enlarge the remainder by the given interval. *)
 val add_remainder : Dwv_interval.Interval.t -> t -> t
 
@@ -49,7 +66,8 @@ val add_remainder : Dwv_interval.Interval.t -> t -> t
 val sweep : ?tol:float -> t -> t
 
 (** Retire symbol [i]: soundly fold every monomial involving it into the
-    interval remainder (disturbance-symbol recycling). *)
+    interval remainder (disturbance-symbol recycling). Raises
+    [Invalid_argument] if [i] is not a variable. *)
 val absorb_var : int -> t -> t
 
 (** Move the interval remainder onto the fresh symbol [slot] (raises if

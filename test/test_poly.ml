@@ -3,6 +3,8 @@
 
 module Poly = Dwv_poly.Poly
 module Bernstein = Dwv_poly.Bernstein
+module Tm = Dwv_taylor.Taylor_model
+module Tm_plan = Dwv_taylor.Tm_plan
 module I = Dwv_interval.Interval
 module Box = Dwv_interval.Box
 
@@ -42,19 +44,28 @@ let test_pow () =
   check_float "at 2" 27.0 (Poly.eval cube [| 2.0 |]);
   Alcotest.(check int) "degree" 3 (Poly.degree cube)
 
+(* Truncation and splitting by variable left Poly with the Taylor
+   models that used them: a model of order 1 keeps the terms of degree
+   <= 1 and bounds - z0 z1^2 into its remainder, and retiring z1 bounds
+   the one term with z1. *)
 let test_truncate () =
   let p = sample_poly () in
-  let low, high = Poly.truncate ~order:1 p in
+  let tm = Tm.make ~poly:p ~rem:I.zero ~order:1 in
+  let low = Tm.poly tm in
   Alcotest.(check int) "low degree" 1 (Poly.degree low);
-  Alcotest.(check int) "dropped terms" 1 (Poly.num_terms high);
-  Alcotest.(check bool) "partition" true (Poly.equal (Poly.add low high) p)
+  Alcotest.(check int) "kept terms" 2 (Poly.num_terms low);
+  Alcotest.(check bool) "dropped term bounded" true (I.subset (I.make (-1.0) 1.0) (Tm.remainder tm));
+  Alcotest.(check bool) "kept part" true
+    (Poly.equal (Poly.add low (Poly.of_terms 2 [ ([| 1; 2 |], -1.0) ])) p)
 
 let test_split_var () =
   let p = sample_poly () in
-  let without, with_ = Poly.split_var p 1 in
+  let tm = Tm.absorb_var 1 (Tm.make ~poly:p ~rem:I.zero ~order:3) in
+  let without = Tm.poly tm in
   Alcotest.(check int) "terms without z1" 2 (Poly.num_terms without);
-  Alcotest.(check int) "terms with z1" 1 (Poly.num_terms with_);
-  Alcotest.(check bool) "partition" true (Poly.equal (Poly.add without with_) p)
+  Alcotest.(check bool) "term with z1 bounded" true (I.subset (I.make (-1.0) 1.0) (Tm.remainder tm));
+  Alcotest.(check bool) "partition" true
+    (Poly.equal (Poly.add without (Poly.of_terms 2 [ ([| 1; 2 |], -1.0) ])) p)
 
 let test_diff () =
   let p = sample_poly () in
@@ -62,18 +73,31 @@ let test_diff () =
   let d = Poly.diff p 1 in
   check_float "at (1,3)" (-6.0) (Poly.eval d [| 1.0; 3.0 |])
 
+(* The [-1,1]^n bound left Poly with the Taylor models: [bound_unit p]
+   is the bound [Tm_plan.graded] gives [p]'s coefficients laid out on
+   the plan of [p]'s arity at [order]. *)
+let dense pl p =
+  let c = Array.make (Tm_plan.size pl) (-0.0) in
+  List.iter (fun (e, x) -> c.(Option.get (Tm_plan.rank pl e)) <- x) (Poly.to_terms p);
+  c
+
+let bound_unit ?(order = 3) p =
+  let pl = Tm_plan.find ~nvars:(Poly.nvars p) ~order in
+  let g = Tm_plan.graded pl (dense pl p) in
+  I.make g.(0) g.(1)
+
 let test_bound_unit_exact_constant () =
   let p = Poly.const 2 5.0 in
-  let b = Poly.bound_unit p in
+  let b = bound_unit p in
   check_float "lo" 5.0 (I.lo b);
   check_float "hi" 5.0 (I.hi b)
 
 let test_bound_unit_even_odd () =
   (* z0^2 over [-1,1]: [0,1]; z0 over [-1,1]: [-1,1] *)
   let even = Poly.of_terms 1 [ ([| 2 |], 3.0) ] in
-  Alcotest.(check bool) "even" true (I.equal (Poly.bound_unit even) (I.make 0.0 3.0));
+  Alcotest.(check bool) "even" true (I.equal (bound_unit even) (I.make 0.0 3.0));
   let odd = Poly.of_terms 1 [ ([| 1 |], 3.0) ] in
-  Alcotest.(check bool) "odd" true (I.equal (Poly.bound_unit odd) (I.make (-3.0) 3.0))
+  Alcotest.(check bool) "odd" true (I.equal (bound_unit odd) (I.make (-3.0) 3.0))
 
 let test_exponent_range_guard () =
   Alcotest.check_raises "too large" (Invalid_argument "Poly: exponent out of range [0, 15]")
@@ -89,7 +113,7 @@ let prop_bound_unit_sound =
     (fun (a, b) ->
       let p = sample_poly () in
       let v = Poly.eval p [| a; b |] in
-      I.contains (I.widen (Poly.bound_unit p)) v)
+      I.contains (I.widen (bound_unit p)) v)
 
 let prop_mul_eval_homomorphism =
   QCheck.Test.make ~name:"eval (p*q) = eval p * eval q" ~count:300
@@ -133,9 +157,23 @@ let test_mul_top_variable () =
   let x = Array.init 15 (fun i -> 0.1 *. float_of_int (i + 1)) in
   check_float "eval (a*b)" (Poly.eval a x *. Poly.eval b x) (Poly.eval (Poly.mul a b) x)
 
-(* ---- mul_trunc: the kept part is [truncate ~order (mul a b)]'s, bit
-   for bit, less its ±0 coefficients; kept part plus tail contains the
-   full product at sampled points of [-1,1]^n ---- *)
+(* ---- The truncating product: the kept part is
+   [truncate ~order (mul a b)]'s, bit for bit, less its ±0
+   coefficients; kept part plus tail contains the full product at
+   sampled points of [-1,1]^n ----
+
+   The product left Poly for the Taylor layer ([Tm_plan], behind
+   [Taylor_model.mul]); these cases pin it there. [mul_trunc] runs it
+   on zero-remainder models, whose product's remainder encloses the
+   dropped tail. A model's coefficients are its polynomial's less the
+   ±0 ones and less the terms above the order, which [make] bounds
+   into the remainder; [canon] is that polynomial. *)
+
+let mul_trunc ~order a b =
+  let m = Tm.mul (Tm.make ~poly:a ~rem:I.zero ~order) (Tm.make ~poly:b ~rem:I.zero ~order) in
+  (Tm.poly m, Tm.remainder m)
+
+let canon p = Poly.of_terms (Poly.nvars p) (Poly.to_terms p)
 
 let nonzero_bits p =
   ( Poly.nvars p,
@@ -179,14 +217,14 @@ let encloses_at ~keep ~tail full z =
    raise when a coefficient of a factor or of the full product is not
    finite. *)
 let kept_as_reference ~order a b =
-  let expected = nonzero_bits (fst (Poly.truncate ~order (Poly.mul a b))) in
-  match outcome (fun () -> Poly.mul_trunc ~order a b) with
+  let expected = nonzero_bits (fst (Tm_reference.truncate ~order (Poly.mul (canon a) (canon b)))) in
+  match outcome (fun () -> mul_trunc ~order a b) with
   | Ok (keep, _) -> Poly.to_terms keep |> List.for_all (fun (_, c) -> c <> 0.0) && nonzero_bits keep = expected
   | Error _ -> not (all_finite a && all_finite b && all_finite (Poly.mul a b))
 
 let tail_encloses ~order a b =
   let full = Poly.mul a b in
-  match outcome (fun () -> Poly.mul_trunc ~order a b) with
+  match outcome (fun () -> mul_trunc ~order a b) with
   | Ok (keep, tail) -> List.for_all (encloses_at ~keep ~tail full) (sample_points (Poly.nvars a))
   | Error _ -> not (all_finite a && all_finite b && all_finite full)
 
@@ -244,18 +282,23 @@ let gen_over_order st =
   if Random.State.bool st then { shape = "over-order"; order; a; b }
   else { shape = "over-order"; order; a = b; b = a }
 
+(* An arity and an order with a plan. *)
+let rec gen_shape st =
+  let nvars = 1 + Random.State.int st 15 and order = 1 + Random.State.int st 7 in
+  if Tm_plan.shape ~nvars ~order = None then gen_shape st else (nvars, order)
+
 (* 0- and 1-term factors. *)
 let gen_tiny st =
-  let nvars = 1 + Random.State.int st 10 and order = 1 + Random.State.int st 6 in
+  let nvars, order = gen_shape st in
   let a = gen_poly nvars ~deg:order ~terms:(Random.State.int st 2) gen_wide_coeff st in
   let b = gen_poly nvars ~deg:order ~terms:(Random.State.int st 20) gen_wide_coeff st in
   if Random.State.bool st then { shape = "tiny"; order; a; b }
   else { shape = "tiny"; order; a = b; b = a }
 
-(* Any arity and order: plans of every size, including ones over the
-   plan memory bound, and sparse factors whose rank span is wide. *)
+(* Any arity and order with a plan: plans of every size, and sparse
+   factors whose rank span is wide. *)
 let gen_sparse st =
-  let nvars = 1 + Random.State.int st 15 and order = 1 + Random.State.int st 7 in
+  let nvars, order = gen_shape st in
   let g () = gen_poly nvars ~deg:order ~terms:(1 + Random.State.int st 12) gen_small_coeff st in
   { shape = "sparse"; order; a = g (); b = g () }
 
@@ -272,7 +315,8 @@ let gen_underflow st =
   { shape = "underflow"; order; a = g (); b = g () }
 
 (* [of_terms] drops zero coefficients; a product by a tiny constant keeps
-   the terms whose coefficients underflow, as 0.0 of either sign. *)
+   the terms whose coefficients underflow, as 0.0 of either sign, which
+   a model reads as absent monomials. *)
 let scale_down nvars p = Poly.mul (Poly.const nvars 1e-200) p
 
 (* Before [scale_down]: ±1e-200 becomes ±0.0, ±1e200 a small coefficient
@@ -350,7 +394,7 @@ let test_mul_trunc_fallback_then_fast () =
       ("NaN tail raises", 1, nan_x, y);
       ("clean", 1, s, s) ];
   Alcotest.(check bool) "NaN tail raised" true
-    (Result.is_error (outcome (fun () -> Poly.mul_trunc ~order:1 nan_x y)))
+    (Result.is_error (outcome (fun () -> mul_trunc ~order:1 nan_x y)))
 
 (* One plan serves every domain: the same products computed
    concurrently in 4 domains (racing to build a plan no earlier test
@@ -376,7 +420,7 @@ let test_mul_trunc_domains () =
         if k mod 3 = 1 then (Poly.add (Poly.add z0 z1) (noise ()), Poly.add (Poly.sub z0 z1) (noise ()))
         else (realistic (), realistic ()))
   in
-  let run () = List.map (fun (a, b) -> result_bits (Poly.mul_trunc ~order:3 a b)) cases in
+  let run () = List.map (fun (a, b) -> result_bits (mul_trunc ~order:3 a b)) cases in
   let workers = List.init 4 (fun _ -> Domain.spawn run) in
   let par = List.map Domain.join workers in
   let seq = run () in
@@ -401,7 +445,7 @@ let test_mul_trunc_even_negative_tail () =
   List.iter
     (fun (name, order, a, b, m) ->
       Alcotest.(check bool) (name ^ ": contract") true (same_contract ~order a b);
-      let keep, tail = Poly.mul_trunc ~order a b in
+      let keep, tail = mul_trunc ~order a b in
       Alcotest.(check bool) (name ^ ": nothing kept") true (Poly.is_zero keep);
       Alcotest.(check bool) (name ^ ": contains [-m, 0]") true
         (I.subset (I.make (-.m) 0.0) tail);
@@ -411,31 +455,44 @@ let test_mul_trunc_even_negative_tail () =
 
 (* A NaN in a factor part that enters the tail raises; one in a part
    that only meets kept degrees stays in the kept part, bit for bit,
-   beside a finite tail. The next product on the same domain and plan
-   is clean. *)
+   beside a finite tail: the plan kernel on coefficient arrays (the
+   model's product then raises on the factor's non-finite bound). The
+   next product on the same domain and plan is clean. *)
+let plan_mul_trunc ~order a b =
+  let pl = Tm_plan.find ~nvars:(Poly.nvars a) ~order in
+  let ca = dense pl a and cb = dense pl b in
+  let tail = Tm_plan.tail pl (Tm_plan.graded pl ca) (Tm_plan.graded pl cb) in
+  let keep = Tm_plan.mul pl ca cb in
+  let terms = ref [] in
+  Array.iteri
+    (fun r x ->
+      if x <> 0.0 then terms := (Array.init (Poly.nvars a) (Tm_plan.exponent pl r), x) :: !terms)
+    keep;
+  (Poly.of_terms (Poly.nvars a) !terms, tail)
+
 let test_mul_trunc_nan_even_tail () =
   let x0 = Poly.var 2 0 and x1 = Poly.var 2 1 in
   let s = Poly.add x0 x1 in
   Alcotest.(check bool) "NaN x0 * x0 raises" true
-    (Result.is_error (outcome (fun () -> Poly.mul_trunc ~order:1 (Poly.scale Float.nan x0) x0)));
+    (Result.is_error (outcome (fun () -> plan_mul_trunc ~order:1 (Poly.scale Float.nan x0) x0)));
   Alcotest.(check bool) "NaN x0^2 beside x1^2 raises" true
     (Result.is_error
-       (outcome (fun () -> Poly.mul_trunc ~order:1 (Poly.add (Poly.scale Float.nan x0) x1) s)));
+       (outcome (fun () -> plan_mul_trunc ~order:1 (Poly.add (Poly.scale Float.nan x0) x1) s)));
   let nan_const = Poly.add (Poly.const 2 Float.nan) x1 in
-  (match Poly.mul_trunc ~order:1 nan_const x0 with
+  (match plan_mul_trunc ~order:1 nan_const x0 with
   | keep, tail ->
     Alcotest.(check bool) "kept NaN x0" true
       (List.exists (fun (e, c) -> e = [| 1; 0 |] && Float.is_nan c) (Poly.to_terms keep));
     Alcotest.(check bool) "finite tail" true (Float.is_finite (I.lo tail) && Float.is_finite (I.hi tail)));
+  Alcotest.(check bool) "NaN constant: the model raises" true
+    (Result.is_error (outcome (fun () -> mul_trunc ~order:1 nan_const x0)));
   Alcotest.(check bool) "NaN constant: contract" true (same_contract ~order:1 nan_const x0);
   Alcotest.(check bool) "clean" true (same_contract ~order:1 s s)
 
-(* One plan (8 variables, order 3: 165 input monomials) reached by a
-   sparse factor, whose terms are ranked one by one with the step table,
-   and by a dense one, whose sorted keys are merged against the plan's
-   input monomials. Each path must also reject a factor with a term of
-   degree > order in the middle of its key range (the extreme terms are
-   ranked before either path runs). *)
+(* One plan (8 variables, order 3: 165 monomials) reached by a sparse
+   factor and by a dense one, each also with a term of degree > order in
+   the middle of its key range, which the model bounds into its
+   remainder. *)
 let test_mul_trunc_rank_and_merge () =
   let st = Random.State.make [| 41 |] in
   let full = Poly.pow (Poly.add (Poly.const 8 1.0)
@@ -463,7 +520,7 @@ let test_plan_ranks_fit_16_bits () =
   let built = ref 0 and largest = ref 0 in
   for nvars = 1 to 15 do
     for order = 0 to 7 do
-      match Poly.plan_shape ~nvars ~order with
+      match Tm_plan.shape ~nvars ~order with
       | None -> ()
       | Some n_in ->
         incr built;
@@ -476,30 +533,35 @@ let test_plan_ranks_fit_16_bits () =
      4 / 5 / 6 / 7 *)
   Alcotest.(check int) "plans built" ((4 * 15) + 10 + 7 + 6 + 5) !built;
   Alcotest.(check int) "largest n_in" 1_001 !largest;
-  Alcotest.(check bool) "order 8 has no plan" true (Poly.plan_shape ~nvars:1 ~order:8 = None)
+  Alcotest.(check bool) "order 8 has no plan" true (Tm_plan.shape ~nvars:1 ~order:8 = None)
 
-(* [bound_unit] charges the summation error: a constant 1.0 plus 1,000
-   odd monomials of coefficient 1e-16 ranges over [1 - 1e-13, 1 + 1e-13]
-   exactly, but each 1e-16 rounds away when added to 1.0, so uncharged
-   sums would report [1, 1] (and [Interval.widen]'s 1e-14 would not
-   reach 1 + 1e-13). *)
+(* [bound_unit] charges the summation error: a constant 1.0 plus the
+   695 odd monomials of degree <= 3 in 15 variables, each of coefficient
+   1e-16, ranges over [1 - 6.95e-14, 1 + 6.95e-14] exactly, but each
+   1e-16 rounds away when added to 1.0, so uncharged sums would report
+   [1, 1] (and [Interval.widen]'s 1e-14 would not reach 1 + 6.9e-14). *)
 let test_bound_unit_charges_summation () =
-  let terms = ref [ ([| 0; 0; 0 |], 1.0) ] and n = ref 0 in
-  for i = 0 to 15 do
-    for j = 0 to 15 do
-      for k = 0 to 15 do
-        if !n < 1000 && (i + j + k) mod 2 = 1 then begin
-          terms := ([| i; j; k |], 1e-16) :: !terms;
-          incr n
-        end
+  let terms = ref [ (Array.make 15 0, 1.0) ] in
+  let add e = if Array.fold_left ( + ) 0 e mod 2 = 1 then terms := (e, 1e-16) :: !terms in
+  for i = 0 to 14 do
+    for j = i to 14 do
+      for k = j to 14 do
+        let e = Array.make 15 0 in
+        e.(i) <- e.(i) + 1;
+        e.(j) <- e.(j) + 1;
+        e.(k) <- e.(k) + 1;
+        add e
       done
-    done
+    done;
+    let e = Array.make 15 0 in
+    e.(i) <- 1;
+    add e
   done;
-  let p = Poly.of_terms 3 !terms in
-  Alcotest.(check int) "1001 terms" 1001 (Poly.num_terms p);
-  let b = Poly.bound_unit p in
-  Alcotest.(check bool) "hi >= 1 + 1e-13" true (I.hi b >= 1.0 +. 1e-13);
-  Alcotest.(check bool) "lo <= 1 - 1e-13" true (I.lo b <= 1.0 -. 1e-13);
+  let p = Poly.of_terms 15 !terms in
+  Alcotest.(check int) "696 terms" 696 (Poly.num_terms p);
+  let b = bound_unit p in
+  Alcotest.(check bool) "hi >= 1 + 6.9e-14" true (I.hi b >= 1.0 +. 6.9e-14);
+  Alcotest.(check bool) "lo <= 1 - 6.9e-14" true (I.lo b <= 1.0 -. 6.9e-14);
   Alcotest.(check bool) "still tight" true (I.width b < 1e-12)
 
 (* ---------------- Bernstein ---------------- *)

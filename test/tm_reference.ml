@@ -111,7 +111,7 @@ let graded_tail ~order a b =
       let lo = gb.(j) and hi = gb.(j + 1) in
       if gb.(j + 2) > 0.0 then begin
         if not (Float.is_finite lo && Float.is_finite hi) then
-          invalid_arg "Poly.mul_trunc: non-finite tail";
+          invalid_arg "Taylor_model.mul: non-finite tail";
         slo := Float.pred (!slo +. lo);
         shi := Float.succ (!shi +. hi);
         suffix := true
@@ -122,14 +122,14 @@ let graded_tail ~order a b =
     let alo = ga.(i) and ahi = ga.(i + 1) in
     if !suffix && ga.(i + 2) > 0.0 then begin
       if not (Float.is_finite alo && Float.is_finite ahi) then
-        invalid_arg "Poly.mul_trunc: non-finite tail";
+        invalid_arg "Taylor_model.mul: non-finite tail";
       let p1 = alo *. !slo and p2 = alo *. !shi and p3 = ahi *. !slo and p4 = ahi *. !shi in
       tlo := Float.pred (!tlo +. Float.pred (Float.min (Float.min p1 p2) (Float.min p3 p4)));
       thi := Float.succ (!thi +. Float.succ (Float.max (Float.max p1 p2) (Float.max p3 p4)))
     end
   done;
   if not (Float.is_finite !tlo && Float.is_finite !thi) then
-    invalid_arg "Poly.mul_trunc: non-finite tail";
+    invalid_arg "Taylor_model.mul: non-finite tail";
   I.make !tlo !thi
 
 (* Pairs of terms whose degrees sum to <= order: what the product's
