@@ -187,12 +187,24 @@ let validate t =
         (List.length sizes - 1) (List.length acts);
     if not (Float.is_finite scale) then
       fail "Scenario %s: non-finite net output scale" t.name);
+  (* a Taylor model over [symbols] variables needs a product plan *)
+  let check_plan kind symbols order =
+    if Dwv_taylor.Tm_plan.shape ~nvars:symbols ~order = None then
+      fail
+        "Scenario %s: the %s method needs Taylor models over %d symbols at order %d, which \
+         have no product plan (at most 15 symbols, fewer above order 3)"
+        t.name kind symbols order
+  in
   (match t.method_ with
-  | M_taylor { order } | M_interval { order } ->
+  | M_taylor { order } ->
+    if order < 1 then fail "Scenario %s: method order must be >= 1" t.name;
+    check_plan "taylor" (n_total t) order
+  | M_interval { order } ->
     if order < 1 then fail "Scenario %s: method order must be >= 1" t.name
   | M_polar { order; slots } ->
     if order < 1 then fail "Scenario %s: method order must be >= 1" t.name;
-    if slots < 1 then fail "Scenario %s: polar slots must be >= 1" t.name
+    if slots < 1 then fail "Scenario %s: polar slots must be >= 1" t.name;
+    check_plan "polar" (n_total t + (slots * t.m)) order
   | M_zonotope -> ());
   t
 

@@ -216,8 +216,39 @@ let test_threed_polar_flowpipe_completes () =
   Alcotest.(check bool) "no divergence" false (Flowpipe.diverged pipe);
   Alcotest.(check int) "full horizon" Threed.spec.Spec.steps (Flowpipe.steps pipe)
 
+(* A taylor or polar method needs a Taylor-model product plan for its
+   symbols (states and parameters, plus one per slot and input for
+   polar): the oscillator's (polar (order 3) (slots 6)) has (8, 3), and
+   the DSL refuses 14 slots (16 symbols) and order 8 with a message
+   that says why. *)
+let test_scenario_rejects_shapes_without_plan () =
+  let module Scenario = Dwv_systems.Scenario in
+  let find sub s =
+    let rec go i =
+      if i + String.length sub > String.length s then None
+      else if String.sub s i (String.length sub) = sub then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let with_method m =
+    let dsl = Oscillator.dsl in
+    String.sub dsl 0 (Option.get (find "(method" dsl)) ^ m ^ ")"
+  in
+  ignore (Scenario.of_string (with_method "(method (polar (order 3) (slots 6)))"));
+  List.iter
+    (fun m ->
+      match Scenario.of_string (with_method m) with
+      | _ -> Alcotest.failf "accepted %s" m
+      | exception Failure msg ->
+        Alcotest.(check bool) (m ^ ": " ^ msg) true
+          (find "no product plan" msg <> None))
+    [ "(method (polar (order 3) (slots 14)))"; "(method (taylor (order 8)))" ]
+
 let suite =
   [
+    Alcotest.test_case "scenario rejects shapes without a plan" `Quick
+      test_scenario_rejects_shapes_without_plan;
     Alcotest.test_case "acc dynamics" `Quick test_acc_dynamics_values;
     Alcotest.test_case "acc spec" `Quick test_acc_spec_sets;
     Alcotest.test_case "acc augmentation" `Quick test_acc_augmented_consistency;
