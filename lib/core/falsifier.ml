@@ -97,11 +97,12 @@ type counterexample = {
   property : property;
 }
 
-(* Coordinate hill climbing within X_0, shrinking the step geometrically. *)
-let refine ?avoid ~sys ~controller ~spec ~property ~iters x0 =
+(* Coordinate hill climbing within X_0, shrinking the step geometrically,
+   from [x0] whose robustness is [rob0]. *)
+let refine_from ?avoid ~sys ~controller ~spec ~property ~iters x0 rob0 =
   let x = Array.copy x0 in
   let n = Array.length x in
-  let rob = ref (robustness ?avoid ~sys ~controller ~spec ~property x) in
+  let rob = ref rob0 in
   let widths = Box.widths spec.Spec.x0 in
   let lo = Box.lo spec.Spec.x0 and hi = Box.hi spec.Spec.x0 in
   let step = ref 0.25 in
@@ -120,6 +121,10 @@ let refine ?avoid ~sys ~controller ~spec ~property ~iters x0 =
     step := !step *. 0.6
   done;
   (x, !rob)
+
+let refine ?avoid ~sys ~controller ~spec ~property ~iters x0 =
+  refine_from ?avoid ~sys ~controller ~spec ~property ~iters x0
+    (robustness ?avoid ~sys ~controller ~spec ~property x0)
 
 (* Closed-box boundary semantics: a trace touching the avoid set is
    unsafe (r = 0 falsifies Safety), but a trace touching the goal box has
@@ -145,7 +150,10 @@ let search ?(attempts = 50) ?(refine_iters = 8) ?avoid ~rng ~sys ~controller
   done;
   let x, r =
     if falsified ~property !best_r then (!best_x, !best_r)
-    else refine ?avoid ~sys ~controller ~spec ~property ~iters:refine_iters !best_x
+    else
+      (* robustness is a pure function of the state: the winner's score
+         is the hill climb's starting value, not a second rollout *)
+      refine_from ?avoid ~sys ~controller ~spec ~property ~iters:refine_iters !best_x !best_r
   in
   if falsified ~property r then Some { x0 = x; robustness = r; property }
   else None

@@ -684,6 +684,29 @@ let test_falsifier_refine_descends () =
   Alcotest.(check bool) "stays in X0" true (Box.contains fals_spec.Spec.x0 x);
   Alcotest.(check bool) "finds the violation" true (r <= 0.0)
 
+(* A search that finds nothing simulates each of its [attempts] starts
+   once, then each of the hill climb's 2 n tries per iteration: the
+   climb starts from the winner's score instead of rolling it out a
+   second time. A counting controller pins the number of rollouts. *)
+let test_falsifier_search_rollouts () =
+  let calls = ref 0 in
+  let controller x =
+    incr calls;
+    [| -.x.(0) |]
+  in
+  let per_rollout =
+    ignore
+      (Falsifier.robustness ~sys:fals_sys ~controller ~spec:fals_spec
+         ~property:Falsifier.Safety (Box.center fals_spec.Spec.x0));
+    !calls
+  in
+  calls := 0;
+  Alcotest.(check bool) "no counterexample" true
+    (Falsifier.search ~attempts:30 ~refine_iters:8 ~rng:(Rng.create 5) ~sys:fals_sys ~controller
+       ~spec:fals_spec ~property:Falsifier.Safety ()
+    = None);
+  Alcotest.(check int) "30 starts + 8 x 2 climb tries" ((30 + (8 * 2)) * per_rollout) !calls
+
 let test_falsifier_goal_boundary_not_falsified () =
   (* closed-box semantics: a trajectory that reaches the goal face with
      robustness exactly 0 has reached the goal — Goal_reaching must not
@@ -780,6 +803,7 @@ let suite =
     Alcotest.test_case "falsifier signed distance" `Quick test_signed_distance;
     Alcotest.test_case "falsifier finds unsafe" `Quick test_falsifier_finds_unsafe_controller;
     Alcotest.test_case "falsifier accepts safe" `Quick test_falsifier_accepts_safe_controller;
+    Alcotest.test_case "falsifier search rollouts" `Quick test_falsifier_search_rollouts;
     Alcotest.test_case "falsifier goal-reaching" `Quick test_falsifier_goal_reaching;
     Alcotest.test_case "evaluate stabilizing" `Quick test_evaluate_stabilizing;
     Alcotest.test_case "evaluate unsafe" `Quick test_evaluate_unsafe_controller;
