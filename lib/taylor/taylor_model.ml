@@ -11,7 +11,6 @@
 
 module I = Dwv_interval.Interval
 module Poly = Dwv_poly.Poly
-module Box = Dwv_interval.Box
 module Plan = Tm_plan
 
 (* The polynomial is one coefficient per rank of the (nvars, order)
@@ -260,18 +259,21 @@ let add_remainder iv tm = { tm with rem = I.add tm.rem iv }
    kept ones stay in place, the dropped ones are bounded in ascending
    rank. [tm] itself when nothing is dropped. *)
 let fold_into_remainder tm drop =
-  let kept = Array.copy tm.c and dropped = Array.make (Array.length tm.c) (-0.0) in
-  let any = ref false in
-  for r = 0 to Array.length kept - 1 do
-    let x = kept.(r) in
-    if present x && drop r x then begin
-      dropped.(r) <- x;
-      kept.(r) <- -0.0;
-      any := true
-    end
+  let n = Array.length tm.c in
+  let first = ref 0 in
+  while !first < n && not (present tm.c.(!first) && drop !first tm.c.(!first)) do
+    incr first
   done;
-  if not !any then tm
+  if !first = n then tm
   else begin
+    let kept = Array.copy tm.c and dropped = Array.make n (-0.0) in
+    for r = !first to n - 1 do
+      let x = kept.(r) in
+      if present x && drop r x then begin
+        dropped.(r) <- x;
+        kept.(r) <- -0.0
+      end
+    done;
     let g = Plan.graded tm.plan dropped in
     model tm.plan kept (I.add tm.rem (I.make g.(0) g.(1)))
   end
