@@ -25,9 +25,6 @@ val order : t -> int
 (** Number of monomials (ranks). *)
 val size : t -> int
 
-(** Total degree of the monomial of a rank. *)
-val degree : t -> int -> int
-
 (** [exponent pl r i] is variable [i]'s exponent in rank [r]'s
     monomial. *)
 val exponent : t -> int -> int -> int
